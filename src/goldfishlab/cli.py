@@ -359,7 +359,7 @@ def _positions_z_eigen(cfg: RunConfig) -> np.ndarray:
 
 def _positions_s_exact(cfg: RunConfig) -> np.ndarray:
     data = hyperbolic.HyperbolicData(a=1.0, a_vec=cfg.a_vec, c_vec=cfg.c_vec)
-    return np.vstack([hyperbolic.s_exact(data, t)[1] for t in cfg.times])
+    return hyperbolic.s_exact_trajectory(data, cfg.times)
 
 
 _SOLVERS = {

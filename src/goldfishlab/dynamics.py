@@ -214,9 +214,15 @@ def goldfish_exact_state(state0: GoldfishState, t: float) -> GoldfishState:
 
 
 def goldfish_exact_trajectory(state0: GoldfishState, times) -> np.ndarray:
-    """Exact positions on a time grid, shape (len(times), N)."""
+    """Exact positions on a time grid, shape (len(times), N).
+
+    Same arithmetic as ``goldfish_exact`` per point, with x(0) and b computed
+    once for the whole grid.
+    """
     times = np.asarray(times, dtype=float)
-    return np.vstack([goldfish_exact(state0, t) for t in times])
+    x0 = symfun.elem_sym_coords(state0.q)
+    b = conserved_bn(state0)
+    return np.vstack([symfun.roots_from_coords(x0 + t * b, tol=1e-9) for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +414,10 @@ def integrate(
     ``system`` is a name ("goldfish", "ecm", "geodesic") or an OdeSystem.  The
     minimal pairwise gap of the monitored positions is watched continuously;
     crossing ``config.collision_gap`` aborts with CollisionDetected carrying
-    the partial trajectory.  Diagnostics are evaluated at output grid points.
+    the partial trajectory.  A trial stage whose positions fail the state
+    check of the system's RHS (unordered or collided) also raises
+    CollisionDetected, without a partial trajectory or time.  Diagnostics are
+    evaluated at output grid points.
     """
     config = config or IntegratorConfig()
     if output_points < 2:
@@ -434,17 +443,24 @@ def integrate(
         gap_event.direction = -1.0
         events.append(gap_event)
 
-    sol = solve_ivp(
-        sys_.rhs,
-        (t0, t1),
-        y0,
-        method="RK45",
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        max_step=config.max_step,
-        t_eval=grid,
-        events=events or None,
-    )
+    try:
+        sol = solve_ivp(
+            sys_.rhs,
+            (t0, t1),
+            y0,
+            method="RK45",
+            rtol=config.rel_tol,
+            atol=config.abs_tol,
+            max_step=config.max_step,
+            t_eval=grid,
+            events=events or None,
+        )
+    except ValueError as exc:
+        # an RK stage point can leave the ordered, collision-free sector
+        # between two gap-event evaluations; the state check then rejects it
+        raise CollisionDetected(
+            f"an RK stage state was rejected: {exc}", partial=None, time=None
+        ) from exc
 
     def build(times, ys):
         states = [sys_.unpack(ys[:, k]) for k in range(times.size)]

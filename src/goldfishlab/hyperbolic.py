@@ -178,31 +178,49 @@ def s_initial(data: HyperbolicData) -> tuple[np.ndarray, np.ndarray]:
     return s0, symfun.jacobian(z0) @ zdot0
 
 
+def _s_line(data: HyperbolicData) -> tuple[float, np.ndarray, np.ndarray]:
+    """(P, alpha, beta) with s_n(t) = alpha_n + beta_n e^{2 P t}."""
+    p = data.momentum
+    if p == 0:
+        raise ValueError("s route needs P = sum c_i != 0")
+    s0, sdot0 = s_initial(data)
+    beta = sdot0 / (2.0 * p)
+    return p, s0 - beta, beta
+
+
+def _s_positions(s_t: np.ndarray, root_tol: float) -> np.ndarray:
+    """q = half the logs of the roots of the monic polynomial with Vieta data s_t."""
+    roots = symfun.roots_from_coords(s_t, tol=root_tol)
+    if roots[0] <= 0:
+        raise NonPositiveRoot(f"smallest root {roots[0]:.3e} <= 0")
+    return 0.5 * np.log(roots)
+
+
 def s_exact(data: HyperbolicData, t: float, root_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """Exact (s(t), q(t)) from the linear evolution sddot_n = 2 P sdot_n.
 
     Each s_n(t) = alpha_n + beta_n e^{2 P t}; q(t) is recovered as half the
     logs of the roots of the monic polynomial with Vieta coefficients s(t).
     """
-    p = data.momentum
-    if p == 0:
-        raise ValueError("s route needs P = sum c_i != 0")
-    s0, sdot0 = s_initial(data)
-    beta = sdot0 / (2.0 * p)
-    alpha = s0 - beta
+    p, alpha, beta = _s_line(data)
     s_t = alpha + beta * np.exp(2.0 * p * t)
-    roots = symfun.roots_from_coords(s_t, tol=root_tol)
-    if roots[0] <= 0:
-        raise NonPositiveRoot(f"smallest root {roots[0]:.3e} <= 0")
-    return s_t, 0.5 * np.log(roots)
+    return s_t, _s_positions(s_t, root_tol)
+
+
+def s_exact_trajectory(data: HyperbolicData, times) -> np.ndarray:
+    """Exact positions q(t) on a time grid, shape (len(times), N).
+
+    Same arithmetic as ``s_exact`` per point, with s(0) and sdot(0) computed
+    once for the whole grid.
+    """
+    p, alpha, beta = _s_line(data)
+    times = np.asarray(times, dtype=float)
+    return np.vstack([_s_positions(alpha + beta * np.exp(2.0 * p * t), 1e-9) for t in times])
 
 
 def s_derivatives(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(s, sdot, sddot) at time t from the closed form."""
-    p = data.momentum
-    s0, sdot0 = s_initial(data)
-    beta = sdot0 / (2.0 * p)
-    alpha = s0 - beta
+    p, alpha, beta = _s_line(data)
     growth = np.exp(2.0 * p * t)
     return alpha + beta * growth, 2.0 * p * beta * growth, 4.0 * p * p * beta * growth
 

@@ -60,12 +60,26 @@ def elem_sym_coords(q) -> np.ndarray:
 
 
 def jacobian(q) -> np.ndarray:
-    """J[n, j] = d x_n / d q_j = e_{n-1} of q with entry j removed."""
+    """J[n, j] = d x_n / d q_j = e_{n-1} of q with entry j removed.
+
+    Column j is the recurrence of ``_elementary_all`` run over q without q_j.
+    All columns are advanced together in one pass over q: step i applies
+    J[1:] = J[1:] + q_i J[:-1] and then restores column i, which must skip
+    q_i.  Before step i a column holds e_0..e_i at most, so the step touches
+    rows 1..i+1 only; the rows below stay zero, as they would in the full
+    update.  That is O(N) numpy calls and O(N^3) flops, and every entry
+    receives the same IEEE operations in the same order as in the per-column
+    definition, so the result is bit-identical to it.
+    """
     q = as_configuration(q)
     n = q.size
-    jac = np.empty((n, n))
-    for j in range(n):
-        jac[:, j] = _elementary_all(np.delete(q, j))[:n]
+    jac = np.zeros((n, n))
+    jac[0] = 1.0
+    for i, v in enumerate(q):
+        m = min(i + 2, n)
+        skipped = jac[1:m, i].copy()
+        jac[1:m] += v * jac[: m - 1]
+        jac[1:m, i] = skipped
     return jac
 
 

@@ -138,6 +138,22 @@ class TestSimulate:
         _, rows = read_csv(out)
         assert 0 < rows.shape[0] < 21
 
+    def test_geodesic_stage_point_out_of_order_exits_three(self, tmp_path, capsys):
+        # an RK stage point of this run swaps the two positions before the gap
+        # event can stop the integration
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"system": "geodesic", "N": 2, "t_end": 2, "q0": [0, 0.5], "p0": [3, -3]},
+        )
+        out = tmp_path / "traj.csv"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: CollisionDetected: ")
+        sidecar = json.loads(cli.sidecar_path(out).read_text())
+        assert sidecar["truncated"] is True
+        assert sidecar["truncation"]["error"] == "CollisionDetected"
+        assert sidecar["rows_written"] == 0
+        assert out.read_text() == "t,q1,q2,pi1,pi2\n"
+
 
 class TestVerifyCommand:
     def test_geometry_suite_passes(self, tmp_path, capsys):

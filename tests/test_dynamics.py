@@ -151,6 +151,15 @@ class TestGoldfishExact:
         with pytest.raises(ComplexRoots):
             dynamics.goldfish_exact(s, 1.0)
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    def test_trajectory_equals_pointwise_solver(self, n):
+        rng = np.random.default_rng(n)
+        q0 = np.linspace(-2.0, 2.0, n) + rng.uniform(-0.05, 0.05, n)
+        s = dynamics.GoldfishState(q0, rng.uniform(0.5, 1.5, n))
+        times = np.linspace(0.0, 0.3, 21)
+        pointwise = np.vstack([dynamics.goldfish_exact(s, t) for t in times])
+        assert np.array_equal(dynamics.goldfish_exact_trajectory(s, times), pointwise)
+
 
 class TestIntegrate:
     def test_matches_exact_solver(self):

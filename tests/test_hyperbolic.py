@@ -160,6 +160,15 @@ class TestExactSolvers:
             _, q_s = hyperbolic.s_exact(data, t)
             assert np.abs(q_s - hyperbolic.z_eigen_solution(data, t)).max() < 1e-9
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    def test_trajectory_equals_pointwise_solver(self, n):
+        rng = np.random.default_rng(n)
+        a_vec = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.02, 0.02, n)
+        data = hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=rng.uniform(0.5, 1.5, n))
+        times = np.linspace(0.0, 0.3, 21)
+        pointwise = np.vstack([hyperbolic.s_exact(data, t)[1] for t in times])
+        assert np.array_equal(hyperbolic.s_exact_trajectory(data, times), pointwise)
+
     def test_top_symmetric_function_growth(self):
         # s_N(t) = e^{2 sum a} e^{2 P t} exactly, so alpha_N = 0
         s_t, _ = hyperbolic.s_exact(PAIR, 0.5)

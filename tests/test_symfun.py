@@ -61,6 +61,34 @@ class TestJacobian:
             assert np.abs(col - jac[:, j]).max() < 1e-7 * max(1.0, np.abs(jac).max())
 
 
+def per_column_jacobian(q):
+    """Column j is the elementary-polynomial recurrence over q without q_j."""
+    q = np.asarray(q, dtype=float)
+    n = q.size
+    jac = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[0] = 1.0
+        for v in np.delete(q, j):
+            e[1:] = e[1:] + v * e[:-1]
+        jac[:, j] = e
+    return jac
+
+
+class TestJacobianBitIdentity:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_matches_per_column_recurrence(self, n):
+        rng = np.random.default_rng(n)
+        scale = 10.0 ** rng.uniform(-1, 2)
+        q = np.sort(rng.uniform(-scale, scale, n))
+        assert np.array_equal(symfun.jacobian(q), per_column_jacobian(q))
+
+    @settings(max_examples=60, deadline=None)
+    @given(configurations(min_n=1, max_n=12))
+    def test_matches_per_column_recurrence_on_configurations(self, q):
+        assert np.array_equal(symfun.jacobian(q), per_column_jacobian(q))
+
+
 class TestJacobianDet:
     def test_hand_values(self):
         assert symfun.jacobian_det([1.0, 2.0]) == -1.0
