@@ -18,30 +18,40 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import dynamics, geometry, hyperbolic, reduction, symfun, verify
 from .errors import ConfigInvalid, GoldfishLabError, IntegrationError
 
-SYSTEMS = ("goldfish", "ecm", "matrix", "geodesic", "hyperbolic-sinh", "hyperbolic-coth")
+_OPTIONAL_FIELDS = ("output_points", "rel_tol", "abs_tol", "collision_gap")
 
-_REQUIRED_FIELDS = {
-    "goldfish": ("q0", "qdot0"),
-    "ecm": ("q0", "p0", "f0"),
-    "matrix": ("q0", "qdot0"),
-    "geodesic": ("q0", "p0"),
-    "hyperbolic-sinh": ("a", "a_vec", "c_vec"),
-    "hyperbolic-coth": ("a_vec", "c_vec"),
-}
 
-_OPTIONAL_DEFAULTS = {
-    "output_points": 101,
-    "rel_tol": 1e-10,
-    "abs_tol": 1e-12,
-    "collision_gap": 1e-8,
-    "seed": 0,
-}
+def _require(condition, message: str) -> None:
+    if not condition:
+        raise ConfigInvalid(message)
+
+
+def _integer(value, key: str) -> int:
+    """A JSON integer, or a float with an integral value; booleans are rejected."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    _require(integral and not isinstance(value, bool), f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"malformed scalar field: {exc}") from exc
+
+
+def _array(raw: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(raw[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"malformed field {key}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -55,7 +65,6 @@ class RunConfig:
     rel_tol: float
     abs_tol: float
     collision_gap: float
-    seed: int
     q0: np.ndarray | None = None
     qdot0: np.ndarray | None = None
     p0: np.ndarray | None = None
@@ -66,68 +75,58 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigInvalid("config must be a JSON object")
+        _require(isinstance(raw, dict), "config must be a JSON object")
         system = raw.get("system")
-        if system not in SYSTEMS:
-            raise ConfigInvalid(f"system must be one of {SYSTEMS}, got {system!r}")
-        required = ("system", "N", "t_end") + _REQUIRED_FIELDS[system]
-        allowed = set(required) | set(_OPTIONAL_DEFAULTS)
+        _require(system in SYSTEMS, f"system must be one of {SYSTEMS}, got {system!r}")
+        required = ("system", "N", "t_end") + SPECS[system].fields
         missing = [key for key in required if key not in raw]
-        if missing:
-            raise ConfigInvalid(f"missing required fields: {missing}")
-        unknown = sorted(set(raw) - allowed)
-        if unknown:
-            raise ConfigInvalid(f"unknown fields: {unknown}")
+        _require(not missing, f"missing required fields: {missing}")
+        unknown = sorted(set(raw) - set(required) - set(_OPTIONAL_FIELDS))
+        _require(not unknown, f"unknown fields: {unknown}")
 
-        try:
-            n = int(raw["N"])
-            t_end = float(raw["t_end"])
-            opts = {key: type(dflt)(raw.get(key, dflt)) for key, dflt in _OPTIONAL_DEFAULTS.items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"malformed scalar field: {exc}") from exc
-        if n < 1:
-            raise ConfigInvalid("N must be >= 1")
-        if t_end <= 0:
-            raise ConfigInvalid("t_end must be > 0")
-        if opts["output_points"] < 2:
-            raise ConfigInvalid("output_points must be >= 2")
-
-        def vector(key):
-            value = np.asarray(raw[key], dtype=float)
-            if value.shape != (n,):
-                raise ConfigInvalid(f"{key} must be a length-{n} vector")
-            if not np.all(np.isfinite(value)):
-                raise ConfigInvalid(f"{key} must be finite")
-            return value
+        n = _integer(raw["N"], "N")
+        points = _integer(raw.get("output_points", 101), "output_points")
+        t_end = _number(raw["t_end"])
+        rel_tol = _number(raw.get("rel_tol", 1e-10))
+        abs_tol = _number(raw.get("abs_tol", 1e-12))
+        gap = _number(raw.get("collision_gap", symfun.COLLISION_TOL))
+        _require(n >= 1, "N must be >= 1")
+        _require(np.isfinite(t_end), "t_end must be finite")
+        _require(t_end > 0, "t_end must be > 0")
+        _require(points >= 2, "output_points must be >= 2")
+        _require(np.isfinite(rel_tol) and rel_tol > 0, "rel_tol must be finite and > 0")
+        _require(np.isfinite(abs_tol) and abs_tol > 0, "abs_tol must be finite and > 0")
+        _require(np.isfinite(gap) and gap >= 0, "collision_gap must be finite and >= 0")
 
         fields: dict = {}
-        for key in _REQUIRED_FIELDS[system]:
+        for key in SPECS[system].fields:
             if key == "a":
-                fields["a"] = float(raw["a"])
-                if fields["a"] == 0:
-                    raise ConfigInvalid("a must be nonzero")
+                fields["a"] = a = _number(raw["a"])
+                _require(a != 0, "a must be nonzero")
+                _require(np.isfinite(a), "a must be finite")
             elif key == "f0":
-                f0 = np.asarray(raw["f0"], dtype=float)
-                if f0.shape != (n, n):
-                    raise ConfigInvalid(f"f0 must be an {n}x{n} matrix")
-                if not np.array_equal(f0, -f0.T):
-                    raise ConfigInvalid("f0 must be exactly antisymmetric")
-                fields["f0"] = f0
+                fields["f0"] = f0 = _array(raw, "f0")
+                _require(f0.shape == (n, n), f"f0 must be an {n}x{n} matrix")
+                _require(np.array_equal(f0, -f0.T), "f0 must be exactly antisymmetric")
+                _require(np.all(np.isfinite(f0)), "f0 must be finite")
             else:
-                fields[key] = vector(key)
+                fields[key] = value = _array(raw, key)
+                _require(value.shape == (n,), f"{key} must be a length-{n} vector")
+                _require(np.all(np.isfinite(value)), f"{key} must be finite")
+                if key in ("q0", "a_vec") and n > 1:
+                    gaps = np.diff(value)
+                    _require(np.all(gaps > 0), f"{key} must be strictly increasing")
+                    _require(
+                        gaps.min() > symfun.COLLISION_TOL,
+                        f"{key} adjacent gaps must be > {symfun.COLLISION_TOL:g}, "
+                        f"got {gaps.min():.3e}",
+                    )
 
-        for key in ("q0", "a_vec"):
-            if key in fields and n > 1 and np.any(np.diff(fields[key]) <= 0):
-                raise ConfigInvalid(f"{key} must be strictly increasing")
-
-        return cls(system=system, n=n, t_end=t_end, **opts, **fields)
+        return cls(system, n, t_end, points, rel_tol, abs_tol, gap, **fields)
 
     def integrator_config(self) -> dynamics.IntegratorConfig:
         return dynamics.IntegratorConfig(
-            rel_tol=self.rel_tol,
-            abs_tol=self.abs_tol,
-            collision_gap=self.collision_gap,
+            rel_tol=self.rel_tol, abs_tol=self.abs_tol, collision_gap=self.collision_gap
         )
 
     @property
@@ -154,11 +153,11 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_csv(path, header: list[str], rows: list[list[float]]) -> None:
+def _write_csv(path, header: list[str], rows: list[list[float]], footer=()) -> None:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join([*lines, *footer]) + "\n")
 
 
 def _write_json(path, payload) -> None:
@@ -175,53 +174,6 @@ def sidecar_path(out_path) -> Path:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _initial_state(cfg: RunConfig):
-    if cfg.system == "goldfish":
-        return dynamics.GoldfishState(cfg.q0, cfg.qdot0)
-    if cfg.system == "ecm":
-        return dynamics.ECMState(cfg.q0, cfg.p0, cfg.f0)
-    if cfg.system == "geodesic":
-        return geometry.GeodesicState(cfg.q0, cfg.p0)
-    if cfg.system == "hyperbolic-sinh" or cfg.system == "hyperbolic-coth":
-        return hyperbolic.HyperbolicState(cfg.a_vec, cfg.c_vec)
-    raise ConfigInvalid(f"no integrable state for system {cfg.system!r}")
-
-
-def _ode_system(cfg: RunConfig):
-    if cfg.system == "hyperbolic-sinh":
-        return hyperbolic.SinhSystem(cfg.n, cfg.a)
-    if cfg.system == "hyperbolic-coth":
-        return hyperbolic.CothSystem(cfg.n)
-    return cfg.system
-
-
-def _state_row(cfg: RunConfig, state) -> list[float]:
-    if cfg.system == "goldfish":
-        return [*state.q, *state.qdot]
-    if cfg.system == "ecm":
-        return [*state.q, *state.p, *state.f_upper]
-    if cfg.system == "geodesic":
-        return [*state.q, *state.pi]
-    return [*state.lam, *state.lamdot]
-
-
-def _columns(cfg: RunConfig) -> list[str]:
-    q_cols = [f"q{i + 1}" for i in range(cfg.n)]
-    if cfg.system == "goldfish" or cfg.system.startswith("hyperbolic"):
-        return ["t"] + q_cols + [f"qdot{i + 1}" for i in range(cfg.n)]
-    if cfg.system == "ecm":
-        iu, ju = np.triu_indices(cfg.n, 1)
-        return (
-            ["t"]
-            + q_cols
-            + [f"p{i + 1}" for i in range(cfg.n)]
-            + [f"f_{i + 1}_{j + 1}" for i, j in zip(iu, ju)]
-        )
-    if cfg.system == "geodesic":
-        return ["t"] + q_cols + [f"pi{i + 1}" for i in range(cfg.n)]
-    return ["t"] + q_cols  # matrix: eigenvalue columns
-
-
 def _simulate_matrix(cfg: RunConfig):
     """Eigenvalue curves of the exact straight-line matrix flow."""
     flow = reduction.rank1_velocity(cfg.q0, cfg.qdot0)
@@ -236,6 +188,12 @@ def _simulate_matrix(cfg: RunConfig):
     return rows, {"flat_drift": drift}
 
 
+def _integrate(cfg: RunConfig, system: dynamics.OdeSystem, state0) -> dynamics.Trajectory:
+    return dynamics.integrate(
+        system, state0, cfg.t_end, cfg.integrator_config(), output_points=cfg.output_points
+    )
+
+
 def run_simulate(config_path, out_path) -> int:
     try:
         cfg = load_config(config_path)
@@ -243,39 +201,31 @@ def run_simulate(config_path, out_path) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    spec = SPECS[cfg.system]
     truncation = None
-    if cfg.system == "matrix":
+    if spec.build is None:
         try:
             rows, diagnostics = _simulate_matrix(cfg)
         except GoldfishLabError as exc:
             rows, diagnostics = [], {}
             truncation = {"error": type(exc).__name__, "message": str(exc), "time": None}
     else:
+        system, state0 = spec.build(cfg)
         try:
-            traj = dynamics.integrate(
-                _ode_system(cfg),
-                _initial_state(cfg),
-                cfg.t_end,
-                cfg.integrator_config(),
-                output_points=cfg.output_points,
-            )
+            traj = _integrate(cfg, system, state0)
         except IntegrationError as exc:
             traj = exc.partial
-            truncation = {
-                "error": type(exc).__name__,
-                "message": str(exc),
-                "time": exc.time,
-            }
+            truncation = {"error": type(exc).__name__, "message": str(exc), "time": exc.time}
         except GoldfishLabError as exc:
             traj = None
             truncation = {"error": type(exc).__name__, "message": str(exc), "time": None}
         if traj is not None:
-            rows = [[t, *_state_row(cfg, s)] for t, s in zip(traj.times, traj.states)]
+            rows = [[t, *system.pack(s)] for t, s in zip(traj.times, traj.states)]
             diagnostics = {k: [float(v) for v in vals] for k, vals in traj.diagnostics.items()}
         else:
             rows, diagnostics = [], {}
 
-    _write_csv(out_path, _columns(cfg), rows)
+    _write_csv(out_path, ["t"] + spec.columns(cfg.n), rows)
     _write_json(
         sidecar_path(out_path),
         {
@@ -314,42 +264,37 @@ def run_verify(selector: str, seed: int, out_path) -> int:
 # compare
 # ---------------------------------------------------------------------------
 
-def _goldfish_like_initial(cfg: RunConfig) -> dynamics.GoldfishState:
-    if cfg.system in ("goldfish", "matrix"):
-        return dynamics.GoldfishState(cfg.q0, cfg.qdot0)
-    if cfg.system == "geodesic":
-        qdot0 = geometry.inverse_metric(cfg.q0) @ cfg.p0
-        return dynamics.GoldfishState(cfg.q0, qdot0)
-    raise ConfigInvalid(f"no flat-coordinate data for system {cfg.system!r}")
-
-
 def _positions_rk(cfg: RunConfig) -> np.ndarray:
-    traj = dynamics.integrate(
-        _ode_system(cfg),
-        _initial_state(cfg),
-        cfg.t_end,
-        cfg.integrator_config(),
-        output_points=cfg.output_points,
-    )
-    return np.vstack([_state_row(cfg, s)[: cfg.n] for s in traj.states])
+    system, state0 = SPECS[cfg.system].build(cfg)
+    traj = _integrate(cfg, system, state0)
+    return np.vstack([system.positions(system.pack(s)) for s in traj.states])
 
 
-def _positions_flat_exact(cfg: RunConfig) -> np.ndarray:
-    return dynamics.goldfish_exact_trajectory(_goldfish_like_initial(cfg), cfg.times)
+def _goldfish_initial(cfg: RunConfig) -> dynamics.GoldfishState:
+    return dynamics.GoldfishState(cfg.q0, cfg.qdot0)
 
 
-def _positions_matrix_eigen(cfg: RunConfig) -> np.ndarray:
-    if cfg.system == "hyperbolic-sinh":
-        data = hyperbolic.HyperbolicData(a=cfg.a, a_vec=cfg.a_vec, c_vec=cfg.c_vec)
-        out = []
-        for t in cfg.times:
-            eigs = np.sort(np.linalg.eigvalsh(hyperbolic.matrix_geodesic(data, t)))
-            out.append(np.log(eigs) / (2.0 * cfg.a))
-        return np.vstack(out)
-    state0 = _goldfish_like_initial(cfg)
-    flow = reduction.rank1_velocity(state0.q, state0.qdot)
-    _, eigenvalues = reduction.eigen_track(flow, cfg.times)
-    return eigenvalues
+def _geodesic_velocities(cfg: RunConfig) -> dynamics.GoldfishState:
+    """The goldfish data of a geodesic config: qdot = g^{-1} pi."""
+    return dynamics.GoldfishState(cfg.q0, geometry.inverse_metric(cfg.q0) @ cfg.p0)
+
+
+def _flat_exact(initial) -> Callable[[RunConfig], np.ndarray]:
+    return lambda cfg: dynamics.goldfish_exact_trajectory(initial(cfg), cfg.times)
+
+
+def _positions_eigen_track(cfg: RunConfig) -> np.ndarray:
+    state0 = _goldfish_initial(cfg)
+    return reduction.eigen_track(reduction.rank1_velocity(state0.q, state0.qdot), cfg.times)[1]
+
+
+def _positions_sinh_matrix(cfg: RunConfig) -> np.ndarray:
+    data = hyperbolic.HyperbolicData(a=cfg.a, a_vec=cfg.a_vec, c_vec=cfg.c_vec)
+    out = []
+    for t in cfg.times:
+        eigs = np.sort(np.linalg.eigvalsh(hyperbolic.matrix_geodesic(data, t)))
+        out.append(np.log(eigs) / (2.0 * cfg.a))
+    return np.vstack(out)
 
 
 def _positions_z_eigen(cfg: RunConfig) -> np.ndarray:
@@ -362,45 +307,96 @@ def _positions_s_exact(cfg: RunConfig) -> np.ndarray:
     return hyperbolic.s_exact_trajectory(data, cfg.times)
 
 
-_SOLVERS = {
-    "goldfish": {
-        "rk_integration": _positions_rk,
-        "flat_exact": _positions_flat_exact,
-        "matrix_eigen": _positions_matrix_eigen,
-    },
-    "ecm": {"rk_integration": _positions_rk},
-    "geodesic": {
-        "rk_integration": _positions_rk,
-        "flat_exact": _positions_flat_exact,
-    },
-    "matrix": {
-        "eigen_track": _positions_matrix_eigen,
-        "flat_exact": _positions_flat_exact,
-    },
-    "hyperbolic-sinh": {
-        "rk_integration": _positions_rk,
-        "matrix_eigen": _positions_matrix_eigen,
-    },
-    "hyperbolic-coth": {
-        "rk_integration": _positions_rk,
-        "z_eigen": _positions_z_eigen,
-        "s_exact": _positions_s_exact,
-    },
+# ---------------------------------------------------------------------------
+# the systems
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SystemSpec:
+    """Everything the command line knows about one system."""
+
+    #: initial-data fields a config must hold, besides system, N and t_end
+    fields: tuple[str, ...]
+    #: (OdeSystem, initial state) for the integrator; None for a system
+    #: that ``simulate`` solves without integrating (matrix)
+    build: Callable[[RunConfig], tuple] | None
+    #: CSV columns after "t", as a function of N
+    columns: Callable[[int], list[str]]
+    #: compare routes: name -> function from the config to positions per time
+    solvers: dict[str, Callable[[RunConfig], np.ndarray]]
+
+
+def _vector_columns(*names: str) -> Callable[[int], list[str]]:
+    return lambda n: [f"{name}{i + 1}" for name in names for i in range(n)]
+
+
+def _ecm_columns(n: int) -> list[str]:
+    iu, ju = np.triu_indices(n, 1)
+    return _vector_columns("q", "p")(n) + [f"f_{i + 1}_{j + 1}" for i, j in zip(iu, ju)]
+
+
+def _hyperbolic_initial(cfg: RunConfig) -> hyperbolic.HyperbolicState:
+    return hyperbolic.HyperbolicState(cfg.a_vec, cfg.c_vec)
+
+
+SPECS: dict[str, SystemSpec] = {
+    "goldfish": SystemSpec(
+        fields=("q0", "qdot0"),
+        build=lambda cfg: (dynamics.GoldfishSystem(cfg.n), _goldfish_initial(cfg)),
+        columns=_vector_columns("q", "qdot"),
+        solvers={
+            "rk_integration": _positions_rk,
+            "flat_exact": _flat_exact(_goldfish_initial),
+            "matrix_eigen": _positions_eigen_track,
+        },
+    ),
+    "ecm": SystemSpec(
+        fields=("q0", "p0", "f0"),
+        build=lambda cfg: (dynamics.EcmSystem(cfg.n), dynamics.ECMState(cfg.q0, cfg.p0, cfg.f0)),
+        columns=_ecm_columns,
+        solvers={"rk_integration": _positions_rk},
+    ),
+    "matrix": SystemSpec(
+        fields=("q0", "qdot0"),
+        build=None,
+        columns=_vector_columns("q"),
+        solvers={"eigen_track": _positions_eigen_track,
+                 "flat_exact": _flat_exact(_goldfish_initial)},
+    ),
+    "geodesic": SystemSpec(
+        fields=("q0", "p0"),
+        build=lambda cfg: (dynamics.GeodesicSystem(cfg.n), geometry.GeodesicState(cfg.q0, cfg.p0)),
+        columns=_vector_columns("q", "pi"),
+        solvers={"rk_integration": _positions_rk, "flat_exact": _flat_exact(_geodesic_velocities)},
+    ),
+    "hyperbolic-sinh": SystemSpec(
+        fields=("a", "a_vec", "c_vec"),
+        build=lambda cfg: (hyperbolic.SinhSystem(cfg.n, cfg.a), _hyperbolic_initial(cfg)),
+        columns=_vector_columns("q", "qdot"),
+        solvers={"rk_integration": _positions_rk, "matrix_eigen": _positions_sinh_matrix},
+    ),
+    "hyperbolic-coth": SystemSpec(
+        fields=("a_vec", "c_vec"),
+        build=lambda cfg: (hyperbolic.CothSystem(cfg.n), _hyperbolic_initial(cfg)),
+        columns=_vector_columns("q", "qdot"),
+        solvers={
+            "rk_integration": _positions_rk,
+            "z_eigen": _positions_z_eigen,
+            "s_exact": _positions_s_exact,
+        },
+    ),
 }
+SYSTEMS = tuple(SPECS)
 
 
 def run_compare(config_path, solvers: list[str], out_path) -> int:
     try:
         cfg = load_config(config_path)
-        available = _SOLVERS[cfg.system]
+        available = SPECS[cfg.system].solvers
         bad = [s for s in solvers if s not in available]
-        if bad:
-            raise ConfigInvalid(
-                f"solvers {bad} not applicable to system {cfg.system!r}; "
-                f"available: {sorted(available)}"
-            )
-        if not solvers:
-            raise ConfigInvalid("need at least one solver")
+        _require(not bad, f"solvers {bad} not applicable to system {cfg.system!r}; "
+                 f"available: {sorted(available)}")
+        _require(solvers, "need at least one solver")
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -418,19 +414,12 @@ def run_compare(config_path, solvers: list[str], out_path) -> int:
 
     pairs = [(a, b) for k, a in enumerate(solvers) for b in solvers[k + 1 :]]
     header = ["t"] + [f"dmax_{a}_vs_{b}" for a, b in pairs]
-    rows = []
-    for k, t in enumerate(cfg.times):
-        row = [t]
-        for a, b in pairs:
-            row.append(float(np.abs(positions[a][k] - positions[b][k]).max()))
-        rows.append(row)
-
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    lines.append("solver,seconds")
-    lines += [f"{name},{_fmt(seconds)}" for name, seconds in timings]
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    rows = [
+        [t] + [float(np.abs(positions[a][k] - positions[b][k]).max()) for a, b in pairs]
+        for k, t in enumerate(cfg.times)
+    ]
+    footer = ["solver,seconds"] + [f"{name},{_fmt(seconds)}" for name, seconds in timings]
+    _write_csv(out_path, header, rows, footer)
     return 0
 
 

@@ -79,14 +79,14 @@ class ECMState:
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = np.inf
     collision_gap: float = symfun.COLLISION_TOL
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        # written so that NaN fails too: solve_ivp never finishes with a NaN tolerance
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_step <= 0:
-            raise ValueError("max_step must be positive")
+        if not 0 <= self.collision_gap < np.inf:
+            raise ValueError("collision_gap must be finite and >= 0")
 
 
 @dataclass
@@ -109,29 +109,39 @@ class Trajectory:
 # right-hand sides and conserved quantities
 # ---------------------------------------------------------------------------
 
-def goldfish_rhs(state: GoldfishState) -> np.ndarray:
-    """Accelerations qddot_i = 2 sum_{j != i} qdot_i qdot_j / (q_i - q_j)."""
-    n = state.n
-    gaps = pairwise_differences(state.q) + np.eye(n)
+def goldfish_acceleration(q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
+    """Accelerations qddot_i = 2 sum_{j != i} qdot_i qdot_j / (q_i - q_j) on plain arrays."""
+    n = q.size
+    gaps = pairwise_differences(q) + np.eye(n)
     inv = 1.0 / gaps - np.eye(n)
-    return 2.0 * state.qdot * (inv @ state.qdot)
+    return 2.0 * qdot * (inv @ qdot)
 
 
-def ecm_rhs(state: ECMState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(qdot, pdot, fdot) of the spin system.
+def goldfish_rhs(state: GoldfishState) -> np.ndarray:
+    """Accelerations of the goldfish flow at a validated state."""
+    return goldfish_acceleration(state.q, state.qdot)
 
-    qdot = p, pdot_i = 2 sum_k f_ik^2/(q_i-q_k)^3, and
+
+def ecm_forces(q: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pdot, fdot) of the spin system on plain arrays, f the full antisymmetric matrix.
+
+    pdot_i = 2 sum_k f_ik^2/(q_i-q_k)^3 and
     fdot_ij = -sum_{k != i,j} f_ik f_kj (1/q_ik^2 - 1/q_kj^2).
     """
-    n = state.n
-    f = state.f
-    gaps = pairwise_differences(state.q) + np.eye(n)
+    n = q.size
+    gaps = pairwise_differences(q) + np.eye(n)
     ratios = f**2 / gaps**3
     np.fill_diagonal(ratios, 0.0)
     pdot = 2.0 * ratios.sum(axis=1)
     inv2 = 1.0 / gaps**2 - np.eye(n)
     # fdot_ij = -sum_k f_ik f_kj / q_ik^2 + sum_k f_ik f_kj / q_kj^2
     fdot = -(f * inv2) @ f + f @ (inv2 * f)
+    return pdot, fdot
+
+
+def ecm_rhs(state: ECMState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(qdot, pdot, fdot) of the spin system at a validated state; qdot = p."""
+    pdot, fdot = ecm_forces(state.q, state.f)
     return state.p.copy(), pdot, fdot
 
 
@@ -268,12 +278,8 @@ class GoldfishSystem(OdeSystem):
         return GoldfishState(y[: self.n], y[self.n :])
 
     def rhs(self, t, y):
-        n = self.n
-        q = y[:n]
-        qdot = y[n:]
-        gaps = pairwise_differences(q) + np.eye(n)
-        inv = 1.0 / gaps - np.eye(n)
-        return np.concatenate([qdot, 2.0 * qdot * (inv @ qdot)])
+        q, qdot = y[: self.n], y[self.n :]
+        return np.concatenate([qdot, goldfish_acceleration(q, qdot)])
 
     def positions(self, y):
         return y[: self.n]
@@ -294,7 +300,6 @@ class EcmSystem(OdeSystem):
 
     def __init__(self, n: int):
         self.n = n
-        self.nf = n * (n - 1) // 2
 
     def pack(self, state: ECMState) -> np.ndarray:
         return np.concatenate([state.q, state.p, state.f_upper])
@@ -305,16 +310,8 @@ class EcmSystem(OdeSystem):
 
     def rhs(self, t, y):
         n = self.n
-        q = y[:n]
-        p = y[n : 2 * n]
-        f = antisymmetric_from_upper(y[2 * n :], n)
-        gaps = pairwise_differences(q) + np.eye(n)
-        ratios = f**2 / gaps**3
-        np.fill_diagonal(ratios, 0.0)
-        pdot = 2.0 * ratios.sum(axis=1)
-        inv2 = 1.0 / gaps**2 - np.eye(n)
-        fdot = -(f * inv2) @ f + f @ (inv2 * f)
-        return np.concatenate([p, pdot, fdot[np.triu_indices(n, 1)]])
+        pdot, fdot = ecm_forces(y[:n], antisymmetric_from_upper(y[2 * n :], n))
+        return np.concatenate([y[n : 2 * n], pdot, fdot[np.triu_indices(n, 1)]])
 
     def positions(self, y):
         return y[: self.n]
@@ -451,7 +448,6 @@ def integrate(
             method="RK45",
             rtol=config.rel_tol,
             atol=config.abs_tol,
-            max_step=config.max_step,
             t_eval=grid,
             events=events or None,
         )

@@ -63,26 +63,26 @@ class HyperbolicData:
         return float(np.sum(self.c_vec))
 
 
+def _pair_acceleration(lam: np.ndarray, lamdot: np.ndarray, coupling) -> np.ndarray:
+    """lamddot_i = 2 lamdot_i sum_{j != i} coupling(lam_i - lam_j) lamdot_j on plain arrays."""
+    n = lam.size
+    gaps = pairwise_differences(lam)
+    off = ~np.eye(n, dtype=bool)
+    kernel = np.zeros((n, n))
+    kernel[off] = coupling(gaps[off])
+    return 2.0 * lamdot * (kernel @ lamdot)
+
+
 def hyperbolic_rhs(state: HyperbolicState, a: float) -> np.ndarray:
     """lamddot_i = 2 sum_{j != i} 2 a lamdot_i lamdot_j / sinh(2 a (lam_i - lam_j))."""
     if a == 0:
         raise ValueError("a must be nonzero; the a -> 0 limit is the rational flow")
-    n = state.n
-    gaps = pairwise_differences(state.lam)
-    off = ~np.eye(n, dtype=bool)
-    kernel = np.zeros((n, n))
-    kernel[off] = 2.0 * a / np.sinh(2.0 * a * gaps[off])
-    return 2.0 * state.lamdot * (kernel @ state.lamdot)
+    return _pair_acceleration(state.lam, state.lamdot, SinhSystem(state.n, a).coupling)
 
 
 def coth_rhs(state: HyperbolicState) -> np.ndarray:
     """qddot_i = 2 sum_{j != i} qdot_i qdot_j coth(q_i - q_j)."""
-    n = state.n
-    gaps = pairwise_differences(state.lam)
-    off = ~np.eye(n, dtype=bool)
-    kernel = np.zeros((n, n))
-    kernel[off] = 1.0 / np.tanh(gaps[off])
-    return 2.0 * state.lamdot * (kernel @ state.lamdot)
+    return _pair_acceleration(state.lam, state.lamdot, CothSystem.coupling)
 
 
 def lax_pair(state: HyperbolicState, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -137,12 +137,10 @@ def conserved_combination(data: HyperbolicData, t: float) -> np.ndarray:
     eigenvalue flow.
     """
     v0 = initial_velocity_matrix(data)
-    vals, vecs = np.linalg.eigh(2.0 * t * v0)
-    middle = (vecs * np.exp(vals)) @ vecs.T
+    middle, (vals, vecs) = _symmetric_expm(2.0 * t * v0)
     middle_inv = (vecs * np.exp(-vals)) @ vecs.T
     dmiddle = 2.0 * v0 @ middle  # V0 commutes with its own exponential
     left = np.exp(data.a * data.a_vec)
-    x = left[:, None] * middle * left[None, :]
     xdot = left[:, None] * dmiddle * left[None, :]
     xinv = (1.0 / left)[:, None] * middle_inv * (1.0 / left)[None, :]
     return xdot @ xinv + xinv @ xdot
@@ -225,16 +223,13 @@ def s_derivatives(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarra
     return alpha + beta * growth, 2.0 * p * beta * growth, 4.0 * p * p * beta * growth
 
 
-class SinhSystem(dynamics.OdeSystem):
-    """Second-order sinh flow as a first-order system for the integrator."""
+class _PairFlowSystem(dynamics.OdeSystem):
+    """Second-order pair-coupled flow as a first-order system for the integrator.
 
-    name = "hyperbolic-sinh"
-
-    def __init__(self, n: int, a: float):
-        if a == 0:
-            raise ValueError("a must be nonzero")
-        self.n = n
-        self.a = float(a)
+    Subclasses supply ``coupling``, the pair function of the gaps.  Every RHS
+    call validates the stage state, so an RK stage whose positions lose their
+    order is rejected.
+    """
 
     def pack(self, state: HyperbolicState) -> np.ndarray:
         return np.concatenate([state.lam, state.lamdot])
@@ -244,10 +239,26 @@ class SinhSystem(dynamics.OdeSystem):
 
     def rhs(self, t, y):
         state = HyperbolicState(y[: self.n], y[self.n :])
-        return np.concatenate([state.lamdot, hyperbolic_rhs(state, self.a)])
+        acceleration = _pair_acceleration(state.lam, state.lamdot, self.coupling)
+        return np.concatenate([state.lamdot, acceleration])
 
     def positions(self, y):
         return y[: self.n]
+
+
+class SinhSystem(_PairFlowSystem):
+    """The sinh flow of deformation parameter a."""
+
+    name = "hyperbolic-sinh"
+
+    def __init__(self, n: int, a: float):
+        if a == 0:
+            raise ValueError("a must be nonzero")
+        self.n = n
+        self.a = float(a)
+
+    def coupling(self, gaps: np.ndarray) -> np.ndarray:
+        return 2.0 * self.a / np.sinh(2.0 * self.a * gaps)
 
     def reference(self, state0: HyperbolicState):
         momentum = float(np.sum(state0.lamdot))
@@ -267,26 +278,17 @@ class SinhSystem(dynamics.OdeSystem):
         return out
 
 
-class CothSystem(dynamics.OdeSystem):
-    """Second-order coth flow as a first-order system for the integrator."""
+class CothSystem(_PairFlowSystem):
+    """The coth flow."""
 
     name = "hyperbolic-coth"
 
     def __init__(self, n: int):
         self.n = n
 
-    def pack(self, state: HyperbolicState) -> np.ndarray:
-        return np.concatenate([state.lam, state.lamdot])
-
-    def unpack(self, y: np.ndarray) -> HyperbolicState:
-        return HyperbolicState(y[: self.n], y[self.n :])
-
-    def rhs(self, t, y):
-        state = HyperbolicState(y[: self.n], y[self.n :])
-        return np.concatenate([state.lamdot, coth_rhs(state)])
-
-    def positions(self, y):
-        return y[: self.n]
+    @staticmethod
+    def coupling(gaps: np.ndarray) -> np.ndarray:
+        return 1.0 / np.tanh(gaps)
 
     def reference(self, state0: HyperbolicState):
         return float(np.sum(state0.lamdot))

@@ -90,14 +90,13 @@ class PoissonStructure:
     """A chart plus closed-form structure functions {z_a, z_b}.
 
     ``matrix`` returns the full antisymmetric structure matrix at a point and
-    ``matrix_gradient`` its coordinate derivatives, indexed [d, a, b]; both
-    exist for the built-in charts so the Jacobi sweeps stay cheap and exact.
+    ``matrix_gradient`` its coordinate derivatives, indexed [d, a, b]; both are
+    closed forms, so the Jacobi sweeps stay cheap and exact.
     """
 
     chart: tuple[str, ...]
-    bracket: Callable[[int, int, np.ndarray], float]
-    matrix: Callable[[np.ndarray], np.ndarray] | None = None
-    matrix_gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    matrix: Callable[[np.ndarray], np.ndarray]
+    matrix_gradient: Callable[[np.ndarray], np.ndarray]
     name: str = ""
     n: int = 0
 
@@ -109,31 +108,15 @@ class PoissonStructure:
         return self.chart.index(coordinate)
 
     def structure_matrix(self, point: np.ndarray) -> np.ndarray:
-        point = np.asarray(point, dtype=float)
-        if self.matrix is not None:
-            return self.matrix(point)
-        d = self.dim
-        out = np.empty((d, d))
-        for a in range(d):
-            for b in range(d):
-                out[a, b] = self.bracket(a, b, point)
-        return out
+        return self.matrix(np.asarray(point, dtype=float))
 
     def structure_gradient(self, point: np.ndarray) -> np.ndarray:
-        """d Pi_ab / d z_d as an array [d, a, b]; finite differences if needed."""
-        point = np.asarray(point, dtype=float)
-        if self.matrix_gradient is not None:
-            return self.matrix_gradient(point)
-        d = self.dim
-        out = np.empty((d, d, d))
-        for k in range(d):
-            h = 1e-6 * max(1.0, abs(point[k]))
-            zp = point.copy()
-            zm = point.copy()
-            zp[k] += h
-            zm[k] -= h
-            out[k] = (self.structure_matrix(zp) - self.structure_matrix(zm)) / (2.0 * h)
-        return out
+        """d Pi_ab / d z_d as an array [d, a, b]."""
+        return self.matrix_gradient(np.asarray(point, dtype=float))
+
+    def bracket(self, a: int, b: int, point: np.ndarray) -> float:
+        """The single structure function {z_a, z_b} at the point."""
+        return float(self.structure_matrix(point)[a, b])
 
     def coordinate_observable(self, a: int | str) -> PhaseObservable:
         if isinstance(a, str):
@@ -166,16 +149,12 @@ def _ff_block(f: np.ndarray, rows_i, rows_j, cols_i, cols_j) -> np.ndarray:
     )
 
 
-def ecm_structure(n: int, with_frame: bool = False, with_gauge: bool = False) -> PoissonStructure:
+def ecm_structure(n: int, with_frame: bool = False) -> PoissonStructure:
     """Poisson structure on the chart (q_1..q_n, p_1..p_n, f_{i<j}).
 
     Non-trivial brackets: {q_i, p_j} = delta_ij and the so(N) relations with
     coefficient 1/2 among the spins f.  ``with_frame`` appends the N^2 frame
-    entries r_ij with {r_ij, f_kl} = -1/2 (d_jk r_il - d_jl r_ik); ``with_gauge``
-    appends the gauge coordinates a_{i<j} with {f_{i<j}, a_{k<l}} = -1/2 d_ik d_jl.
-
-    The gauge extension is bracket data only: its Jacobi closure would need the
-    {a, a} bracket of the full two-form, which is not part of this structure.
+    entries r_ij with {r_ij, f_kl} = -1/2 (d_jk r_il - d_jl r_ik).
     """
     if n < 2:
         raise ValueError("ecm structure needs n >= 2")
@@ -188,21 +167,17 @@ def ecm_structure(n: int, with_frame: bool = False, with_gauge: bool = False) ->
     )
     if with_frame:
         chart += [f"r_{i + 1}_{j + 1}" for i in range(n) for j in range(n)]
-    if with_gauge:
-        chart += [f"a_{i + 1}_{j + 1}" for i, j in zip(iu, ju)]
     d = len(chart)
     base = 2 * n + nf
-    r_at = base if with_frame else None
-    a_at = (base + n * n if with_frame else base) if with_gauge else None
 
     def matrix(point: np.ndarray) -> np.ndarray:
-        f = antisymmetric_from_upper(point[2 * n : 2 * n + nf], n)
+        f = antisymmetric_from_upper(point[2 * n : base], n)
         out = np.zeros((d, d))
         out[:n, n : 2 * n] = np.eye(n)
         out[n : 2 * n, :n] = -np.eye(n)
         out[2 * n : base, 2 * n : base] = _ff_block(f, iu, ju, iu, ju)
         if with_frame:
-            r = point[r_at : r_at + n * n].reshape(n, n)
+            r = point[base:].reshape(n, n)
             # {r_ij, f_kl}: rows over all (i, j), cols over upper pairs (k, l)
             ri = np.repeat(np.arange(n), n)[:, None]
             rj = np.tile(np.arange(n), n)[:, None]
@@ -212,11 +187,8 @@ def ecm_structure(n: int, with_frame: bool = False, with_gauge: bool = False) ->
                 (rj == kb).astype(float) * r[ri, lb]
                 - (rj == lb).astype(float) * r[ri, kb]
             )
-            out[r_at : r_at + n * n, 2 * n : base] = block
-            out[2 * n : base, r_at : r_at + n * n] = -block.T
-        if with_gauge:
-            out[2 * n : base, a_at : a_at + nf] = -0.5 * np.eye(nf)
-            out[a_at : a_at + nf, 2 * n : base] = 0.5 * np.eye(nf)
+            out[base:, 2 * n : base] = block
+            out[2 * n : base, base:] = -block.T
         return out
 
     # the whole structure matrix is linear in the point, so its gradient is a
@@ -229,12 +201,8 @@ def ecm_structure(n: int, with_frame: bool = False, with_gauge: bool = False) ->
         grad[k] = matrix(unit) - zero
     grad.setflags(write=False)
 
-    def bracket(a: int, b: int, point: np.ndarray) -> float:
-        return float(matrix(np.asarray(point, dtype=float))[a, b])
-
     return PoissonStructure(
         chart=tuple(chart),
-        bracket=bracket,
         matrix=matrix,
         matrix_gradient=lambda point, grad=grad: grad,
         name="ecm",
@@ -285,12 +253,8 @@ def goldfish_structure(n: int, coefficient: float = GOLDFISH_COEFFICIENT) -> Poi
             out[n + k, n:, :n] = -dqpi
         return out
 
-    def bracket(a: int, b: int, point: np.ndarray) -> float:
-        return float(matrix(np.asarray(point, dtype=float))[a, b])
-
     return PoissonStructure(
         chart=chart,
-        bracket=bracket,
         matrix=matrix,
         matrix_gradient=matrix_gradient,
         name=f"goldfish[c={c:g}]",
@@ -302,11 +266,11 @@ def goldfish_structure(n: int, coefficient: float = GOLDFISH_COEFFICIENT) -> Poi
 # chart packing
 # ---------------------------------------------------------------------------
 
-def ecm_point(q, p, f, r=None, a=None) -> np.ndarray:
-    """Pack (q, p, f[, r, a]) into an ecm-chart point.
+def ecm_point(q, p, f, r=None) -> np.ndarray:
+    """Pack (q, p, f[, r]) into an ecm-chart point.
 
     ``f`` may be a full antisymmetric matrix or a strictly-upper vector in
-    row-major order; ``r`` is a full matrix, ``a`` strictly-upper.
+    row-major order; ``r`` is a full matrix.
     """
     q = np.asarray(q, dtype=float)
     n = q.size
@@ -315,8 +279,6 @@ def ecm_point(q, p, f, r=None, a=None) -> np.ndarray:
     parts = [q, finite_vector(p, n, "p"), fu]
     if r is not None:
         parts.append(np.asarray(r, dtype=float).reshape(n * n))
-    if a is not None:
-        parts.append(finite_vector(a, n * (n - 1) // 2, "a"))
     return np.concatenate(parts)
 
 
@@ -355,12 +317,9 @@ def bracket_eval(
 
 def _inner_bracket_observable(structure: PoissonStructure, b: int, c: int) -> PhaseObservable:
     """The closed-form function point -> {z_b, z_c} as an observable."""
-    gradient = None
-    if structure.matrix_gradient is not None:
-        gradient = lambda z: structure.structure_gradient(z)[:, b, c]
     return PhaseObservable(
         evaluate=lambda z: structure.bracket(b, c, z),
-        gradient=gradient,
+        gradient=lambda z: structure.structure_gradient(z)[:, b, c],
         name=f"{{{structure.chart[b]},{structure.chart[c]}}}",
     )
 

@@ -255,7 +255,6 @@ def frame_flow(
             method="RK45",
             rtol=config.rel_tol,
             atol=config.abs_tol,
-            max_step=config.max_step,
             t_eval=[times[k]],
         )
         if sol.status != 0:

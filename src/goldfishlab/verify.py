@@ -834,14 +834,6 @@ def _root_function(rng):
 # runner
 # ---------------------------------------------------------------------------
 
-def check_names(selector: str = "all") -> list[str]:
-    if selector != "all" and selector not in SUITES:
-        raise ValueError(f"unknown suite {selector!r}")
-    return sorted(
-        spec.name for spec in _REGISTRY if selector == "all" or spec.suite == selector
-    )
-
-
 def _run_spec(spec: CheckSpec, seed: int) -> CheckResult:
     rng = np.random.default_rng([seed, zlib.crc32(spec.name.encode())])
     started = time.perf_counter()
@@ -871,7 +863,3 @@ def run_checks(selector: str = "all", seed: int = 42) -> list[CheckResult]:
         raise ValueError(f"unknown suite {selector!r}")
     selected = [spec for spec in _REGISTRY if selector == "all" or spec.suite == selector]
     return [_run_spec(spec, seed) for spec in sorted(selected, key=lambda s: s.name)]
-
-
-def all_passed(results: list[CheckResult]) -> bool:
-    return all(r.passed for r in results)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from goldfishlab import cli, dynamics
+from goldfishlab import cli, dynamics, symfun
 
 
 def write_config(path, payload):
@@ -222,6 +222,92 @@ class TestCompareCommand:
             ["compare", "--config", cfg, "--solvers", "z_eigen", "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+
+Q0, V0 = [-1.0, 0.2, 1.5], [1.0, 0.7, 1.2]
+_JAC = symfun.jacobian(Q0)
+SYSTEM_CONFIGS = {
+    "goldfish": ({"q0": Q0, "qdot0": V0}, "t,q1,q2,q3,qdot1,qdot2,qdot3"),
+    "ecm": (
+        {"q0": Q0, "p0": V0, "f0": dynamics.f_from_velocities(Q0, V0).tolist()},
+        "t,q1,q2,q3,p1,p2,p3,f_1_2,f_1_3,f_2_3",
+    ),
+    "matrix": ({"q0": Q0, "qdot0": V0}, "t,q1,q2,q3"),
+    "geodesic": ({"q0": Q0, "p0": (_JAC.T @ _JAC @ V0).tolist()}, "t,q1,q2,q3,pi1,pi2,pi3"),
+    "hyperbolic-sinh": ({"a": 0.5, "a_vec": Q0, "c_vec": V0}, "t,q1,q2,q3,qdot1,qdot2,qdot3"),
+    "hyperbolic-coth": ({"a_vec": Q0, "c_vec": V0}, "t,q1,q2,q3,qdot1,qdot2,qdot3"),
+}
+
+
+@pytest.mark.parametrize("system", cli.SYSTEMS)
+def test_every_system_simulates_and_its_solvers_agree(tmp_path, system):
+    fields, header = SYSTEM_CONFIGS[system]
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"system": system, "N": 3, "t_end": 0.3, "output_points": 7, **fields},
+    )
+    out = tmp_path / "traj.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 8
+
+    solvers = list(cli.SPECS[system].solvers)
+    out = tmp_path / "cmp.csv"
+    assert cli.main(["compare", "--config", cfg, "--solvers", ",".join(solvers),
+                     "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:8]])
+    assert lines[8] == "solver,seconds"
+    assert table.shape == (7, 1 + len(solvers) * (len(solvers) - 1) // 2)
+    assert np.all(table[:, 1:] <= 1e-7)
+
+
+MALFORMED = {
+    "q0 not numeric": {**GOLDFISH, "q0": ["x", 1.0]},
+    "q0 ragged": {**GOLDFISH, "q0": [[0.0], [1.0, 2.0]]},
+    "a not numeric": {"system": "hyperbolic-sinh", "N": 2, "t_end": 1.0, "a": "x",
+                      "a_vec": [0.0, 1.0], "c_vec": [1.0, 1.0]},
+    "a NaN": {"system": "hyperbolic-sinh", "N": 2, "t_end": 1.0, "a": float("nan"),
+              "a_vec": [0.0, 1.0], "c_vec": [1.0, 1.0]},
+    "f0 not numeric": {"system": "ecm", "N": 2, "t_end": 1.0, "q0": [0.0, 1.0], "p0": [1.0, 1.0],
+                       "f0": [[0.0, "x"], [-1.0, 0.0]]},
+    "f0 infinite": {"system": "ecm", "N": 2, "t_end": 1.0, "q0": [0.0, 1.0], "p0": [1.0, 1.0],
+                    "f0": [[0.0, float("inf")], [-float("inf"), 0.0]]},
+    "t_end NaN": {**GOLDFISH, "t_end": float("nan")},
+    "t_end infinite": {**GOLDFISH, "t_end": float("inf")},
+    "rel_tol zero": {**GOLDFISH, "rel_tol": 0.0},
+    "abs_tol negative": {**GOLDFISH, "abs_tol": -1e-12},
+    "abs_tol NaN": {**GOLDFISH, "abs_tol": float("nan")},
+    "q0 gap at collision tolerance": {**GOLDFISH, "q0": [0.0, 1e-9]},
+    "a_vec gap at collision tolerance": {"system": "hyperbolic-coth", "N": 2, "t_end": 1.0,
+                                         "a_vec": [0.0, 1e-9], "c_vec": [1.0, 1.0]},
+    "N fractional": {**GOLDFISH, "N": 2.7},
+    "N boolean": {**GOLDFISH, "N": True, "q0": [0.0], "qdot0": [1.0]},
+    "output_points fractional": {**GOLDFISH, "output_points": 5.5},
+    "collision_gap negative": {**GOLDFISH, "collision_gap": -1.0},
+    "collision_gap NaN": {**GOLDFISH, "collision_gap": float("nan")},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exits_two(tmp_path, capsys, case, command):
+    cfg = write_config(tmp_path / "cfg.json", MALFORMED[case])
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out.csv")]
+    if command == "compare":
+        argv += ["--solvers", "rk_integration"]
+    if case == "abs_tol NaN":
+        # a NaN tolerance once kept the integrator stepping forever; the
+        # timeout turns a regression into a failure instead of a hang
+        proc = subprocess.run([sys.executable, "-m", "goldfishlab", *argv],
+                              capture_output=True, text=True, timeout=60)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = cli.main(argv), capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestConsoleEntry:

@@ -222,7 +222,9 @@ class TestValueObjects:
         with pytest.raises(ValueError):
             dynamics.IntegratorConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
-            dynamics.IntegratorConfig(max_step=-1.0)
+            dynamics.IntegratorConfig(abs_tol=float("nan"))
+        with pytest.raises(ValueError):
+            dynamics.IntegratorConfig(collision_gap=-1.0)
 
     def test_ecm_state_accepts_matrix_and_upper(self):
         f = np.array([[0.0, 0.5], [-0.5, 0.0]])

@@ -301,19 +301,6 @@ class TestConstraints:
                     want = (i == l) * rmat[k, j] - (j == l) * rmat[k, i]
                     assert abs(got - want) < 1e-12
 
-    def test_gauge_extension_is_bracket_data_only(self):
-        # antisymmetric as data, but the (f, f, a) Jacobi identity does not
-        # close without the omitted {a, a} bracket of the full two-form
-        s = poisson.ecm_structure(3, with_gauge=True)
-        point = poisson.ecm_point(
-            [0.0, 1.0, 2.2], [1.0, 1.0, 1.0], [0.3, -0.2, 0.5], a=[0.1, 0.2, 0.3]
-        )
-        mat = s.structure_matrix(point)
-        assert np.array_equal(mat, -mat.T)
-        assert s.bracket(s.index("f_1_2"), s.index("a_1_2"), point) == -0.5
-        residual = poisson.jacobi_residual(s, point, ("f_1_2", "f_2_3", "a_1_3"))
-        assert_allclose(residual, -0.25)
-
 
 class TestBIntegrals:
     def test_hand_values(self):
