@@ -40,18 +40,28 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
-def _number(value) -> float:
+def _is_number(value) -> bool:
+    """A JSON number; JSON true/false arrive as bool, which is an int subclass."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, key: str) -> float:
+    _require(_is_number(value), f"{key} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"malformed scalar field: {exc}") from exc
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ConfigInvalid(f"{key} out of range: {exc}") from exc
 
 
 def _array(raw: dict, key: str) -> np.ndarray:
+    entries = np.asarray(raw[key], dtype=object)  # ragged nesting leaves lists as entries
+    bad = [value for value in entries.flat if not _is_number(value)]
+    if bad:
+        raise ConfigInvalid(f"{key} entries must be numbers, got {bad[0]!r}")
     try:
-        return np.asarray(raw[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"malformed field {key}: {exc}") from exc
+        return entries.astype(float)
+    except OverflowError as exc:
+        raise ConfigInvalid(f"{key} out of range: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -86,10 +96,10 @@ class RunConfig:
 
         n = _integer(raw["N"], "N")
         points = _integer(raw.get("output_points", 101), "output_points")
-        t_end = _number(raw["t_end"])
-        rel_tol = _number(raw.get("rel_tol", 1e-10))
-        abs_tol = _number(raw.get("abs_tol", 1e-12))
-        gap = _number(raw.get("collision_gap", symfun.COLLISION_TOL))
+        t_end = _number(raw["t_end"], "t_end")
+        rel_tol = _number(raw.get("rel_tol", 1e-10), "rel_tol")
+        abs_tol = _number(raw.get("abs_tol", 1e-12), "abs_tol")
+        gap = _number(raw.get("collision_gap", symfun.COLLISION_TOL), "collision_gap")
         _require(n >= 1, "N must be >= 1")
         _require(np.isfinite(t_end), "t_end must be finite")
         _require(t_end > 0, "t_end must be > 0")
@@ -101,7 +111,7 @@ class RunConfig:
         fields: dict = {}
         for key in SPECS[system].fields:
             if key == "a":
-                fields["a"] = a = _number(raw["a"])
+                fields["a"] = a = _number(raw["a"], "a")
                 _require(a != 0, "a must be nonzero")
                 _require(np.isfinite(a), "a must be finite")
             elif key == "f0":

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import geometry, poisson, symfun
 from .errors import (
@@ -21,6 +20,7 @@ from .errors import (
     NegativeMomentum,
     StepSizeUnderflow,
 )
+from .rk45 import solve_ivp
 from .utils import (
     antisymmetric_from_upper,
     check_antisymmetric,
@@ -77,12 +77,18 @@ class ECMState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Tolerances and collision gap for ``integrate``.
+
+    The tolerances go to ``rk45.solve_ivp``, which raises a rel_tol below
+    100 eps to 100 eps.
+    """
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     collision_gap: float = symfun.COLLISION_TOL
 
     def __post_init__(self):
-        # written so that NaN fails too: solve_ivp never finishes with a NaN tolerance
+        # written so that NaN fails too: the RK loop never finishes with a NaN tolerance
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if not 0 <= self.collision_gap < np.inf:
@@ -406,7 +412,7 @@ def integrate(
     config: IntegratorConfig | None = None,
     output_points: int = 101,
 ) -> Trajectory:
-    """Adaptive embedded Runge-Kutta 5(4) run with dense output on a uniform grid.
+    """Adaptive Dormand-Prince 5(4) run (``rk45.solve_ivp``) with dense output on a uniform grid.
 
     ``system`` is a name ("goldfish", "ecm", "geodesic") or an OdeSystem.  The
     minimal pairwise gap of the monitored positions is watched continuously;
@@ -445,11 +451,10 @@ def integrate(
             sys_.rhs,
             (t0, t1),
             y0,
-            method="RK45",
             rtol=config.rel_tol,
             atol=config.abs_tol,
             t_eval=grid,
-            events=events or None,
+            events=events,
         )
     except ValueError as exc:
         # an RK stage point can leave the ordered, collision-free sector

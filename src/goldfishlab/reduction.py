@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import dynamics, symfun
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
     NonPositiveVelocity,
     StepSizeUnderflow,
 )
+from .rk45 import solve_ivp
 from .utils import finite_vector, orthogonality_defect, pairwise_differences, polar_orthonormalize
 
 #: Frame orthogonality drift that triggers polar re-orthonormalization.
@@ -252,7 +252,6 @@ def frame_flow(
             rhs,
             (times[k - 1], times[k]),
             y,
-            method="RK45",
             rtol=config.rel_tol,
             atol=config.abs_tol,
             t_eval=[times[k]],

@@ -1,7 +1,9 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +289,12 @@ MALFORMED = {
     "output_points fractional": {**GOLDFISH, "output_points": 5.5},
     "collision_gap negative": {**GOLDFISH, "collision_gap": -1.0},
     "collision_gap NaN": {**GOLDFISH, "collision_gap": float("nan")},
+    "t_end boolean": {**GOLDFISH, "t_end": True},
+    "rel_tol string": {**GOLDFISH, "rel_tol": "1e-9"},
+    "q0 string entry": {**GOLDFISH, "q0": [0, "1"]},
+    "qdot0 boolean entry": {**GOLDFISH, "qdot0": [True, 1]},
+    "t_end integer beyond float range": {**GOLDFISH, "t_end": 10**400},
+    "q0 integer beyond float range": {**GOLDFISH, "q0": [0, 10**400]},
 }
 
 
@@ -308,6 +316,30 @@ def test_malformed_config_exits_two(tmp_path, capsys, case, command):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    """simulate, compare (z_eigen included) and verify run on numpy alone."""
+    sim = write_config(tmp_path / "sim.json", GOLDFISH)
+    coth = write_config(tmp_path / "coth.json", {"system": "hyperbolic-coth", "N": 3, "t_end": 0.3,
+                                                 **SYSTEM_CONFIGS["hyperbolic-coth"][0]})
+    script = f"""
+import sys
+from goldfishlab import cli
+codes = [
+    cli.main(["simulate", "--config", {sim!r}, "--out", {str(tmp_path / "sim.csv")!r}]),
+    cli.main(["compare", "--config", {coth!r}, "--solvers", "z_eigen,rk_integration,s_exact",
+              "--out", {str(tmp_path / "cmp.csv")!r}]),
+    cli.main(["verify", "all", "--seed", "42", "--out", {str(tmp_path / "report.json")!r}]),
+]
+print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 class TestConsoleEntry:
