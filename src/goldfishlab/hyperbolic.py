@@ -145,27 +145,26 @@ def conserved_combination(data: HyperbolicData, t: float) -> np.ndarray:
     return xdot @ xinv + xinv @ xdot
 
 
-def rank_one_exp(c_vec: np.ndarray, s: float) -> np.ndarray:
+def _rank_one_exp(c_vec: np.ndarray, p: float, s: float) -> np.ndarray:
     """e^{s L} for the rank-one L = 1 c^T, (L)_ij = c_j, in closed form.
 
-    L^2 = P L with P = sum c_i, so e^{s L} = I + gamma L with
-    gamma = (e^{s P} - 1) / P; needs P != 0.
+    L^2 = P L with P = sum c_i != 0, so e^{s L} = I + gamma L with
+    gamma = (e^{s P} - 1) / P.
     """
-    p = float(np.sum(c_vec))
-    gamma = np.expm1(s * p) / p
-    return np.eye(c_vec.size) + gamma * c_vec
+    return np.eye(c_vec.size) + np.expm1(s * p) / p * c_vec
 
 
 def z_eigen_solution(data: HyperbolicData, t: float, imag_tol: float = 1e-9) -> np.ndarray:
     """Positions from the eigenvalues of Z(t) = e^{2 Lambda0} e^{2 t L0}.
 
-    (L0)_ij = c_j row-replicated, and e^{2 t L0} comes from ``rank_one_exp``.
+    (L0)_ij = c_j row-replicated, and e^{2 t L0} = I + gamma L0 in closed form.
     Mixed-sign velocities are allowed here, only reality and positivity of
     the spectrum are enforced: q_i = ln(mu_i) / 2 with mu ascending.
     """
-    if data.momentum == 0:
+    p = data.momentum
+    if p == 0:
         raise ValueError("z route needs P = sum c_i != 0")
-    z = np.exp(2.0 * data.a_vec)[:, None] * rank_one_exp(data.c_vec, 2.0 * t)
+    z = np.exp(2.0 * data.a_vec)[:, None] * _rank_one_exp(data.c_vec, p, 2.0 * t)
     mu = np.linalg.eigvals(z)
     worst_imag = float(np.abs(mu.imag).max())
     if worst_imag >= imag_tol:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from goldfishlab import cli, dynamics, symfun
+from conftest import SYSTEM_CONFIGS
+from goldfishlab import cli, dynamics
 
 
 def write_config(path, payload):
@@ -224,21 +225,6 @@ class TestCompareCommand:
             ["compare", "--config", cfg, "--solvers", "z_eigen", "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
-
-
-Q0, V0 = [-1.0, 0.2, 1.5], [1.0, 0.7, 1.2]
-_JAC = symfun.jacobian(Q0)
-SYSTEM_CONFIGS = {
-    "goldfish": ({"q0": Q0, "qdot0": V0}, "t,q1,q2,q3,qdot1,qdot2,qdot3"),
-    "ecm": (
-        {"q0": Q0, "p0": V0, "f0": dynamics.f_from_velocities(Q0, V0).tolist()},
-        "t,q1,q2,q3,p1,p2,p3,f_1_2,f_1_3,f_2_3",
-    ),
-    "matrix": ({"q0": Q0, "qdot0": V0}, "t,q1,q2,q3"),
-    "geodesic": ({"q0": Q0, "p0": (_JAC.T @ _JAC @ V0).tolist()}, "t,q1,q2,q3,pi1,pi2,pi3"),
-    "hyperbolic-sinh": ({"a": 0.5, "a_vec": Q0, "c_vec": V0}, "t,q1,q2,q3,qdot1,qdot2,qdot3"),
-    "hyperbolic-coth": ({"a_vec": Q0, "c_vec": V0}, "t,q1,q2,q3,qdot1,qdot2,qdot3"),
-}
 
 
 @pytest.mark.parametrize("system", cli.SYSTEMS)

@@ -16,9 +16,10 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import brentq as scipy_brentq
 
-from goldfishlab import cli, dynamics, reduction, rk45, symfun
+from conftest import Q0, SYSTEM_CONFIGS, V0
+from goldfishlab import cli, dynamics, reduction, rk45
 from goldfishlab.errors import IntegrationError
-from goldfishlab.hyperbolic import rank_one_exp
+from goldfishlab.hyperbolic import _rank_one_exp
 
 
 def assert_same_solution(ours, ref):
@@ -54,15 +55,7 @@ def checked_solve_ivp(statuses):
     return run
 
 
-Q0, V0 = [-1.0, 0.2, 1.5], [1.0, 0.7, 1.2]
-_JAC = symfun.jacobian(Q0)
-ODE_CONFIGS = {
-    "goldfish": {"q0": Q0, "qdot0": V0},
-    "ecm": {"q0": Q0, "p0": V0, "f0": dynamics.f_from_velocities(Q0, V0).tolist()},
-    "geodesic": {"q0": Q0, "p0": (_JAC.T @ _JAC @ V0).tolist()},
-    "hyperbolic-sinh": {"a": 0.5, "a_vec": Q0, "c_vec": V0},
-    "hyperbolic-coth": {"a_vec": Q0, "c_vec": V0},
-}
+ODE_CONFIGS = {name: fields for name, (fields, _) in SYSTEM_CONFIGS.items() if cli.SPECS[name].build}
 
 
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
@@ -141,8 +134,7 @@ def test_rhs_error_propagates_unchanged():
         rk45.solve_ivp(fun, (0.0, 1.0), [1.0], 1e-8, 1e-12, [0.0, 1.0])
 
 
-@pytest.mark.parametrize("xtol, rtol", [(4 * rk45.EPS, 4 * rk45.EPS), (1e-6, 1e-10), (1e-3, 1e-8)])
-def test_brentq_matches_scipy_bit_for_bit(xtol, rtol):
+def test_brentq_matches_scipy_bit_for_bit():
     rng = np.random.default_rng(3)
     for a3, b3, c3 in rng.normal(size=(200, 3)):
         def f(x):
@@ -150,12 +142,12 @@ def test_brentq_matches_scipy_bit_for_bit(xtol, rtol):
 
         for lo, hi in [(-1.0, 1.0), (-3.0, 2.5)]:
             try:
-                ref = scipy_brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+                ref = scipy_brentq(f, lo, hi, xtol=4 * rk45.EPS, rtol=4 * rk45.EPS)
             except ValueError:
                 with pytest.raises(ValueError, match="different signs"):
-                    rk45.brentq(f, lo, hi, xtol, rtol)
+                    rk45.brentq(f, lo, hi)
                 continue
-            ours = rk45.brentq(f, lo, hi, xtol, rtol)
+            ours = rk45.brentq(f, lo, hi)
             assert np.float64(ours).tobytes() == np.float64(ref).tobytes()
 
 
@@ -179,11 +171,11 @@ def test_rank_one_exp_matches_expm_and_exact_arithmetic():
             c = np.abs(c) + 0.1  # positive velocities, as on the coth routes
         # where ||s L|| <= 1, scaling and squaring in expm is accurate to a few ulps
         s = rng.uniform(0.0, 1.0) / (n * np.abs(c).max())
-        closed = rank_one_exp(c, s)
+        closed = _rank_one_exp(c, float(np.sum(c)), s)
         reference = expm(s * np.tile(c, (n, 1)))
         assert np.abs(closed - reference).max() <= 1e-14 * np.abs(reference).max()
         # large s P, where expm itself drifts to about 1e-11: exact arithmetic decides
         s = float(rng.uniform(0.0, 2.0))
-        closed = rank_one_exp(c, s)
+        closed = _rank_one_exp(c, float(np.sum(c)), s)
         exact = _exact_rank_one_exp(c, s)
         assert np.abs(closed - exact).max() <= 1e-14 * np.abs(exact).max()
