@@ -24,6 +24,8 @@ import numpy as np
 
 from . import dynamics, geometry, hyperbolic, reduction, symfun, verify
 from .errors import ConfigInvalid, GoldfishLabError, IntegrationError
+from .rk45 import MIN_RTOL
+from .utils import upper_indices
 
 _OPTIONAL_FIELDS = ("output_points", "rel_tol", "abs_tol", "collision_gap")
 
@@ -105,6 +107,8 @@ class RunConfig:
         _require(t_end > 0, "t_end must be > 0")
         _require(points >= 2, "output_points must be >= 2")
         _require(np.isfinite(rel_tol) and rel_tol > 0, "rel_tol must be finite and > 0")
+        _require(rel_tol >= MIN_RTOL,
+                 f"rel_tol must be >= 100 eps ({MIN_RTOL:.3g}), got {rel_tol!r}")
         _require(np.isfinite(abs_tol) and abs_tol > 0, "abs_tol must be finite and > 0")
         _require(np.isfinite(gap) and gap >= 0, "collision_gap must be finite and >= 0")
 
@@ -341,7 +345,7 @@ def _vector_columns(*names: str) -> Callable[[int], list[str]]:
 
 
 def _ecm_columns(n: int) -> list[str]:
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = upper_indices(n)
     return _vector_columns("q", "p")(n) + [f"f_{i + 1}_{j + 1}" for i, j in zip(iu, ju)]
 
 

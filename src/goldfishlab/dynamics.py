@@ -27,6 +27,7 @@ from .utils import (
     finite_vector,
     min_pairwise_gap,
     pairwise_differences,
+    upper_indices,
     upper_triangle,
 )
 
@@ -317,7 +318,7 @@ class EcmSystem(OdeSystem):
     def rhs(self, t, y):
         n = self.n
         pdot, fdot = ecm_forces(y[:n], antisymmetric_from_upper(y[2 * n :], n))
-        return np.concatenate([y[n : 2 * n], pdot, fdot[np.triu_indices(n, 1)]])
+        return np.concatenate([y[n : 2 * n], pdot, fdot[upper_indices(n)]])
 
     def positions(self, y):
         return y[: self.n]
@@ -440,7 +441,7 @@ def integrate(
     if sys_.positions(y0) is not None and sys_.positions(y0).size > 1:
 
         def gap_event(t, y):
-            return min_pairwise_gap(np.sort(sys_.positions(y))) - config.collision_gap
+            return min_pairwise_gap(sys_.positions(y)) - config.collision_gap
 
         gap_event.terminal = True
         gap_event.direction = -1.0

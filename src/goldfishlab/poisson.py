@@ -27,6 +27,7 @@ from .utils import (
     check_antisymmetric,
     finite_vector,
     pairwise_differences,
+    upper_indices,
     upper_triangle,
 )
 
@@ -130,10 +131,6 @@ class PoissonStructure:
         )
 
 
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, 1)
-
-
 def _ff_block(f: np.ndarray, rows_i, rows_j, cols_i, cols_j) -> np.ndarray:
     """{f_ij, f_kl} = -1/2 d_jk f_il + 1/2 d_ik f_jl + 1/2 d_jl f_ik - 1/2 d_il f_jk."""
     ia = rows_i[:, None]
@@ -158,7 +155,7 @@ def ecm_structure(n: int, with_frame: bool = False) -> PoissonStructure:
     """
     if n < 2:
         raise ValueError("ecm structure needs n >= 2")
-    iu, ju = _upper_pairs(n)
+    iu, ju = upper_indices(n)
     nf = iu.size
     chart = (
         [f"q{i + 1}" for i in range(n)]
@@ -385,7 +382,7 @@ def ecm_hamiltonian_observable(structure: PoissonStructure) -> PhaseObservable:
         ratios = f**2 / gaps**3
         np.fill_diagonal(ratios, 0.0)
         dq = -2.0 * ratios.sum(axis=1)
-        iu, ju = _upper_pairs(n)
+        iu, ju = upper_indices(n)
         df = 2.0 * f[iu, ju] / (q[iu] - q[ju]) ** 2
         return _pad(structure, np.concatenate([dq, p, df]))
 
@@ -429,7 +426,7 @@ def g_constraint_observable(structure: PoissonStructure, i: int, j: int) -> Phas
     n = structure.n
     if not 0 <= i < j < n:
         raise ValueError("need 0 <= i < j < n")
-    iu, ju = _upper_pairs(n)
+    iu, ju = upper_indices(n)
     f_idx = int(np.flatnonzero((iu == i) & (ju == j))[0])
 
     def value(z):

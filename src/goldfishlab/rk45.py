@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS = np.finfo(float).eps
+MIN_RTOL = 100 * EPS  # smaller rtol values are raised to this, as scipy does
 SAFETY = 0.9  # multiplies the step size predicted from the error estimate
 MIN_FACTOR = 0.2  # smallest allowed step-size decrease
 MAX_FACTOR = 10  # largest allowed step-size increase
@@ -167,10 +168,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, events=None) -> Solution:
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    if rtol < 100 * EPS:
+    if rtol < MIN_RTOL:
         warnings.warn("At least one element of `rtol` is too small. "
-                      f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.", stacklevel=2)
-        rtol = 100 * EPS
+                      f"Setting `rtol = np.maximum(rtol, {MIN_RTOL})`.", stacklevel=2)
+        rtol = MIN_RTOL
     events = list(events or ())
 
     nfev = 0

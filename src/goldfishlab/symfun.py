@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ComplexRoots, RootCollision
-from .utils import finite_vector, pairwise_differences
+from .utils import finite_vector, pairwise_differences, upper_indices
 
 #: Default absolute gap below which two positions count as collided.
 COLLISION_TOL = 1e-8
@@ -87,7 +87,7 @@ def jacobian_det(q) -> float:
     """det J = prod_{i<j} (q_i - q_j), evaluated from the product formula."""
     q = as_configuration(q)
     diffs = pairwise_differences(q)
-    return float(np.prod(diffs[np.triu_indices(q.size, 1)]))
+    return float(np.prod(diffs[upper_indices(q.size)]))
 
 
 def jacobian_inverse(q) -> np.ndarray:

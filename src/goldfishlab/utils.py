@@ -1,6 +1,8 @@
 """Small shared helpers: vector validation, antisymmetric packing, frames."""
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -16,18 +18,27 @@ def finite_vector(v, n: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
+@lru_cache(maxsize=None)
+def upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, built once per n; the arrays are read-only
+    because every caller shares them."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
+
+
 def upper_triangle(f: np.ndarray) -> np.ndarray:
     """Strictly-upper entries of ``f`` in row-major order (1,2),(1,3),...,(2,3),..."""
     f = np.asarray(f, dtype=float)
-    n = f.shape[0]
-    return f[np.triu_indices(n, 1)]
+    return f[upper_indices(f.shape[0])]
 
 
 def antisymmetric_from_upper(fu, n: int) -> np.ndarray:
     """Expand a strictly-upper vector (row-major) into an antisymmetric matrix."""
     fu = finite_vector(fu, n * (n - 1) // 2, "upper-triangle vector")
     f = np.zeros((n, n))
-    f[np.triu_indices(n, 1)] = fu
+    f[upper_indices(n)] = fu
     return f - f.T
 
 
@@ -49,11 +60,15 @@ def pairwise_differences(q: np.ndarray) -> np.ndarray:
 
 
 def min_pairwise_gap(q: np.ndarray) -> float:
-    """Smallest |q_i - q_j| over i != j; inf for a single particle."""
+    """Smallest |q_i - q_j| over i != j; inf for a single particle.
+
+    Only neighbours in sorted order need comparing: rounding is monotone, so
+    fl(c - a) >= fl(c - b) for a <= b <= c, and the result is the same float as
+    the minimum over all pairs (``abs`` keeps a -0.0 - 0.0 neighbour at +0.0).
+    """
     if q.size < 2:
         return np.inf
-    d = np.abs(pairwise_differences(q))
-    return float(d[np.triu_indices(q.size, 1)].min())
+    return float(np.abs(np.diff(np.sort(q))).min())
 
 
 def polar_orthonormalize(r: np.ndarray) -> np.ndarray:

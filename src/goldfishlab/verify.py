@@ -10,6 +10,7 @@ threshold; they pin down that a wrong variant is actually detected.
 """
 from __future__ import annotations
 
+import os
 import time
 import zlib
 from dataclasses import dataclass
@@ -858,8 +859,31 @@ def run_single(name: str, seed: int = 42) -> CheckResult:
 
 
 def run_checks(selector: str = "all", seed: int = 42) -> list[CheckResult]:
-    """Run one suite (or all) with per-check generators derived from the seed."""
+    """Run one suite (or all) with per-check generators derived from the seed.
+
+    The checks share no state, so they run in forked worker processes, one per
+    CPU this process may use.  Results come back in name order whatever the
+    number of workers; only their ``seconds`` (each check's own wall time in
+    its worker) depend on it.  An exception raised by a check reaches the
+    caller with its type and message.
+    """
     if selector != "all" and selector not in SUITES:
         raise ValueError(f"unknown suite {selector!r}")
     selected = [spec for spec in _REGISTRY if selector == "all" or spec.suite == selector]
-    return [_run_spec(spec, seed) for spec in sorted(selected, key=lambda s: s.name)]
+    specs = sorted(selected, key=lambda s: s.name)
+    # sched_getaffinity (Linux) counts the CPUs this process may run on;
+    # where it is missing, the checks run in this process
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(specs))
+    if workers <= 1:
+        return [_run_spec(spec, seed) for spec in specs]
+    # imported here so that simulate and compare never load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: spawned workers each start an interpreter and import
+    # the package again, which cost `verify all` 0.35 s of wall time and 5 MB
+    # of peak RSS on 2 CPUs
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(run_single, [s.name for s in specs], [seed] * len(specs)))

@@ -281,6 +281,8 @@ MALFORMED = {
     "qdot0 boolean entry": {**GOLDFISH, "qdot0": [True, 1]},
     "t_end integer beyond float range": {**GOLDFISH, "t_end": 10**400},
     "q0 integer beyond float range": {**GOLDFISH, "q0": [0, 10**400]},
+    "rel_tol below 100 eps": {"system": "goldfish", "N": 2, "q0": [0, 1], "qdot0": [1, 1],
+                              "t_end": 0.5, "output_points": 3, "rel_tol": 1e-16},
 }
 
 
@@ -305,27 +307,32 @@ def test_malformed_config_exits_two(tmp_path, capsys, case, command):
 
 
 def test_runtime_imports_no_scipy(tmp_path):
-    """simulate, compare (z_eigen included) and verify run on numpy alone."""
+    """simulate, compare (z_eigen included) and verify run on numpy alone, and
+    only verify loads the process-pool modules."""
     sim = write_config(tmp_path / "sim.json", GOLDFISH)
     coth = write_config(tmp_path / "coth.json", {"system": "hyperbolic-coth", "N": 3, "t_end": 0.3,
                                                  **SYSTEM_CONFIGS["hyperbolic-coth"][0]})
     script = f"""
 import sys
 from goldfishlab import cli
+def loaded(*packages):
+    return sorted(name for name in sys.modules if name.split(".")[0] in packages)
 codes = [
     cli.main(["simulate", "--config", {sim!r}, "--out", {str(tmp_path / "sim.csv")!r}]),
     cli.main(["compare", "--config", {coth!r}, "--solvers", "z_eigen,rk_integration,s_exact",
               "--out", {str(tmp_path / "cmp.csv")!r}]),
-    cli.main(["verify", "all", "--seed", "42", "--out", {str(tmp_path / "report.json")!r}]),
 ]
-print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+pool_modules = loaded("multiprocessing", "concurrent")
+codes.append(
+    cli.main(["verify", "all", "--seed", "42", "--out", {str(tmp_path / "report.json")!r}]))
+print(codes, loaded("scipy"), pool_modules)
 """
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [] []"
 
 
 class TestConsoleEntry:
