@@ -1,0 +1,54 @@
+#!/usr/bin/env python3
+"""Run ``verify all`` over a range of seeds and print one line per seed.
+
+    PYTHONPATH=src python scripts/verify_scan.py SEED_FROM SEED_TO
+
+Seeds SEED_FROM..SEED_TO, both included.  Each line holds the seed, a digest
+of the command's stdout and of its JSON report with every ``seconds`` field
+masked, and the failing checks ("-" if none).  Two source trees that print the
+same lines give the same verify output at those seeds, timings apart, so
+diffing the output of two trees checks that a change left ``verify`` alone.
+Exits 1 if any check failed at any seed.
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from goldfishlab import cli
+
+
+def scan_seed(seed: int, report_path: Path) -> tuple[str, list[str]]:
+    """(digest, failing check names) of ``verify all --seed seed``."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli.main(["verify", "all", "--seed", str(seed), "--out", str(report_path)])
+    report = json.loads(report_path.read_text())
+    masked = [{key: value for key, value in entry.items() if key != "seconds"} for entry in report]
+    payload = stdout.getvalue() + "\0" + json.dumps(masked, sort_keys=True)
+    digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return digest, [entry["name"] for entry in report if not entry["pass"]]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("seed_from", type=int)
+    parser.add_argument("seed_to", type=int)
+    args = parser.parse_args()
+
+    any_failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        report_path = Path(tmp) / "report.json"
+        for seed in range(args.seed_from, args.seed_to + 1):
+            digest, failing = scan_seed(seed, report_path)
+            any_failed = any_failed or bool(failing)
+            print(f"{seed} {digest} {','.join(failing) or '-'}", flush=True)
+    return 1 if any_failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

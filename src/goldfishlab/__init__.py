@@ -7,7 +7,18 @@ of free symmetric-matrix dynamics to free vector dynamics, and the hyperbolic
 variant with its Lax pair and exact solutions.
 """
 
-from . import cli, dynamics, geometry, hyperbolic, poisson, reduction, sampling, symfun, verify
+from . import (
+    cli,
+    dynamics,
+    geometry,
+    hyperbolic,
+    poisson,
+    reduction,
+    sampling,
+    secular,
+    symfun,
+    verify,
+)
 from .dynamics import (
     ECMState,
     GoldfishState,
@@ -28,6 +39,7 @@ from .geometry import GeodesicState, WFunction, christoffel, curvature, geodesic
 from .hyperbolic import HyperbolicData, HyperbolicState, coth_rhs, hyperbolic_rhs, lax_pair
 from .poisson import PhaseObservable, PoissonStructure, ecm_structure, goldfish_structure
 from .reduction import MatrixFlow, ReducedChart, canonical_transform, frame_flow, rank1_velocity
+from .secular import secular_roots
 from .symfun import elem_sym_coords, jacobian, jacobian_det, jacobian_inverse, roots_from_coords
 
 __version__ = "0.1.0"

@@ -313,7 +313,7 @@ def _positions_sinh_matrix(cfg: RunConfig) -> np.ndarray:
 
 def _positions_z_eigen(cfg: RunConfig) -> np.ndarray:
     data = hyperbolic.HyperbolicData(a=1.0, a_vec=cfg.a_vec, c_vec=cfg.c_vec)
-    return np.vstack([hyperbolic.z_eigen_solution(data, t) for t in cfg.times])
+    return hyperbolic.z_eigen_trajectory(data, cfg.times)
 
 
 def _positions_s_exact(cfg: RunConfig) -> np.ndarray:

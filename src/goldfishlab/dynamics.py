@@ -13,7 +13,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import geometry, poisson, symfun
+from . import geometry, poisson, secular, symfun
 from .errors import (
     CollisionDetected,
     NonPositiveVelocity,
@@ -25,7 +25,6 @@ from .utils import (
     antisymmetric_from_upper,
     check_antisymmetric,
     finite_vector,
-    min_pairwise_gap,
     pairwise_differences,
     upper_indices,
     upper_triangle,
@@ -118,9 +117,10 @@ class Trajectory:
 
 def goldfish_acceleration(q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
     """Accelerations qddot_i = 2 sum_{j != i} qdot_i qdot_j / (q_i - q_j) on plain arrays."""
-    n = q.size
-    gaps = pairwise_differences(q) + np.eye(n)
-    inv = 1.0 / gaps - np.eye(n)
+    gaps = pairwise_differences(q)
+    np.fill_diagonal(gaps, 1.0)
+    inv = 1.0 / gaps
+    np.fill_diagonal(inv, 0.0)
     return 2.0 * qdot * (inv @ qdot)
 
 
@@ -135,12 +135,13 @@ def ecm_forces(q: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pdot_i = 2 sum_k f_ik^2/(q_i-q_k)^3 and
     fdot_ij = -sum_{k != i,j} f_ik f_kj (1/q_ik^2 - 1/q_kj^2).
     """
-    n = q.size
-    gaps = pairwise_differences(q) + np.eye(n)
+    gaps = pairwise_differences(q)
+    np.fill_diagonal(gaps, 1.0)
     ratios = f**2 / gaps**3
     np.fill_diagonal(ratios, 0.0)
     pdot = 2.0 * ratios.sum(axis=1)
-    inv2 = 1.0 / gaps**2 - np.eye(n)
+    inv2 = 1.0 / gaps**2
+    np.fill_diagonal(inv2, 0.0)
     # fdot_ij = -sum_k f_ik f_kj / q_ik^2 + sum_k f_ik f_kj / q_kj^2
     fdot = -(f * inv2) @ f + f @ (inv2 * f)
     return pdot, fdot
@@ -233,10 +234,16 @@ def goldfish_exact_state(state0: GoldfishState, t: float) -> GoldfishState:
 def goldfish_exact_trajectory(state0: GoldfishState, times) -> np.ndarray:
     """Exact positions on a time grid, shape (len(times), N).
 
-    Same arithmetic as ``goldfish_exact`` per point, with x(0) and b computed
-    once for the whole grid.
+    With every velocity positive and every t >= 0 the positions are the
+    eigenvalues of diag(q0) + t v v^T, v = sqrt(qdot0) (Calogero), that is
+    the roots of 1/t + sum_i qdot_i/(q_i - mu) = 0, solved for the whole grid
+    by ``secular.secular_roots``.  Other inputs take ``goldfish_exact``'s
+    arithmetic per point, with x(0) and b computed once for the whole grid,
+    and its typed errors.
     """
     times = np.asarray(times, dtype=float)
+    if np.all(state0.qdot > 0) and np.all(times >= 0):
+        return secular.secular_roots(state0.q, state0.qdot, times)
     x0 = symfun.elem_sym_coords(state0.q)
     b = conserved_bn(state0)
     return np.vstack([symfun.roots_from_coords(x0 + t * b, tol=1e-9) for t in times])
@@ -416,7 +423,8 @@ def integrate(
     """Adaptive Dormand-Prince 5(4) run (``rk45.solve_ivp``) with dense output on a uniform grid.
 
     ``system`` is a name ("goldfish", "ecm", "geodesic") or an OdeSystem.  The
-    minimal pairwise gap of the monitored positions is watched continuously;
+    smallest signed gap between neighbours of the monitored positions, in
+    their initial order, is watched continuously;
     crossing ``config.collision_gap`` aborts with CollisionDetected carrying
     the partial trajectory.  A trial stage whose positions fail the state
     check of the system's RHS (unordered or collided) also raises
@@ -441,7 +449,9 @@ def integrate(
     if sys_.positions(y0) is not None and sys_.positions(y0).size > 1:
 
         def gap_event(t, y):
-            return min_pairwise_gap(sys_.positions(y)) - config.collision_gap
+            # signed adjacent gaps in the initial order: a crossing that one
+            # step jumps over still shows as a negative gap
+            return float(np.diff(sys_.positions(y)).min()) - config.collision_gap
 
         gap_event.terminal = True
         gap_event.direction = -1.0

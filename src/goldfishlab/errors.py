@@ -52,6 +52,10 @@ class NonPositiveRoot(GoldfishLabError):
     """Root recovery for exponentiated coordinates produced a root <= 0."""
 
 
+class SecularNoConvergence(GoldfishLabError):
+    """A secular-equation root did not converge within the iteration limit."""
+
+
 class PoleProximity(GoldfishLabError):
     """Evaluation point too close to a pole of the root function."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, symfun
+from . import dynamics, secular, symfun
 from .errors import (
     NonPositiveEigenvalue,
     NonPositiveRoot,
@@ -212,12 +212,53 @@ def s_exact(data: HyperbolicData, t: float, root_tol: float = 1e-9) -> tuple[np.
     return s_t, _s_positions(s_t, root_tol)
 
 
+def _secular_positions(data: HyperbolicData, times) -> np.ndarray | None:
+    """q(t) on a grid from the secular equation of Z(t), or None outside its domain.
+
+    Z(t) = diag(z) + gamma z c^T with z = e^{2 a} and gamma = expm1(2 P t)/P,
+    so mu(t) solves 1/gamma + sum_i c_i z_i/(z_i - mu) = 0.  The domain is
+    c_i > 0 and t >= 0, with z and gamma finite; q = a_o + log1p(tau/z_o)/2
+    from the root's offset tau to its origin pole z_o.
+    """
+    times = np.asarray(times, dtype=float)
+    if not (np.all(data.c_vec > 0) and np.all(times >= 0)):
+        return None
+    p = data.momentum
+    z = np.exp(2.0 * data.a_vec)
+    gamma = np.expm1(2.0 * p * times) / p
+    # z must be positive and strictly increasing, which e^{2a} can miss only
+    # by under- or overflow
+    if not (np.all(np.diff(z, prepend=0.0) > 0) and np.isfinite(z[-1]) and np.all(np.isfinite(gamma))):
+        return None
+    origin, offset = secular.secular_offsets(z, data.c_vec * z, gamma)
+    return data.a_vec[origin] + 0.5 * np.log1p(offset / z[origin])
+
+
+def z_eigen_trajectory(data: HyperbolicData, times) -> np.ndarray:
+    """``z_eigen_solution`` on a time grid, shape (len(times), N).
+
+    Inside the secular-equation domain (every c_i > 0, t >= 0) all times are
+    solved at once; elsewhere ``z_eigen_solution`` runs per point, with its
+    typed errors.
+    """
+    q = _secular_positions(data, times)
+    if q is not None:
+        return q
+    return np.vstack([z_eigen_solution(data, t) for t in np.asarray(times, dtype=float)])
+
+
 def s_exact_trajectory(data: HyperbolicData, times) -> np.ndarray:
     """Exact positions q(t) on a time grid, shape (len(times), N).
 
-    Same arithmetic as ``s_exact`` per point, with s(0) and sdot(0) computed
-    once for the whole grid.
+    Inside the secular-equation domain (every c_i > 0, t >= 0) this is
+    ``z_eigen_trajectory``'s solution: the roots of the polynomial with Vieta
+    data s(t) are the eigenvalues of Z(t).  Elsewhere it is ``s_exact``'s
+    arithmetic per point, with s(0) and sdot(0) computed once for the whole
+    grid, and its typed errors.
     """
+    q = _secular_positions(data, times)
+    if q is not None:
+        return q
     p, alpha, beta = _s_line(data)
     times = np.asarray(times, dtype=float)
     return np.vstack([_s_positions(alpha + beta * np.exp(2.0 * p * t), 1e-9) for t in times])

@@ -59,18 +59,6 @@ def pairwise_differences(q: np.ndarray) -> np.ndarray:
     return q[:, None] - q[None, :]
 
 
-def min_pairwise_gap(q: np.ndarray) -> float:
-    """Smallest |q_i - q_j| over i != j; inf for a single particle.
-
-    Only neighbours in sorted order need comparing: rounding is monotone, so
-    fl(c - a) >= fl(c - b) for a <= b <= c, and the result is the same float as
-    the minimum over all pairs (``abs`` keeps a -0.0 - 0.0 neighbour at +0.0).
-    """
-    if q.size < 2:
-        return np.inf
-    return float(np.abs(np.diff(np.sort(q))).min())
-
-
 def polar_orthonormalize(r: np.ndarray) -> np.ndarray:
     """Nearest orthogonal matrix to ``r`` (polar factor, via SVD)."""
     u, _, vt = np.linalg.svd(r)

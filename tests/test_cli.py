@@ -141,6 +141,23 @@ class TestSimulate:
         _, rows = read_csv(out)
         assert 0 < rows.shape[0] < 21
 
+    def test_collision_inside_one_step_exits_three(self, tmp_path, capsys):
+        # with f = 0 the particles move freely and meet at t = 0.5; one RK step
+        # runs from t = 0.207 to t = 2, and both its ends show a positive |gap|
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"system": "ecm", "N": 2, "q0": [0, 1], "p0": [1, -1], "f0": [[0, 0], [0, 0]],
+             "t_end": 2, "output_points": 21, "collision_gap": 0.01},
+        )
+        out = tmp_path / "traj.csv"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: CollisionDetected: pairwise gap fell below 0.01 at t = 0.495\n"
+        sidecar = json.loads(cli.sidecar_path(out).read_text())
+        assert sidecar["truncation"]["error"] == "CollisionDetected"
+        _, rows = read_csv(out)
+        assert 0 < rows.shape[0] < 21 and rows[:, 0].max() < 0.495
+
     def test_geodesic_stage_point_out_of_order_exits_three(self, tmp_path, capsys):
         # an RK stage point of this run swaps the two positions before the gap
         # event can stop the integration
@@ -211,6 +228,46 @@ class TestCompareCommand:
         assert header.count("dmax_") == 3
         data = [line.split(",") for line in rest[:6]]
         assert max(float(v) for row in data for v in row[1:]) < 1e-7
+
+    @pytest.mark.parametrize(
+        "system, n, solvers",
+        [("goldfish", 128, "matrix_eigen,flat_exact,rk_integration"),
+         ("hyperbolic-coth", 64, "z_eigen,s_exact,rk_integration")],
+    )
+    def test_exact_routes_hold_at_large_n(self, tmp_path, system, n, solvers):
+        # the polynomial and dense-eigenvalue forms of these routes fail here
+        rng = np.random.default_rng(n)
+        q0 = -2.0 + 4.0 / n * (np.arange(n) + 0.5 + rng.uniform(-0.3, 0.3, n))
+        v = rng.uniform(0.5, 1.5, n)
+        raw = {"system": system, "N": n, "t_end": 0.3, "output_points": 11,
+               "rel_tol": 1e-12, "abs_tol": 1e-14}
+        if system == "goldfish":
+            raw.update(q0=q0.tolist(), qdot0=v.tolist())
+        else:
+            raw.update(a_vec=q0.tolist(), c_vec=v.tolist())
+        cfg = write_config(tmp_path / "cfg.json", raw)
+        out = tmp_path / "cmp.csv"
+        assert cli.main(["compare", "--config", cfg, "--solvers", solvers, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        table = np.array([[float(x) for x in line.split(",")] for line in lines[1:12]])
+        assert table[:, 1:].max() <= 1e-10
+
+    @pytest.mark.parametrize(
+        "raw, solver, error",
+        [
+            ({**GOLDFISH, "qdot0": [1.0, -1.0]}, "flat_exact", "ComplexRoots"),
+            ({"system": "hyperbolic-coth", "N": 3, "a_vec": [-1.1, -0.33, 0.66],
+              "c_vec": [0.1, -0.76, -0.06], "t_end": 1.0, "output_points": 3},
+             "z_eigen", "NonRealSpectrum"),
+            ({"system": "hyperbolic-coth", "N": 2, "a_vec": [1.1, 1.45], "c_vec": [1.8, -1.4],
+              "t_end": 2.0, "output_points": 2}, "s_exact", "NonPositiveRoot"),
+        ],
+    )
+    def test_mixed_sign_exact_routes_keep_typed_errors(self, tmp_path, capsys, raw, solver, error):
+        cfg = write_config(tmp_path / "cfg.json", raw)
+        out = tmp_path / "cmp.csv"
+        assert cli.main(["compare", "--config", cfg, "--solvers", solver, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {error}: ")
 
     def test_single_solver_omits_columns(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {**GOLDFISH, "t_end": 0.2})

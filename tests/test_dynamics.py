@@ -153,12 +153,24 @@ class TestGoldfishExact:
 
     @pytest.mark.parametrize("n", [1, 3, 8, 16])
     def test_trajectory_equals_pointwise_solver(self, n):
+        # a negative velocity keeps the trajectory helper on its pointwise path
+        rng = np.random.default_rng(n)
+        q0 = np.linspace(-2.0, 2.0, n) + rng.uniform(-0.05, 0.05, n)
+        qdot0 = rng.uniform(0.5, 1.5, n)
+        qdot0[0] = -qdot0[0]
+        s = dynamics.GoldfishState(q0, qdot0)
+        times = np.linspace(0.0, 0.3, 21)
+        pointwise = np.vstack([dynamics.goldfish_exact(s, t) for t in times])
+        assert np.array_equal(dynamics.goldfish_exact_trajectory(s, times), pointwise)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_secular_trajectory_matches_pointwise_solver(self, n):
         rng = np.random.default_rng(n)
         q0 = np.linspace(-2.0, 2.0, n) + rng.uniform(-0.05, 0.05, n)
         s = dynamics.GoldfishState(q0, rng.uniform(0.5, 1.5, n))
         times = np.linspace(0.0, 0.3, 21)
         pointwise = np.vstack([dynamics.goldfish_exact(s, t) for t in times])
-        assert np.array_equal(dynamics.goldfish_exact_trajectory(s, times), pointwise)
+        assert np.abs(dynamics.goldfish_exact_trajectory(s, times) - pointwise).max() <= 1e-12
 
 
 class TestIntegrate:

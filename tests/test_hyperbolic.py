@@ -162,12 +162,30 @@ class TestExactSolvers:
 
     @pytest.mark.parametrize("n", [1, 3, 8, 16])
     def test_trajectory_equals_pointwise_solver(self, n):
+        # a negative velocity keeps the trajectory helpers on their pointwise paths
+        rng = np.random.default_rng(n)
+        a_vec = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.02, 0.02, n)
+        c_vec = rng.uniform(0.5, 1.5, n)
+        c_vec[0] = -0.1 * c_vec[0]
+        data = hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=c_vec)
+        times = np.linspace(0.0, 0.3, 21)
+        pointwise = np.vstack([hyperbolic.s_exact(data, t)[1] for t in times])
+        assert np.array_equal(hyperbolic.s_exact_trajectory(data, times), pointwise)
+        pointwise = np.vstack([hyperbolic.z_eigen_solution(data, t) for t in times])
+        assert np.array_equal(hyperbolic.z_eigen_trajectory(data, times), pointwise)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_secular_trajectories_match_pointwise_solvers(self, n):
         rng = np.random.default_rng(n)
         a_vec = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.02, 0.02, n)
         data = hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=rng.uniform(0.5, 1.5, n))
         times = np.linspace(0.0, 0.3, 21)
-        pointwise = np.vstack([hyperbolic.s_exact(data, t)[1] for t in times])
-        assert np.array_equal(hyperbolic.s_exact_trajectory(data, times), pointwise)
+        for trajectory, pointwise in (
+            (hyperbolic.s_exact_trajectory, lambda t: hyperbolic.s_exact(data, t)[1]),
+            (hyperbolic.z_eigen_trajectory, lambda t: hyperbolic.z_eigen_solution(data, t)),
+        ):
+            expected = np.vstack([pointwise(t) for t in times])
+            assert np.abs(trajectory(data, times) - expected).max() <= 1e-12
 
     def test_top_symmetric_function_growth(self):
         # s_N(t) = e^{2 sum a} e^{2 P t} exactly, so alpha_N = 0
