@@ -5,41 +5,23 @@ rational goldfish system, its spin (Euler-Calogero-Moser) extension, the flat
 geodesic picture in symmetric-function coordinates, the Hamiltonian reduction
 of free symmetric-matrix dynamics to free vector dynamics, and the hyperbolic
 variant with its Lax pair and exact solutions.
+
+Importing the package loads no submodule; ``goldfishlab.<name>`` imports
+submodule ``name`` on first use, and each command of ``goldfishlab.cli``
+imports only the modules it runs.
 """
 
-from . import (
-    cli,
-    dynamics,
-    geometry,
-    hyperbolic,
-    poisson,
-    reduction,
-    sampling,
-    secular,
-    symfun,
-    verify,
-)
-from .dynamics import (
-    ECMState,
-    GoldfishState,
-    IntegratorConfig,
-    Trajectory,
-    conserved_bn,
-    ecm_hamiltonian,
-    ecm_hamiltonian_g,
-    ecm_rhs,
-    f_from_velocities,
-    goldfish_exact,
-    goldfish_rhs,
-    integrate,
-    total_momentum,
-)
-from .errors import GoldfishLabError
-from .geometry import GeodesicState, WFunction, christoffel, curvature, geodesic_hamiltonian, metric
-from .hyperbolic import HyperbolicData, HyperbolicState, coth_rhs, hyperbolic_rhs, lax_pair
-from .poisson import PhaseObservable, PoissonStructure, ecm_structure, goldfish_structure
-from .reduction import MatrixFlow, ReducedChart, canonical_transform, frame_flow, rank1_velocity
-from .secular import secular_roots
-from .symfun import elem_sym_coords, jacobian, jacobian_det, jacobian_inverse, roots_from_coords
+import importlib
+
+_SUBMODULES = frozenset({
+    "cli", "dynamics", "errors", "geometry", "hyperbolic", "poisson", "reduction",
+    "rk45", "sampling", "secular", "symfun", "utils", "verify",
+})
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

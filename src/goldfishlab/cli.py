@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import dynamics, geometry, hyperbolic, reduction, symfun, verify
+from . import dynamics, symfun
 from .errors import ConfigInvalid, GoldfishLabError, IntegrationError
 from .rk45 import MIN_RTOL
 from .utils import upper_indices
@@ -167,9 +167,11 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_csv(path, header: list[str], rows: list[list[float]], footer=()) -> None:
+def _write_csv(path, header: list[str], rows, footer=()) -> None:
+    """One line per row of numbers, each as ``_fmt`` writes it."""
+    template = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [template % tuple(row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join([*lines, *footer]) + "\n")
 
@@ -190,6 +192,8 @@ def sidecar_path(out_path) -> Path:
 
 def _simulate_matrix(cfg: RunConfig):
     """Eigenvalue curves of the exact straight-line matrix flow."""
+    from . import reduction
+
     flow = reduction.rank1_velocity(cfg.q0, cfg.qdot0)
     _, eigenvalues = reduction.eigen_track(flow, cfg.times, gap_tol=cfg.collision_gap)
     state0 = dynamics.GoldfishState(cfg.q0, cfg.qdot0)
@@ -234,8 +238,8 @@ def run_simulate(config_path, out_path) -> int:
             traj = None
             truncation = {"error": type(exc).__name__, "message": str(exc), "time": None}
         if traj is not None:
-            rows = [[t, *system.pack(s)] for t, s in zip(traj.times, traj.states)]
-            diagnostics = {k: [float(v) for v in vals] for k, vals in traj.diagnostics.items()}
+            rows = np.column_stack([traj.times, traj.rows]).tolist()
+            diagnostics = {k: vals.tolist() for k, vals in traj.diagnostics.items()}
         else:
             rows, diagnostics = [], {}
 
@@ -264,6 +268,8 @@ def run_simulate(config_path, out_path) -> int:
 # ---------------------------------------------------------------------------
 
 def run_verify(selector: str, seed: int, out_path) -> int:
+    from . import verify
+
     results = verify.run_checks(selector, seed=seed)
     _write_json(out_path, [r.to_dict() for r in results])
     for r in results:
@@ -281,7 +287,7 @@ def run_verify(selector: str, seed: int, out_path) -> int:
 def _positions_rk(cfg: RunConfig) -> np.ndarray:
     system, state0 = SPECS[cfg.system].build(cfg)
     traj = _integrate(cfg, system, state0)
-    return np.vstack([system.positions(system.pack(s)) for s in traj.states])
+    return np.vstack([system.positions(y) for y in traj.rows])
 
 
 def _goldfish_initial(cfg: RunConfig) -> dynamics.GoldfishState:
@@ -290,7 +296,9 @@ def _goldfish_initial(cfg: RunConfig) -> dynamics.GoldfishState:
 
 def _geodesic_velocities(cfg: RunConfig) -> dynamics.GoldfishState:
     """The goldfish data of a geodesic config: qdot = g^{-1} pi."""
-    return dynamics.GoldfishState(cfg.q0, geometry.inverse_metric(cfg.q0) @ cfg.p0)
+    from .geometry import inverse_metric
+
+    return dynamics.GoldfishState(cfg.q0, inverse_metric(cfg.q0) @ cfg.p0)
 
 
 def _flat_exact(initial) -> Callable[[RunConfig], np.ndarray]:
@@ -298,11 +306,15 @@ def _flat_exact(initial) -> Callable[[RunConfig], np.ndarray]:
 
 
 def _positions_eigen_track(cfg: RunConfig) -> np.ndarray:
+    from . import reduction
+
     state0 = _goldfish_initial(cfg)
     return reduction.eigen_track(reduction.rank1_velocity(state0.q, state0.qdot), cfg.times)[1]
 
 
 def _positions_sinh_matrix(cfg: RunConfig) -> np.ndarray:
+    from . import hyperbolic
+
     data = hyperbolic.HyperbolicData(a=cfg.a, a_vec=cfg.a_vec, c_vec=cfg.c_vec)
     out = []
     for t in cfg.times:
@@ -312,11 +324,15 @@ def _positions_sinh_matrix(cfg: RunConfig) -> np.ndarray:
 
 
 def _positions_z_eigen(cfg: RunConfig) -> np.ndarray:
+    from . import hyperbolic
+
     data = hyperbolic.HyperbolicData(a=1.0, a_vec=cfg.a_vec, c_vec=cfg.c_vec)
     return hyperbolic.z_eigen_trajectory(data, cfg.times)
 
 
 def _positions_s_exact(cfg: RunConfig) -> np.ndarray:
+    from . import hyperbolic
+
     data = hyperbolic.HyperbolicData(a=1.0, a_vec=cfg.a_vec, c_vec=cfg.c_vec)
     return hyperbolic.s_exact_trajectory(data, cfg.times)
 
@@ -349,8 +365,22 @@ def _ecm_columns(n: int) -> list[str]:
     return _vector_columns("q", "p")(n) + [f"f_{i + 1}_{j + 1}" for i, j in zip(iu, ju)]
 
 
-def _hyperbolic_initial(cfg: RunConfig) -> hyperbolic.HyperbolicState:
-    return hyperbolic.HyperbolicState(cfg.a_vec, cfg.c_vec)
+def _build_geodesic(cfg: RunConfig) -> tuple:
+    from .geometry import GeodesicState
+
+    return dynamics.GeodesicSystem(cfg.n), GeodesicState(cfg.q0, cfg.p0)
+
+
+def _build_sinh(cfg: RunConfig) -> tuple:
+    from . import hyperbolic
+
+    return hyperbolic.SinhSystem(cfg.n, cfg.a), hyperbolic.HyperbolicState(cfg.a_vec, cfg.c_vec)
+
+
+def _build_coth(cfg: RunConfig) -> tuple:
+    from . import hyperbolic
+
+    return hyperbolic.CothSystem(cfg.n), hyperbolic.HyperbolicState(cfg.a_vec, cfg.c_vec)
 
 
 SPECS: dict[str, SystemSpec] = {
@@ -379,19 +409,19 @@ SPECS: dict[str, SystemSpec] = {
     ),
     "geodesic": SystemSpec(
         fields=("q0", "p0"),
-        build=lambda cfg: (dynamics.GeodesicSystem(cfg.n), geometry.GeodesicState(cfg.q0, cfg.p0)),
+        build=_build_geodesic,
         columns=_vector_columns("q", "pi"),
         solvers={"rk_integration": _positions_rk, "flat_exact": _flat_exact(_geodesic_velocities)},
     ),
     "hyperbolic-sinh": SystemSpec(
         fields=("a", "a_vec", "c_vec"),
-        build=lambda cfg: (hyperbolic.SinhSystem(cfg.n, cfg.a), _hyperbolic_initial(cfg)),
+        build=_build_sinh,
         columns=_vector_columns("q", "qdot"),
         solvers={"rk_integration": _positions_rk, "matrix_eigen": _positions_sinh_matrix},
     ),
     "hyperbolic-coth": SystemSpec(
         fields=("a_vec", "c_vec"),
-        build=lambda cfg: (hyperbolic.CothSystem(cfg.n), _hyperbolic_initial(cfg)),
+        build=_build_coth,
         columns=_vector_columns("q", "qdot"),
         solvers={
             "rk_integration": _positions_rk,
@@ -441,6 +471,21 @@ def run_compare(config_path, solvers: list[str], out_path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _VerifySelectors:
+    """The ``verify`` selectors, "all" and ``verify.SUITES``, imported on first use."""
+
+    def _names(self) -> tuple[str, ...]:
+        from .verify import SUITES
+
+        return ("all",) + SUITES
+
+    def __contains__(self, name) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goldfishlab",
@@ -453,7 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output CSV path (sidecar: <out>.diag.json)")
 
     p_ver = sub.add_parser("verify", help="run property-check suites and write a JSON report")
-    p_ver.add_argument("selector", choices=("all",) + verify.SUITES)
+    # set after add_argument, which would read the choices: the other
+    # commands never read them and so never import verify
+    p_ver.add_argument("selector").choices = _VerifySelectors()
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--out", required=True, help="output JSON report path")
 

@@ -8,12 +8,13 @@ positions come back as polynomial roots.  The spin-extended system evolves
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
 
-from . import geometry, poisson, secular, symfun
+from . import symfun
 from .errors import (
     CollisionDetected,
     NonPositiveVelocity,
@@ -95,20 +96,32 @@ class IntegratorConfig:
             raise ValueError("collision_gap must be finite and >= 0")
 
 
-@dataclass
 class Trajectory:
-    """Time grid, per-time states, and named per-time diagnostic residuals."""
+    """Time grid and one packed state per time, ``rows[k]`` at ``times[k]``.
 
-    times: np.ndarray
-    states: list[Any]
-    diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
+    The per-time states and the named per-time diagnostic residuals are built
+    from the rows on first access, so a caller that reads only the rows pays
+    for neither.
+    """
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+    def __init__(self, system: OdeSystem, state0, times, rows: np.ndarray):
+        self.times = np.asarray(times, dtype=float)
         if self.times.size > 1 and np.any(np.diff(self.times) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
-        if len(self.states) != self.times.size:
+        if len(rows) != self.times.size:
             raise ValueError("one state per time required")
+        self.system = system
+        self.state0 = state0
+        self.rows = rows
+
+    @cached_property
+    def states(self) -> list[Any]:
+        return [self.system.unpack(y) for y in self.rows]
+
+    @cached_property
+    def diagnostics(self) -> dict[str, np.ndarray]:
+        """Residuals against values frozen at t = 0, one array per name."""
+        return self.system.grid_diagnostics(self.system.reference(self.state0), self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +181,8 @@ def ecm_hamiltonian_g(state: ECMState) -> float:
     cross-term coefficient -1/2 makes this an exact rewriting (on G = 0 it
     collapses to P^2/2).  Requires p >= 0.
     """
+    from . import poisson
+
     n = state.n
     if np.any(state.p < 0):
         raise NegativeMomentum("G-form needs p_i >= 0")
@@ -198,6 +213,22 @@ def f_from_velocities(q, qdot) -> np.ndarray:
 def conserved_bn(state: GoldfishState) -> np.ndarray:
     """Conserved b_n = (J(q) qdot)_n, the flat-coordinate velocities."""
     return symfun.jacobian(state.q) @ state.qdot
+
+
+def conserved_bn_grid(q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
+    """``conserved_bn`` of each row of validated (q, qdot), shape (rows, N).
+
+    The Jacobians are built by ``symfun.jacobian_stack`` in blocks of about
+    2^16 entries (16 rows at N = 64), which keeps the stack near 0.5 MB.
+    Each row equals ``conserved_bn`` of that state bit for bit.
+    """
+    rows, n = q.shape
+    block = max(1, 2**16 // (n * n))
+    b = np.empty((rows, n))
+    for start in range(0, rows, block):
+        jac = symfun.jacobian_stack(q[start : start + block])
+        b[start : start + block] = np.matmul(jac, qdot[start : start + block, :, None])[:, :, 0]
+    return b
 
 
 def total_momentum(state) -> float:
@@ -241,6 +272,8 @@ def goldfish_exact_trajectory(state0: GoldfishState, times) -> np.ndarray:
     arithmetic per point, with x(0) and b computed once for the whole grid,
     and its typed errors.
     """
+    from . import secular
+
     times = np.asarray(times, dtype=float)
     if np.all(state0.qdot > 0) and np.all(times >= 0):
         return secular.secular_roots(state0.q, state0.qdot, times)
@@ -271,19 +304,53 @@ class OdeSystem:
         """Coordinates monitored for collisions; None disables monitoring."""
         return None
 
+    def rejected_row(self, rows: np.ndarray) -> int | None:
+        """Index of the first of ``rows`` (one packed state each) that ``unpack`` rejects, or None."""
+        for k, y in enumerate(rows):
+            try:
+                self.unpack(y)
+            except ValueError:
+                return k
+        return None
+
     def reference(self, state0):
         """Values frozen at t = 0 that the diagnostics drift against."""
         return None
 
-    def diagnostics(self, reference, state) -> dict[str, float]:
+    def grid_diagnostics(self, reference, rows: np.ndarray) -> dict[str, np.ndarray]:
+        """Named residuals of each of ``rows`` (one packed state each) against ``reference``."""
         return {}
 
+    def diagnostics(self, reference, state) -> dict[str, float]:
+        """``grid_diagnostics`` of one state."""
+        grid = self.grid_diagnostics(reference, self.pack(state)[None, :])
+        return {key: float(values[0]) for key, values in grid.items()}
 
-class GoldfishSystem(OdeSystem):
-    name = "goldfish"
+
+class ParticleSystem(OdeSystem):
+    """A system of n particles whose packed state starts with the n positions.
+
+    Its states require finite entries and positions that form a
+    configuration (``symfun.as_configuration``).
+    """
 
     def __init__(self, n: int):
         self.n = n
+
+    def positions(self, y):
+        return y[: self.n]
+
+    def rejected_row(self, rows):
+        """The state checks of ``unpack`` for the whole grid at once."""
+        accepted = np.isfinite(rows).all(axis=1)
+        if self.n > 1:
+            accepted &= (np.diff(rows[:, : self.n], axis=1) > symfun.COLLISION_TOL).all(axis=1)
+        rejected = np.flatnonzero(~accepted)
+        return int(rejected[0]) if rejected.size else None
+
+
+class GoldfishSystem(ParticleSystem):
+    name = "goldfish"
 
     def pack(self, state: GoldfishState) -> np.ndarray:
         return np.concatenate([state.q, state.qdot])
@@ -295,25 +362,16 @@ class GoldfishSystem(OdeSystem):
         q, qdot = y[: self.n], y[self.n :]
         return np.concatenate([qdot, goldfish_acceleration(q, qdot)])
 
-    def positions(self, y):
-        return y[: self.n]
-
     def reference(self, state0: GoldfishState):
         return conserved_bn(state0)
 
-    def diagnostics(self, reference, state: GoldfishState) -> dict[str, float]:
-        b = conserved_bn(state)
-        return {
-            "bn_drift": float(np.abs(b - reference).max()),
-            "momentum_drift": float(abs(b[0] - reference[0])),
-        }
+    def grid_diagnostics(self, reference, rows):
+        drift = np.abs(conserved_bn_grid(rows[:, : self.n], rows[:, self.n :]) - reference)
+        return {"bn_drift": drift.max(axis=1), "momentum_drift": drift[:, 0]}
 
 
-class EcmSystem(OdeSystem):
+class EcmSystem(ParticleSystem):
     name = "ecm"
-
-    def __init__(self, n: int):
-        self.n = n
 
     def pack(self, state: ECMState) -> np.ndarray:
         return np.concatenate([state.q, state.p, state.f_upper])
@@ -327,46 +385,50 @@ class EcmSystem(OdeSystem):
         pdot, fdot = ecm_forces(y[:n], antisymmetric_from_upper(y[2 * n :], n))
         return np.concatenate([y[n : 2 * n], pdot, fdot[upper_indices(n)]])
 
-    def positions(self, y):
-        return y[: self.n]
-
     def reference(self, state0: ECMState):
         return ecm_hamiltonian(state0)
 
-    def diagnostics(self, reference, state: ECMState) -> dict[str, float]:
-        out = {"energy_drift": float(abs(ecm_hamiltonian(state) - reference))}
-        if np.all(state.p >= 0):
-            g = poisson.g_constraints(state.q, state.p, state.f)
-            out["constraint_norm"] = float(np.linalg.norm(g))
-        else:
-            out["constraint_norm"] = float("nan")
-        return out
+    def grid_diagnostics(self, reference, rows):
+        from . import poisson
+
+        energy, constraint = [], []
+        for state in map(self.unpack, rows):
+            energy.append(abs(ecm_hamiltonian(state) - reference))
+            if np.all(state.p >= 0):
+                g = poisson.g_constraints(state.q, state.p, state.f)
+                constraint.append(float(np.linalg.norm(g)))
+            else:
+                constraint.append(float("nan"))
+        return {"energy_drift": np.array(energy), "constraint_norm": np.array(constraint)}
 
 
-class GeodesicSystem(OdeSystem):
+class GeodesicSystem(ParticleSystem):
     name = "geodesic"
 
-    def __init__(self, n: int):
-        self.n = n
-
-    def pack(self, state: geometry.GeodesicState) -> np.ndarray:
+    def pack(self, state) -> np.ndarray:
         return np.concatenate([state.q, state.pi])
 
-    def unpack(self, y: np.ndarray) -> geometry.GeodesicState:
-        return geometry.GeodesicState(y[: self.n], y[self.n :])
+    def unpack(self, y: np.ndarray):
+        from .geometry import GeodesicState
+
+        return GeodesicState(y[: self.n], y[self.n :])
 
     def rhs(self, t, y):
-        qdot, pidot = geometry.geodesic_rhs(self.unpack(y))
+        from .geometry import geodesic_rhs
+
+        qdot, pidot = geodesic_rhs(self.unpack(y))
         return np.concatenate([qdot, pidot])
 
-    def positions(self, y):
-        return y[: self.n]
-
     def reference(self, state0):
-        return geometry.geodesic_hamiltonian(state0)
+        from .geometry import geodesic_hamiltonian
 
-    def diagnostics(self, reference, state) -> dict[str, float]:
-        return {"energy_drift": float(abs(geometry.geodesic_hamiltonian(state) - reference))}
+        return geodesic_hamiltonian(state0)
+
+    def grid_diagnostics(self, reference, rows):
+        from .geometry import geodesic_hamiltonian
+
+        drift = [abs(geodesic_hamiltonian(self.unpack(y)) - reference) for y in rows]
+        return {"energy_drift": np.array(drift)}
 
 
 class CustomSystem(OdeSystem):
@@ -428,8 +490,9 @@ def integrate(
     crossing ``config.collision_gap`` aborts with CollisionDetected carrying
     the partial trajectory.  A trial stage whose positions fail the state
     check of the system's RHS (unordered or collided) also raises
-    CollisionDetected, without a partial trajectory or time.  Diagnostics are
-    evaluated at output grid points.
+    CollisionDetected, without a partial trajectory or time.  The output grid
+    is checked once; the trajectory's states and diagnostics are evaluated at
+    its points on first access.
     """
     config = config or IntegratorConfig()
     if output_points < 2:
@@ -474,38 +537,33 @@ def integrate(
             f"an RK stage state was rejected: {exc}", partial=None, time=None
         ) from exc
 
-    def build(times, ys):
-        states = [sys_.unpack(ys[:, k]) for k in range(times.size)]
-        reference = sys_.reference(state0)
-        diag_rows = [sys_.diagnostics(reference, s) for s in states]
-        diagnostics = {}
-        if diag_rows and diag_rows[0]:
-            for key in diag_rows[0]:
-                diagnostics[key] = np.array([row[key] for row in diag_rows])
-        return Trajectory(times=times, states=states, diagnostics=diagnostics)
-
-    def build_partial(times, ys):
-        # near-failure states may violate state invariants; salvage what is valid
-        while times.size:
-            try:
-                return build(times, ys)
-            except ValueError:
-                times = times[:-1]
-                ys = ys[:, :-1]
-        return None
+    def build(times, ys, partial: bool):
+        # one packed state per row; each row stays a strided view of the
+        # solver's column, since a BLAS product in a diagnostic (the geodesic
+        # pi g^-1 pi) rounds differently on a contiguous copy
+        rows = ys.T
+        rejected = sys_.rejected_row(rows)
+        if not partial:
+            if rejected is not None:
+                sys_.unpack(rows[rejected])  # raises the state check's ValueError
+            return Trajectory(sys_, state0, times, rows)
+        # near-failure states may violate state invariants; a partial
+        # trajectory keeps the rows before the first one that does
+        times, rows = times[:rejected], rows[:rejected]
+        return Trajectory(sys_, state0, times, rows) if times.size else None
 
     if sol.status == 1:  # terminal event: collision
         t_hit = float(sol.t_events[0][0])
         raise CollisionDetected(
             f"pairwise gap fell below {config.collision_gap:g} at t = {t_hit:.6g}",
-            partial=build_partial(sol.t, sol.y),
+            partial=build(sol.t, sol.y, partial=True),
             time=t_hit,
         )
     if sol.status != 0:
         raise StepSizeUnderflow(
             sol.message,
-            partial=build_partial(sol.t, sol.y),
+            partial=build(sol.t, sol.y, partial=True),
             time=float(sol.t[-1]) if sol.t.size else t0,
         )
 
-    return build(sol.t, sol.y)
+    return build(sol.t, sol.y, partial=False)

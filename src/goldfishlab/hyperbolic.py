@@ -20,6 +20,7 @@ from .errors import (
     NonPositiveVelocity,
     NonRealSpectrum,
     PoleProximity,
+    ZeroMomentum,
 )
 from .utils import finite_vector, pairwise_differences
 
@@ -64,11 +65,12 @@ class HyperbolicData:
 
 def _pair_acceleration(lam: np.ndarray, lamdot: np.ndarray, coupling) -> np.ndarray:
     """lamddot_i = 2 lamdot_i sum_{j != i} coupling(lam_i - lam_j) lamdot_j on plain arrays."""
-    n = lam.size
     gaps = pairwise_differences(lam)
-    off = ~np.eye(n, dtype=bool)
-    kernel = np.zeros((n, n))
-    kernel[off] = coupling(gaps[off])
+    # the couplings of sinh and coth are finite at an infinite gap and raise
+    # no floating-point warning there
+    np.fill_diagonal(gaps, np.inf)
+    kernel = coupling(gaps)
+    np.fill_diagonal(kernel, 0.0)
     return 2.0 * lamdot * (kernel @ lamdot)
 
 
@@ -96,14 +98,19 @@ def lax_pair(state: HyperbolicState, a: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("a must be nonzero")
     if np.any(state.lamdot <= 0):
         raise NonPositiveVelocity("lax substitution needs lamdot_i > 0")
-    n = state.n
-    gaps = pairwise_differences(state.lam)
+    return _lax_matrices(state.lam, state.lamdot, a)
+
+
+def _lax_matrices(lam: np.ndarray, lamdot: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """``lax_pair`` on plain arrays, for a != 0 and lamdot > 0."""
+    n = lam.size
+    gaps = pairwise_differences(lam)
     off = ~np.eye(n, dtype=bool)
     m = np.zeros((n, n))
-    m[off] = -2.0 * a * np.sqrt(np.outer(state.lamdot, state.lamdot))[off] / np.sinh(2.0 * a * gaps[off])
+    m[off] = -2.0 * a * np.sqrt(np.outer(lamdot, lamdot))[off] / np.sinh(2.0 * a * gaps[off])
     sinh_fac = np.zeros((n, n))
     sinh_fac[off] = np.sinh(2.0 * a * gaps[off]) / (2.0 * a)
-    lax = np.diag(state.lamdot) - sinh_fac * m
+    lax = np.diag(lamdot) - sinh_fac * m
     return lax, m
 
 
@@ -163,7 +170,7 @@ def z_eigen_solution(data: HyperbolicData, t: float, imag_tol: float = 1e-9) -> 
     """
     p = data.momentum
     if p == 0:
-        raise ValueError("z route needs P = sum c_i != 0")
+        raise ZeroMomentum("z route needs P = sum c_i != 0")
     z = np.exp(2.0 * data.a_vec)[:, None] * _rank_one_exp(data.c_vec, p, 2.0 * t)
     mu = np.linalg.eigvals(z)
     worst_imag = float(np.abs(mu.imag).max())
@@ -187,7 +194,7 @@ def _s_line(data: HyperbolicData) -> tuple[float, np.ndarray, np.ndarray]:
     """(P, alpha, beta) with s_n(t) = alpha_n + beta_n e^{2 P t}."""
     p = data.momentum
     if p == 0:
-        raise ValueError("s route needs P = sum c_i != 0")
+        raise ZeroMomentum("s route needs P = sum c_i != 0")
     s0, sdot0 = s_initial(data)
     beta = sdot0 / (2.0 * p)
     return p, s0 - beta, beta
@@ -271,12 +278,12 @@ def s_derivatives(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarra
     return alpha + beta * growth, 2.0 * p * beta * growth, 4.0 * p * p * beta * growth
 
 
-class _PairFlowSystem(dynamics.OdeSystem):
+class _PairFlowSystem(dynamics.ParticleSystem):
     """Second-order pair-coupled flow as a first-order system for the integrator.
 
     Subclasses supply ``coupling``, the pair function of the gaps.  Every RHS
-    call validates the stage state, so an RK stage whose positions lose their
-    order is rejected.
+    call makes the checks of ``HyperbolicState`` on the stage arrays, so an RK
+    stage whose positions lose their order is rejected with its message.
     """
 
     def pack(self, state: HyperbolicState) -> np.ndarray:
@@ -286,12 +293,16 @@ class _PairFlowSystem(dynamics.OdeSystem):
         return HyperbolicState(y[: self.n], y[self.n :])
 
     def rhs(self, t, y):
-        state = HyperbolicState(y[: self.n], y[self.n :])
-        acceleration = _pair_acceleration(state.lam, state.lamdot, self.coupling)
-        return np.concatenate([state.lamdot, acceleration])
+        lam, lamdot = y[: self.n], y[self.n :]
+        if not np.isfinite(y).all():
+            HyperbolicState(lam, lamdot)  # raises the state check's error, in its order
+        symfun.check_gaps(lam)
+        return np.concatenate([lamdot, _pair_acceleration(lam, lamdot, self.coupling)])
 
-    def positions(self, y):
-        return y[: self.n]
+    def _momentum_drift(self, reference: float, rows: np.ndarray) -> np.ndarray:
+        # summed along contiguous rows, each sum is np.sum of that row's velocities
+        velocities = np.ascontiguousarray(rows[:, self.n :])
+        return np.abs(velocities.sum(axis=1) - reference)
 
 
 class SinhSystem(_PairFlowSystem):
@@ -308,31 +319,31 @@ class SinhSystem(_PairFlowSystem):
     def coupling(self, gaps: np.ndarray) -> np.ndarray:
         return 2.0 * self.a / np.sinh(2.0 * self.a * gaps)
 
-    def reference(self, state0: HyperbolicState):
-        momentum = float(np.sum(state0.lamdot))
-        spectrum = None
-        if np.all(state0.lamdot > 0):
-            spectrum = np.sort(np.linalg.eigvalsh(lax_pair(state0, self.a)[0]))
-        return momentum, spectrum
+    def _spectrum(self, lam: np.ndarray, lamdot: np.ndarray) -> np.ndarray | None:
+        """Ascending spectrum of the Lax matrix L; None unless every lamdot_i > 0."""
+        if not np.all(lamdot > 0):
+            return None
+        return np.sort(np.linalg.eigvalsh(_lax_matrices(lam, lamdot, self.a)[0]))
 
-    def diagnostics(self, reference, state: HyperbolicState) -> dict[str, float]:
+    def reference(self, state0: HyperbolicState):
+        return float(np.sum(state0.lamdot)), self._spectrum(state0.lam, state0.lamdot)
+
+    def grid_diagnostics(self, reference, rows):
         momentum0, spectrum0 = reference
-        out = {"momentum_drift": float(abs(np.sum(state.lamdot) - momentum0))}
-        if spectrum0 is not None and np.all(state.lamdot > 0):
-            spec = np.sort(np.linalg.eigvalsh(lax_pair(state, self.a)[0]))
-            out["spectrum_drift"] = float(np.abs(spec - spectrum0).max())
-        else:
-            out["spectrum_drift"] = float("nan")
-        return out
+        spectrum_drift = np.full(len(rows), np.nan)
+        if spectrum0 is not None:
+            for k, y in enumerate(rows):
+                spectrum = self._spectrum(y[: self.n], y[self.n :])
+                if spectrum is not None:
+                    spectrum_drift[k] = np.abs(spectrum - spectrum0).max()
+        return {"momentum_drift": self._momentum_drift(momentum0, rows),
+                "spectrum_drift": spectrum_drift}
 
 
 class CothSystem(_PairFlowSystem):
     """The coth flow."""
 
     name = "hyperbolic-coth"
-
-    def __init__(self, n: int):
-        self.n = n
 
     @staticmethod
     def coupling(gaps: np.ndarray) -> np.ndarray:
@@ -341,8 +352,8 @@ class CothSystem(_PairFlowSystem):
     def reference(self, state0: HyperbolicState):
         return float(np.sum(state0.lamdot))
 
-    def diagnostics(self, reference, state: HyperbolicState) -> dict[str, float]:
-        return {"momentum_drift": float(abs(np.sum(state.lamdot) - reference))}
+    def grid_diagnostics(self, reference, rows):
+        return {"momentum_drift": self._momentum_drift(reference, rows)}
 
 
 def root_function_f(data: HyperbolicData, t: float, q: float, pole_tol: float = 1e-8) -> float:

@@ -29,15 +29,24 @@ def as_configuration(q, min_gap: float = COLLISION_TOL) -> np.ndarray:
     q = finite_vector(q, name="q")
     if q.size < 1:
         raise ValueError("configuration needs at least one particle")
-    if q.size > 1:
-        gaps = np.diff(q)
-        if np.any(gaps <= 0):
-            raise ValueError("positions must be strictly increasing")
-        if gaps.min() <= min_gap:
-            raise ValueError(
-                f"minimal gap {gaps.min():.3e} at or below collision tolerance {min_gap:.3e}"
-            )
+    check_gaps(q, min_gap)
     return q
+
+
+def check_gaps(q: np.ndarray, min_gap: float = COLLISION_TOL) -> None:
+    """The order check of ``as_configuration`` on a finite 1-d float array.
+
+    Raises ValueError unless q is strictly increasing with every adjacent gap
+    above ``min_gap``.
+    """
+    if q.size > 1:
+        smallest = np.diff(q).min()
+        if smallest <= 0:
+            raise ValueError("positions must be strictly increasing")
+        if smallest <= min_gap:
+            raise ValueError(
+                f"minimal gap {smallest:.3e} at or below collision tolerance {min_gap:.3e}"
+            )
 
 
 def _elementary_all(values: np.ndarray) -> np.ndarray:
@@ -60,26 +69,31 @@ def elem_sym_coords(q) -> np.ndarray:
 
 
 def jacobian(q) -> np.ndarray:
-    """J[n, j] = d x_n / d q_j = e_{n-1} of q with entry j removed.
+    """J[n, j] = d x_n / d q_j = e_{n-1} of q with entry j removed."""
+    return jacobian_stack(as_configuration(q)[None, :])[0]
+
+
+def jacobian_stack(qs: np.ndarray) -> np.ndarray:
+    """``jacobian`` of each row of qs (rows, N), shape (rows, N, N); rows not validated.
 
     Column j is the recurrence of ``_elementary_all`` run over q without q_j.
-    All columns are advanced together in one pass over q: step i applies
-    J[1:] = J[1:] + q_i J[:-1] and then restores column i, which must skip
-    q_i.  Before step i a column holds e_0..e_i at most, so the step touches
-    rows 1..i+1 only; the rows below stay zero, as they would in the full
-    update.  That is O(N) numpy calls and O(N^3) flops, and every entry
-    receives the same IEEE operations in the same order as in the per-column
-    definition, so the result is bit-identical to it.
+    All columns of all rows are advanced together in one pass over the N
+    positions: step i applies J[1:] = J[1:] + q_i J[:-1] and then restores
+    column i, which must skip q_i.  Before step i a column holds e_0..e_i at
+    most, so the step touches rows 1..i+1 only; the rows below stay zero, as
+    they would in the full update.  That is O(N) numpy calls and O(N^3) flops
+    per row, and every entry receives the same IEEE operations in the same
+    order as in the per-column definition, so the result is bit-identical to
+    it whatever the number of rows.
     """
-    q = as_configuration(q)
-    n = q.size
-    jac = np.zeros((n, n))
-    jac[0] = 1.0
-    for i, v in enumerate(q):
+    rows, n = qs.shape
+    jac = np.zeros((rows, n, n))
+    jac[:, 0] = 1.0
+    for i in range(n):
         m = min(i + 2, n)
-        skipped = jac[1:m, i].copy()
-        jac[1:m] += v * jac[: m - 1]
-        jac[1:m, i] = skipped
+        skipped = jac[:, 1:m, i].copy()
+        jac[:, 1:m] += qs[:, i, None, None] * jac[:, : m - 1]
+        jac[:, 1:m, i] = skipped
     return jac
 
 

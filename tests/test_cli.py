@@ -28,6 +28,11 @@ GOLDFISH = {
 }
 
 
+# velocities that sum to P = 0, where the exact coth routes are undefined
+COTH_ZERO_P = {"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 1], "c_vec": [1, -1],
+               "t_end": 1, "output_points": 3}
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -175,6 +180,31 @@ class TestSimulate:
         assert out.read_text() == "t,q1,q2,pi1,pi2\n"
 
 
+    @pytest.mark.parametrize("system, a", [("hyperbolic-sinh", 0.5), ("hyperbolic-coth", None)])
+    def test_pair_flow_stage_out_of_order_exits_three(self, tmp_path, capsys, system, a):
+        # the moving particle passes the one at rest inside one RK step
+        raw = {"system": system, "N": 2, "a_vec": [0.4, 1.11], "c_vec": [0, -3], "t_end": 2,
+               "output_points": 11}
+        cfg = write_config(tmp_path / "cfg.json", raw if a is None else {**raw, "a": a})
+        out = tmp_path / "traj.csv"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: CollisionDetected: an RK stage state was rejected: "
+            "positions must be strictly increasing\n")
+        sidecar = json.loads(cli.sidecar_path(out).read_text())
+        assert sidecar["rows_written"] == 0 and sidecar["truncation"]["time"] is None
+        assert out.read_text() == "t,q1,q2,qdot1,qdot2\n"
+
+    def test_numbers_are_written_as_fmt_writes_them(self, tmp_path):
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-310, np.float64(0.1), 1 / 3,
+                  -1.2345678901234567e300, 7]
+        out = tmp_path / "table.csv"
+        cli._write_csv(out, [f"c{k}" for k in range(len(values))], [values, values[::-1]])
+        lines = out.read_text().splitlines()
+        assert lines[1] == ",".join(cli._fmt(v) for v in values)
+        assert lines[2] == ",".join(cli._fmt(v) for v in values[::-1])
+
+
 class TestVerifyCommand:
     def test_geometry_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -187,11 +217,17 @@ class TestVerifyCommand:
         assert all(entry["pass"] for entry in report)
         assert set(report[0]) == {"name", "max_residual", "tolerance", "pass", "seconds"}
 
-    def test_unknown_selector_exits_two(self, tmp_path):
+    def test_unknown_selector_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["verify", "nosuch", "--out", str(tmp_path / "r.json")])
         assert info.value.code == 2
         assert not (tmp_path / "r.json").exists()
+        from goldfishlab.verify import SUITES
+
+        choices = ", ".join(repr(name) for name in ("all",) + SUITES)
+        err = capsys.readouterr().err
+        assert "{" + ",".join(("all",) + SUITES) + "}" in err  # the usage line
+        assert err.endswith(f"error: argument selector: invalid choice: 'nosuch' (choose from {choices})\n")
 
 
 class TestCompareCommand:
@@ -261,6 +297,8 @@ class TestCompareCommand:
              "z_eigen", "NonRealSpectrum"),
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [1.1, 1.45], "c_vec": [1.8, -1.4],
               "t_end": 2.0, "output_points": 2}, "s_exact", "NonPositiveRoot"),
+            (COTH_ZERO_P, "z_eigen", "ZeroMomentum"),
+            (COTH_ZERO_P, "s_exact", "ZeroMomentum"),
         ],
     )
     def test_mixed_sign_exact_routes_keep_typed_errors(self, tmp_path, capsys, raw, solver, error):
@@ -275,6 +313,19 @@ class TestCompareCommand:
         assert cli.main(["compare", "--config", cfg, "--solvers", "flat_exact", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "t"
+
+    def test_rk_route_builds_no_states_or_diagnostics(self, tmp_path, monkeypatch):
+        def unused(*args):
+            raise AssertionError("compare built a per-row state or diagnostic")
+
+        monkeypatch.setattr(dynamics.GoldfishSystem, "unpack", unused)
+        monkeypatch.setattr(dynamics.GoldfishSystem, "grid_diagnostics", unused)
+        cfg = write_config(tmp_path / "cfg.json", {**GOLDFISH, "t_end": 0.2})
+        out = tmp_path / "cmp.csv"
+        code = cli.main(
+            ["compare", "--config", cfg, "--solvers", "rk_integration,flat_exact", "--out", str(out)]
+        )
+        assert code == 0
 
     def test_inapplicable_solver_exits_two(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {**GOLDFISH, "t_end": 0.2})
@@ -363,33 +414,74 @@ def test_malformed_config_exits_two(tmp_path, capsys, case, command):
     assert "Traceback" not in err
 
 
-def test_runtime_imports_no_scipy(tmp_path):
-    """simulate, compare (z_eigen included) and verify run on numpy alone, and
-    only verify loads the process-pool modules."""
-    sim = write_config(tmp_path / "sim.json", GOLDFISH)
-    coth = write_config(tmp_path / "coth.json", {"system": "hyperbolic-coth", "N": 3, "t_end": 0.3,
-                                                 **SYSTEM_CONFIGS["hyperbolic-coth"][0]})
-    script = f"""
-import sys
-from goldfishlab import cli
-def loaded(*packages):
-    return sorted(name for name in sys.modules if name.split(".")[0] in packages)
-codes = [
-    cli.main(["simulate", "--config", {sim!r}, "--out", {str(tmp_path / "sim.csv")!r}]),
-    cli.main(["compare", "--config", {coth!r}, "--solvers", "z_eigen,rk_integration,s_exact",
-              "--out", {str(tmp_path / "cmp.csv")!r}]),
-]
-pool_modules = loaded("multiprocessing", "concurrent")
-codes.append(
-    cli.main(["verify", "all", "--seed", "42", "--out", {str(tmp_path / "report.json")!r}]))
-print(codes, loaded("scipy"), pool_modules)
-"""
+def _run_python(script: str) -> list[str]:
+    """Stdout lines of ``script`` run by a fresh interpreter on this source tree."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [] []"
+    return proc.stdout.splitlines()
+
+
+SUBMODULES = sorted(path.stem for path in Path(cli.__file__).parent.glob("*.py")
+                    if not path.stem.startswith("__"))
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    """simulate, compare (z_eigen included) and verify run on numpy alone, only
+    verify loads the process-pool modules, and each command loads only the
+    goldfishlab modules it runs."""
+    sim = write_config(tmp_path / "sim.json", GOLDFISH)
+    coth = write_config(tmp_path / "coth.json", {"system": "hyperbolic-coth", "N": 3, "t_end": 0.3,
+                                                 **SYSTEM_CONFIGS["hyperbolic-coth"][0]})
+    script = f"""
+import json
+import sys
+import goldfishlab
+def loaded(*packages):
+    return sorted(name for name in sys.modules if name.split(".")[0] in packages)
+steps = [loaded("goldfishlab")]
+from goldfishlab import cli
+codes = [cli.main(["simulate", "--config", {sim!r}, "--out", {str(tmp_path / "sim.csv")!r}])]
+steps.append(loaded("goldfishlab"))
+codes.append(cli.main(["compare", "--config", {coth!r}, "--solvers", "z_eigen,rk_integration,s_exact",
+                       "--out", {str(tmp_path / "cmp.csv")!r}]))
+steps.append(loaded("goldfishlab"))
+pool_modules = loaded("multiprocessing", "concurrent")
+codes.append(
+    cli.main(["verify", "all", "--seed", "42", "--out", {str(tmp_path / "report.json")!r}]))
+steps.append(loaded("goldfishlab"))
+print(json.dumps(steps))
+print(codes, loaded("scipy"), pool_modules)
+"""
+    *_, steps, last = _run_python(script)
+    assert last == "[0, 0, 0] [] []"
+
+    def modules(*names):
+        return sorted(["goldfishlab"] + [f"goldfishlab.{name}" for name in names])
+
+    simulate = ("cli", "dynamics", "errors", "rk45", "symfun", "utils")
+    assert json.loads(steps) == [
+        modules(),
+        modules(*simulate),
+        modules(*simulate, "hyperbolic", "secular"),
+        modules(*SUBMODULES),
+    ]
+
+
+def test_every_submodule_resolves_as_a_package_attribute():
+    script = f"""
+import goldfishlab
+print([getattr(goldfishlab, name).__name__ for name in {SUBMODULES!r}])
+try:
+    goldfishlab.nosuch
+except AttributeError as exc:
+    print(exc)
+"""
+    names, error = _run_python(script)
+    assert names == repr([f"goldfishlab.{name}" for name in SUBMODULES])
+    assert error == "module 'goldfishlab' has no attribute 'nosuch'"
 
 
 class TestConsoleEntry:

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from goldfishlab import dynamics, poisson
+from goldfishlab import dynamics, hyperbolic, poisson, symfun
 from goldfishlab.errors import (
     CollisionDetected,
     ComplexRoots,
@@ -224,11 +226,114 @@ class TestIntegrate:
             dynamics.integrate("goldfish", s, (1.0, 1.0))
 
 
+def _grid(n: int, rows: int, width: int, seed: int) -> np.ndarray:
+    """Packed states of n ordered particles, laid out as ``integrate`` hands them
+    to the systems: row k is a strided view of column k of a (width, rows) array."""
+    rng = np.random.default_rng([n, seed])
+    ys = rng.uniform(0.5, 1.5, (width, rows))
+    ys[:n] = -2.0 + 4.0 / n * (np.arange(n)[:, None] + 0.5 + rng.uniform(-0.3, 0.3, (n, rows)))
+    return ys.T
+
+
+class TestOutputGrid:
+    """Row work done once per output grid, against the per-row definitions."""
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_blocked_bn_is_the_per_row_product(self, n):
+        # 37 rows: one partial block for N <= 42, full blocks and a partial one above
+        rows = _grid(n, 37, 2 * n, seed=0)
+        q, qdot = rows[:, :n], rows[:, n:]
+        jac = symfun.jacobian_stack(q)
+        b = dynamics.conserved_bn_grid(q, qdot)
+        for k in range(len(rows)):
+            assert np.array_equal(jac[k], symfun.jacobian(q[k]))
+            assert np.array_equal(b[k], symfun.jacobian(q[k]) @ qdot[k])
+
+    @pytest.mark.parametrize("system, width", [
+        (dynamics.GoldfishSystem(5), 10), (dynamics.EcmSystem(5), 20),
+        (dynamics.GeodesicSystem(5), 10), (hyperbolic.SinhSystem(5, 0.5), 10),
+        (hyperbolic.CothSystem(5), 10)])
+    def test_grid_checks_reject_the_rows_unpack_rejects(self, system, width):
+        base = dynamics.OdeSystem.rejected_row  # the per-row definition
+        for bad in range(6):
+            rows = np.array(_grid(5, 9, width, seed=bad))  # a copy, rows writable
+            if bad < 5:
+                rows[bad + 2, [0, 1, 3, 7, width - 1][bad]] = [np.nan, 0.0, 5.0, np.inf, -np.inf][bad]
+                rows[8, 2] = rows[8, 1] + 1e-9  # a later row at a gap below the collision tolerance
+            assert system.rejected_row(rows) == base(system, rows)
+        assert system.rejected_row(_grid(5, 9, width, seed=7)) is None
+
+    @pytest.mark.parametrize("make", [lambda n: hyperbolic.SinhSystem(n, 0.5), hyperbolic.CothSystem])
+    def test_pair_flow_stage_check_is_the_state_check(self, make):
+        system = make(3)
+        lam, lamdot = np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0, 0.5])
+        stages = [
+            (lam, lamdot),
+            ([np.nan, 1.0, 2.0], lamdot),
+            ([0.0, 1.0, np.inf], [1.0, np.nan, 0.5]),
+            ([0.0, 2.0, 1.0], [1.0, np.nan, 0.5]),  # order is checked before velocities
+            ([0.0, 1.0, 1.0 + 1e-9], lamdot),
+            ([0.0, 1.0, 1.0], lamdot),
+            (lam, [1.0, -1.0, -np.inf]),
+        ]
+        for positions, velocities in stages:
+            y = np.concatenate([positions, velocities])
+            try:
+                hyperbolic.HyperbolicState(y[:3], y[3:])
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    system.rhs(0.0, y)
+            else:
+                state = hyperbolic.HyperbolicState(y[:3], y[3:])
+                expected = hyperbolic._pair_acceleration(state.lam, state.lamdot, system.coupling)
+                assert np.array_equal(system.rhs(0.0, y), np.concatenate([state.lamdot, expected]))
+
+    @pytest.mark.parametrize("bad_row", [None, 0, 2, -1])
+    def test_partial_trajectory_keeps_the_rows_before_the_first_rejected_one(self, monkeypatch, bad_row):
+        def salvage(system, times, ys):
+            # the per-row rule: drop the last row until every row unpacks
+            while times.size:
+                try:
+                    for k in range(times.size):
+                        system.unpack(ys[:, k])
+                    return times, ys
+                except ValueError:
+                    times, ys = times[:-1], ys[:, :-1]
+            return None
+
+        real, seen = dynamics.solve_ivp, {}
+
+        def corrupted(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            if bad_row is not None:
+                sol.y[1, bad_row] = sol.y[0, bad_row]  # a collided pair
+            seen["sol"] = sol
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_ivp", corrupted)
+        config = dynamics.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, collision_gap=1e-2)
+        state0 = dynamics.GoldfishState([0.0, 1.0], [1.0, -1.0])
+        with pytest.raises(CollisionDetected) as info:
+            dynamics.integrate("goldfish", state0, 2.0, config, output_points=21)
+        sol, partial = seen["sol"], info.value.partial
+        expected = salvage(dynamics.GoldfishSystem(2), sol.t, sol.y)
+        if expected is None:
+            assert partial is None
+        else:
+            assert np.array_equal(partial.times, expected[0])
+            assert np.array_equal(partial.rows, expected[1].T)
+            assert [s.q.tolist() for s in partial.states] == expected[1][:2].T.tolist()
+        assert bad_row != 0 or partial is None
+        assert bad_row != -1 or partial.times.size == sol.t.size - 1
+
+
 class TestValueObjects:
     def test_trajectory_requires_increasing_times(self):
         s = dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])
+        system = dynamics.GoldfishSystem(2)
+        rows = np.vstack([system.pack(s), system.pack(s)])
         with pytest.raises(ValueError):
-            dynamics.Trajectory(times=np.array([0.0, 0.0]), states=[s, s])
+            dynamics.Trajectory(system, s, np.array([0.0, 0.0]), rows)
 
     def test_integrator_config_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from goldfishlab.errors import (
     NonPositiveVelocity,
     NonRealSpectrum,
     PoleProximity,
+    ZeroMomentum,
 )
 
 TIGHT = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
@@ -235,9 +236,9 @@ class TestExactSolvers:
         data = hyperbolic.HyperbolicData(
             a=1.0, a_vec=np.array([0.0, 1.0]), c_vec=np.array([1.0, -1.0])
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroMomentum, match="z route needs P"):
             hyperbolic.z_eigen_solution(data, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroMomentum, match="s route needs P"):
             hyperbolic.s_exact(data, 0.1)
 
 
