@@ -30,7 +30,7 @@ def main():
     print(f"qdot0 = {qdot0}\n")
 
     config = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
-    traj = dynamics.integrate("goldfish", state0, args.t_end, config, args.points)
+    traj = dynamics.integrate(dynamics.GoldfishSystem(args.n), state0, args.t_end, config, args.points)
     numeric = np.vstack([s.q for s in traj.states])
     exact = dynamics.goldfish_exact_trajectory(state0, traj.times)
     flow = reduction.rank1_velocity(q0, qdot0)

@@ -130,10 +130,12 @@ class Trajectory:
 
 def goldfish_acceleration(q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
     """Accelerations qddot_i = 2 sum_{j != i} qdot_i qdot_j / (q_i - q_j) on plain arrays."""
+    n = q.size
     gaps = pairwise_differences(q)
-    np.fill_diagonal(gaps, 1.0)
+    # fresh C-contiguous matrices: one strided write masks the diagonal
+    gaps.ravel()[:: n + 1] = 1.0
     inv = 1.0 / gaps
-    np.fill_diagonal(inv, 0.0)
+    inv.ravel()[:: n + 1] = 0.0
     return 2.0 * qdot * (inv @ qdot)
 
 
@@ -148,13 +150,15 @@ def ecm_forces(q: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pdot_i = 2 sum_k f_ik^2/(q_i-q_k)^3 and
     fdot_ij = -sum_{k != i,j} f_ik f_kj (1/q_ik^2 - 1/q_kj^2).
     """
+    n = q.size
     gaps = pairwise_differences(q)
-    np.fill_diagonal(gaps, 1.0)
+    # fresh C-contiguous matrices: one strided write masks the diagonal
+    gaps.ravel()[:: n + 1] = 1.0
     ratios = f**2 / gaps**3
-    np.fill_diagonal(ratios, 0.0)
+    ratios.ravel()[:: n + 1] = 0.0
     pdot = 2.0 * ratios.sum(axis=1)
     inv2 = 1.0 / gaps**2
-    np.fill_diagonal(inv2, 0.0)
+    inv2.ravel()[:: n + 1] = 0.0
     # fdot_ij = -sum_k f_ik f_kj / q_ik^2 + sum_k f_ik f_kj / q_kj^2
     fdot = -(f * inv2) @ f + f @ (inv2 * f)
     return pdot, fdot
@@ -382,8 +386,16 @@ class EcmSystem(ParticleSystem):
 
     def rhs(self, t, y):
         n = self.n
-        pdot, fdot = ecm_forces(y[:n], antisymmetric_from_upper(y[2 * n :], n))
-        return np.concatenate([y[n : 2 * n], pdot, fdot[upper_indices(n)]])
+        upper = upper_indices(n)
+        fu = y[2 * n :]
+        # antisymmetric_from_upper without its argument checks: only the
+        # finiteness test can fail on a stage vector, with the same message
+        if not np.isfinite(fu).all():
+            raise ValueError("upper-triangle vector must be finite")
+        f = np.zeros((n, n))
+        f[upper] = fu
+        pdot, fdot = ecm_forces(y[:n], f - f.T)
+        return np.concatenate([y[n : 2 * n], pdot, fdot[upper]])
 
     def reference(self, state0: ECMState):
         return ecm_hamiltonian(state0)
@@ -450,33 +462,12 @@ class CustomSystem(OdeSystem):
         return np.asarray(self._rhs(t, y), dtype=float)
 
 
-_SYSTEM_FACTORIES = {
-    "goldfish": lambda state: GoldfishSystem(state.n),
-    "ecm": lambda state: EcmSystem(state.n),
-    "geodesic": lambda state: GeodesicSystem(state.q.size),
-}
-
-
-def _resolve_system(system, state0) -> OdeSystem:
-    if isinstance(system, OdeSystem):
-        return system
-    if isinstance(system, str):
-        try:
-            return _SYSTEM_FACTORIES[system](state0)
-        except KeyError:
-            raise ValueError(
-                f"unknown system {system!r}; use one of {sorted(_SYSTEM_FACTORIES)} "
-                "or pass an OdeSystem instance"
-            ) from None
-    raise TypeError("system must be a name or an OdeSystem")
-
-
 # ---------------------------------------------------------------------------
 # integrator
 # ---------------------------------------------------------------------------
 
 def integrate(
-    system,
+    system: OdeSystem,
     state0,
     t_span,
     config: IntegratorConfig | None = None,
@@ -484,7 +475,7 @@ def integrate(
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) run (``rk45.solve_ivp``) with dense output on a uniform grid.
 
-    ``system`` is a name ("goldfish", "ecm", "geodesic") or an OdeSystem.  The
+    ``system`` packs ``state0`` and supplies the right-hand side.  The
     smallest signed gap between neighbours of the monitored positions, in
     their initial order, is watched continuously;
     crossing ``config.collision_gap`` aborts with CollisionDetected carrying
@@ -504,17 +495,17 @@ def integrate(
     if not np.isfinite(t0) or not np.isfinite(t1) or t1 <= t0:
         raise ValueError("t_span must be finite with t1 > t0")
 
-    sys_ = _resolve_system(system, state0)
-    y0 = sys_.pack(state0)
+    y0 = system.pack(state0)
     grid = np.linspace(t0, t1, output_points)
 
     events = []
-    if sys_.positions(y0) is not None and sys_.positions(y0).size > 1:
+    if system.positions(y0) is not None and system.positions(y0).size > 1:
 
         def gap_event(t, y):
             # signed adjacent gaps in the initial order: a crossing that one
             # step jumps over still shows as a negative gap
-            return float(np.diff(sys_.positions(y)).min()) - config.collision_gap
+            q = system.positions(y)
+            return float((q[1:] - q[:-1]).min()) - config.collision_gap
 
         gap_event.terminal = True
         gap_event.direction = -1.0
@@ -522,7 +513,7 @@ def integrate(
 
     try:
         sol = solve_ivp(
-            sys_.rhs,
+            system.rhs,
             (t0, t1),
             y0,
             rtol=config.rel_tol,
@@ -542,15 +533,15 @@ def integrate(
         # solver's column, since a BLAS product in a diagnostic (the geodesic
         # pi g^-1 pi) rounds differently on a contiguous copy
         rows = ys.T
-        rejected = sys_.rejected_row(rows)
+        rejected = system.rejected_row(rows)
         if not partial:
             if rejected is not None:
-                sys_.unpack(rows[rejected])  # raises the state check's ValueError
-            return Trajectory(sys_, state0, times, rows)
+                system.unpack(rows[rejected])  # raises the state check's ValueError
+            return Trajectory(system, state0, times, rows)
         # near-failure states may violate state invariants; a partial
         # trajectory keeps the rows before the first one that does
         times, rows = times[:rejected], rows[:rejected]
-        return Trajectory(sys_, state0, times, rows) if times.size else None
+        return Trajectory(system, state0, times, rows) if times.size else None
 
     if sol.status == 1:  # terminal event: collision
         t_hit = float(sol.t_events[0][0])

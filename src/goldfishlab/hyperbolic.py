@@ -65,12 +65,14 @@ class HyperbolicData:
 
 def _pair_acceleration(lam: np.ndarray, lamdot: np.ndarray, coupling) -> np.ndarray:
     """lamddot_i = 2 lamdot_i sum_{j != i} coupling(lam_i - lam_j) lamdot_j on plain arrays."""
+    n = lam.size
     gaps = pairwise_differences(lam)
-    # the couplings of sinh and coth are finite at an infinite gap and raise
-    # no floating-point warning there
-    np.fill_diagonal(gaps, np.inf)
+    # fresh C-contiguous matrices: one strided write masks the diagonal; the
+    # couplings of sinh and coth are finite at an infinite gap and raise no
+    # floating-point warning there
+    gaps.ravel()[:: n + 1] = np.inf
     kernel = coupling(gaps)
-    np.fill_diagonal(kernel, 0.0)
+    kernel.ravel()[:: n + 1] = 0.0
     return 2.0 * lamdot * (kernel @ lamdot)
 
 
@@ -106,11 +108,18 @@ def _lax_matrices(lam: np.ndarray, lamdot: np.ndarray, a: float) -> tuple[np.nda
     n = lam.size
     gaps = pairwise_differences(lam)
     off = ~np.eye(n, dtype=bool)
+    roots = np.sqrt(np.outer(lamdot, lamdot))
     m = np.zeros((n, n))
-    m[off] = -2.0 * a * np.sqrt(np.outer(lamdot, lamdot))[off] / np.sinh(2.0 * a * gaps[off])
     sinh_fac = np.zeros((n, n))
-    sinh_fac[off] = np.sinh(2.0 * a * gaps[off]) / (2.0 * a)
-    lax = np.diag(lamdot) - sinh_fac * m
+    # sinh overflows once 2a |gap| > 710: M_ij is 0 there and sinh_fac * m
+    # is inf * 0, so those entries of L take their value sqrt(lamdot_i lamdot_j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sinh = np.sinh(2.0 * a * gaps[off])
+        m[off] = -2.0 * a * roots[off] / sinh
+        sinh_fac[off] = sinh / (2.0 * a)
+        lax = np.diag(lamdot) - sinh_fac * m
+    overflow = np.isinf(sinh_fac)
+    lax[overflow] = roots[overflow]
     return lax, m
 
 
@@ -317,7 +326,9 @@ class SinhSystem(_PairFlowSystem):
         self.a = float(a)
 
     def coupling(self, gaps: np.ndarray) -> np.ndarray:
-        return 2.0 * self.a / np.sinh(2.0 * self.a * gaps)
+        # sinh overflows to inf once 2 a |gap| > 710, where the coupling is 0
+        with np.errstate(over="ignore"):
+            return 2.0 * self.a / np.sinh(2.0 * self.a * gaps)
 
     def _spectrum(self, lam: np.ndarray, lamdot: np.ndarray) -> np.ndarray | None:
         """Ascending spectrum of the Lax matrix L; None unless every lamdot_i > 0."""

@@ -235,8 +235,11 @@ def frame_flow(
         q = y[:n]
         qdot = y[n : 2 * n]
         r = y[2 * n :].reshape(n, n)
-        gaps = pairwise_differences(q) + np.eye(n)
-        inv = 1.0 / gaps - np.eye(n)
+        gaps = pairwise_differences(q)
+        # fresh C-contiguous matrices: one strided write masks the diagonal
+        gaps.ravel()[:: n + 1] = 1.0
+        inv = 1.0 / gaps
+        inv.ravel()[:: n + 1] = 0.0
         acc = 2.0 * qdot * (inv @ qdot)
         m = -np.sqrt(np.outer(qdot, qdot)) * inv
         return np.concatenate([qdot, acc, (r @ m).ravel()])

@@ -8,6 +8,13 @@ guarantee these, so the arguments are not re-checked here.  It keeps scipy's
 bits, ``nfev`` and messages, so the package needs numpy only at run time;
 the tests pin it against scipy.
 
+Which operations carry scipy's bits: the stage sums ``np.dot(K[:s].T, a_s)``
+and the ``B`` and ``E`` dots stay the same BLAS calls, and the error norm is
+sqrt(x . x) / sqrt(n), which is how ``np.linalg.norm`` computes a 1-d norm.
+The rest of the step loop (step sizes, the step floor, event values and the
+search of the output grid) runs on Python floats, whose IEEE arithmetic
+gives numpy's float64 results without its per-call overhead.
+
 - Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19: the 5(4) pair.
 - Shampine, Math. Comp. 46 (1986) 135: the quartic dense output.
 - Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II.4: the initial step,
@@ -17,6 +24,7 @@ the tests pin it against scipy.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -75,39 +83,46 @@ class Solution:
     nfev: int
 
 
-def _rms(x: np.ndarray):
-    """Root-mean-square norm, the error norm of the step control."""
-    return np.linalg.norm(x) / x.size ** 0.5
+def _rms(x: np.ndarray) -> float:
+    """Root-mean-square norm, the error norm of the step control.
+
+    ``np.linalg.norm`` of a real 1-d array is sqrt(x . x), so this is scipy's
+    ``norm(x) / x.size ** 0.5`` bit for bit.
+    """
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     """First step size from one explicit Euler probe (Hairer, Norsett & Wanner, II.4)."""
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    # numpy scalars: an infinite slope then divides to inf or nan as in scipy
+    # instead of raising ZeroDivisionError
+    d0 = np.float64(_rms(y0 / scale))
+    d1 = np.float64(_rms(f0 / scale))
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = np.float64(_rms((f1 - f0) / scale)) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, interval_length)
+    return float(min(100 * h0, h1, interval_length))
 
 
-def _step(f, t, y, f_cur, h_abs, tf, rtol, atol, K):
+def _step(f, t, y, f_cur, h_abs, tf, rtol, atol, K, stages):
     """One accepted step from t, rejecting and shrinking trial steps as needed.
 
     Returns (t_new, y_new, f_new, next step size), or None once the step size
     falls below 10 ulps of t.  The stages of the accepted step stay in K for
-    the dense output.
+    the dense output; ``stages`` holds the views of K the step's dots read.
     """
-    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+    k_stages, k_b, k_e = stages
+    min_step = 10 * abs(math.nextafter(t, math.inf) - t)
     if h_abs < min_step:
         h_abs = min_step
     step_rejected = False
@@ -118,16 +133,15 @@ def _step(f, t, y, f_cur, h_abs, tf, rtol, atol, K):
         if t_new > tf:
             t_new = tf
         h = t_new - t
-        h_abs = np.abs(h)
+        h_abs = abs(h)
         K[0] = f_cur
-        for s in range(1, 6):
-            dy = np.dot(K[:s].T, A[s, :s]) * h
-            K[s] = f(t + C[s] * h, y + dy)
-        y_new = y + h * np.dot(K[:-1].T, B)
+        for s, k_s, a_s, c_s in k_stages:
+            K[s] = f(t + c_s * h, y + np.dot(k_s, a_s) * h)
+        y_new = y + h * np.dot(k_b, B)
         f_new = f(t + h, y_new)
         K[-1] = f_new
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _rms(np.dot(K.T, E) * h / scale)
+        error_norm = _rms(np.dot(k_e, E) * h / scale)
         if error_norm < 1:
             if error_norm == 0:
                 factor = MAX_FACTOR
@@ -185,13 +199,15 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, events=None) -> Solution:
     f_cur = f(t, y)
     h_abs = _initial_step(f, t, y, tf, f_cur, rtol, atol)
     K = np.empty((7, y.size))
+    stages = ([(s, K[:s].T, A[s, :s], float(C[s])) for s in range(1, 6)], K[:-1].T, K.T)
+    grid = t_eval.tolist()
     g = [event(t, y) for event in events]
     t_events = [[] for _ in events]
     ts, ys = [], []
     t_eval_i = 0
     status = None
     while status is None:
-        step = _step(f, t, y, f_cur, h_abs, tf, rtol, atol, K)
+        step = _step(f, t, y, f_cur, h_abs, tf, rtol, atol, K, stages)
         if step is None:
             status = -1
             break
@@ -203,24 +219,22 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, events=None) -> Solution:
         sol = None
         if events:
             g_new = [event(t, y) for event in events]
-            active = np.nonzero((np.asarray(g) >= 0) & (np.asarray(g_new) <= 0))[0]
-            if active.size > 0:
+            active = [e for e, (before, after) in enumerate(zip(g, g_new)) if before >= 0 and after <= 0]
+            if active:
                 sol = _dense_output(t_old, t, y_old, K)
-                roots = np.asarray([
-                    brentq(lambda tq, event=events[e]: event(tq, sol(tq)), t_old, t)
-                    for e in active
-                ])
-                first = np.argsort(roots)[0]
+                roots = [brentq(lambda tq, event=events[e]: event(tq, sol(tq)), t_old, t)
+                         for e in active]
+                first = min(range(len(roots)), key=roots.__getitem__)
                 t_events[active[first]].append(roots[first])
                 status = 1
                 t = roots[first]
             g = g_new
         # grid points up to and including t
-        t_eval_i_new = np.searchsorted(t_eval, t, side="right")
-        t_eval_step = t_eval[t_eval_i:t_eval_i_new]
-        if t_eval_step.size > 0:
+        t_eval_i_new = bisect.bisect_right(grid, t)
+        if t_eval_i_new > t_eval_i:
             if sol is None:
                 sol = _dense_output(t_old, t, y_old, K)
+            t_eval_step = t_eval[t_eval_i:t_eval_i_new]
             ts.append(t_eval_step)
             ys.append(sol(t_eval_step))
             t_eval_i = t_eval_i_new

@@ -40,7 +40,7 @@ def check_gaps(q: np.ndarray, min_gap: float = COLLISION_TOL) -> None:
     above ``min_gap``.
     """
     if q.size > 1:
-        smallest = np.diff(q).min()
+        smallest = (q[1:] - q[:-1]).min()
         if smallest <= 0:
             raise ValueError("positions must be strictly increasing")
         if smallest <= min_gap:

@@ -8,12 +8,14 @@ import numpy as np
 
 def finite_vector(v, n: int | None = None, name: str = "vector") -> np.ndarray:
     """Return ``v`` as a 1-d float array, checking finiteness and length."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.ndim != 1:
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0:
+        v = v.reshape(1)  # what np.atleast_1d does, without its call overhead
+    elif v.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
     if n is not None and v.size != n:
         raise ValueError(f"{name} must have length {n}, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
     return v
 

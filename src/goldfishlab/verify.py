@@ -254,7 +254,7 @@ def _geodesic_energy(rng):
         q = sampling.random_configuration(rng, n)
         qdot = sampling.random_velocities(rng, n)
         state = geometry.GeodesicState(q, geometry.metric(q) @ qdot)
-        traj = dynamics.integrate("geodesic", state, 0.3, TIGHT, output_points=16)
+        traj = dynamics.integrate(dynamics.GeodesicSystem(n), state, 0.3, TIGHT, output_points=16)
         worst = max(worst, float(traj.diagnostics["energy_drift"].max()))
     return worst, 1e-9
 
@@ -507,9 +507,9 @@ def _goldfish_cases(rng, per_n=4):
 def _exact_vs_rk(rng):
     worst = 0.0
     for state in _goldfish_cases(rng):
-        traj = dynamics.integrate("goldfish", state, 0.3, TIGHT, output_points=16)
+        traj = dynamics.integrate(dynamics.GoldfishSystem(state.n), state, 0.3, TIGHT, output_points=16)
         exact = np.vstack([dynamics.goldfish_exact(state, t) for t in traj.times])
-        numeric = np.vstack([s.q for s in traj.states])
+        numeric = traj.rows[:, : state.n]
         worst = max(worst, float(np.abs(numeric - exact).max()))
     return worst, 1e-8
 
@@ -518,7 +518,7 @@ def _exact_vs_rk(rng):
 def _bn_conservation(rng):
     worst = 0.0
     for state in _goldfish_cases(rng):
-        traj = dynamics.integrate("goldfish", state, 0.3, TIGHT, output_points=16)
+        traj = dynamics.integrate(dynamics.GoldfishSystem(state.n), state, 0.3, TIGHT, output_points=16)
         worst = max(worst, float(traj.diagnostics["bn_drift"].max()))
     return worst, 1e-9
 
@@ -532,7 +532,7 @@ def _energy_conservation(rng):
         p = sampling.random_velocities(rng, n)
         fu = sampling.random_spin_upper(rng, n)
         state = dynamics.ECMState(q, p, fu)
-        traj = dynamics.integrate("ecm", state, 0.3, TIGHT, output_points=16)
+        traj = dynamics.integrate(dynamics.EcmSystem(n), state, 0.3, TIGHT, output_points=16)
         worst = max(worst, float(traj.diagnostics["energy_drift"].max()))
     return worst, 1e-9
 
@@ -546,10 +546,9 @@ def _reduction_tracking(rng):
         qdot = sampling.random_velocities(rng, n)
         gstate = dynamics.GoldfishState(q, qdot)
         estate = dynamics.ECMState(q, qdot, dynamics.f_from_velocities(q, qdot))
-        gtraj = dynamics.integrate("goldfish", gstate, 0.3, TIGHT, output_points=16)
-        etraj = dynamics.integrate("ecm", estate, 0.3, TIGHT, output_points=16)
-        for gs, es in zip(gtraj.states, etraj.states):
-            worst = max(worst, float(np.abs(gs.q - es.q).max()))
+        gtraj = dynamics.integrate(dynamics.GoldfishSystem(n), gstate, 0.3, TIGHT, output_points=16)
+        etraj = dynamics.integrate(dynamics.EcmSystem(n), estate, 0.3, TIGHT, output_points=16)
+        worst = max(worst, float(np.abs(gtraj.rows[:, :n] - etraj.rows[:, :n]).max()))
     return worst, 1e-8
 
 
@@ -561,7 +560,7 @@ def _constraint_norm(rng):
         q = sampling.random_configuration(rng, n, min_gap=0.5)
         qdot = sampling.random_velocities(rng, n)
         state = dynamics.ECMState(q, qdot, dynamics.f_from_velocities(q, qdot))
-        traj = dynamics.integrate("ecm", state, 0.3, TIGHT, output_points=16)
+        traj = dynamics.integrate(dynamics.EcmSystem(n), state, 0.3, TIGHT, output_points=16)
         worst = max(worst, float(np.nanmax(traj.diagnostics["constraint_norm"])))
     return worst, 1e-8
 
@@ -588,14 +587,17 @@ def _momentum_conservation(rng):
         q = sampling.random_configuration(rng, n, min_gap=0.5)
         qdot = sampling.random_velocities(rng, n)
         traj = dynamics.integrate(
-            "goldfish", dynamics.GoldfishState(q, qdot), 0.3, TIGHT, output_points=16
+            dynamics.GoldfishSystem(n), dynamics.GoldfishState(q, qdot), 0.3, TIGHT, output_points=16
         )
         worst = max(worst, float(traj.diagnostics["momentum_drift"].max()))
         fu = sampling.random_spin_upper(rng, n)
-        etraj = dynamics.integrate("ecm", dynamics.ECMState(q, qdot, fu), 0.3, TIGHT, output_points=16)
+        etraj = dynamics.integrate(
+            dynamics.EcmSystem(n), dynamics.ECMState(q, qdot, fu), 0.3, TIGHT, output_points=16
+        )
         p0 = float(np.sum(qdot))
-        for s in etraj.states:
-            worst = max(worst, abs(float(np.sum(s.p)) - p0))
+        # summed along contiguous rows, each sum is np.sum of that row's momenta
+        momenta = np.ascontiguousarray(etraj.rows[:, n : 2 * n])
+        worst = max(worst, float(np.abs(momenta.sum(axis=1) - p0).max()))
     return worst, 1e-10
 
 
@@ -742,10 +744,10 @@ def _matrix_vs_ode(rng):
         data = hyperbolic.HyperbolicData(a=a, a_vec=a_vec, c_vec=c_vec)
         state = hyperbolic.HyperbolicState(a_vec, c_vec)
         traj = dynamics.integrate(hyperbolic.SinhSystem(n, a), state, 0.3, TIGHT, output_points=16)
-        for t, s in zip(traj.times, traj.states):
+        for t, y in zip(traj.times, traj.rows):
             eigs = np.sort(np.linalg.eigvalsh(hyperbolic.matrix_geodesic(data, t)))
             lam = np.log(eigs) / (2.0 * a)
-            worst = max(worst, float(np.abs(lam - s.lam).max()))
+            worst = max(worst, float(np.abs(lam - y[:n]).max()))
     return worst, 1e-7
 
 

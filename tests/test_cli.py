@@ -195,6 +195,27 @@ class TestSimulate:
         assert sidecar["rows_written"] == 0 and sidecar["truncation"]["time"] is None
         assert out.read_text() == "t,q1,q2,qdot1,qdot2\n"
 
+    def test_sinh_overflow_keeps_diagnostics_finite_and_stderr_empty(self, tmp_path):
+        # 2a |gap| = 800: sinh overflows in the coupling and in the Lax pair,
+        # where the coupling and M are 0 and L is sqrt(lamdot_i lamdot_j)
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"system": "hyperbolic-sinh", "N": 2, "a": 100, "a_vec": [0, 4],
+                            "c_vec": [1, 1], "t_end": 0.1, "output_points": 3})
+        out = tmp_path / "traj.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "goldfishlab", "simulate", "--config", cfg,
+                               "--out", str(out)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        sidecar = json.loads(cli.sidecar_path(out).read_text(), parse_constant=reject)
+        diagnostics = sidecar["diagnostics"]
+        assert len(diagnostics["spectrum_drift"]) == 3
+        assert all(np.isfinite(diagnostics[name]).all() for name in diagnostics)
+
     def test_numbers_are_written_as_fmt_writes_them(self, tmp_path):
         values = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-310, np.float64(0.1), 1 / 3,
                   -1.2345678901234567e300, 7]

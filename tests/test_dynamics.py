@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from goldfishlab import dynamics, hyperbolic, poisson, symfun
+from goldfishlab import dynamics, hyperbolic, poisson, reduction, symfun
 from goldfishlab.errors import (
     CollisionDetected,
     ComplexRoots,
@@ -13,6 +13,7 @@ from goldfishlab.errors import (
     NonPositiveVelocity,
     StepSizeUnderflow,
 )
+from goldfishlab.utils import antisymmetric_from_upper, pairwise_differences, upper_indices
 
 from conftest import states
 
@@ -63,6 +64,106 @@ class TestEcmRhs:
             flow = poisson.hamiltonian_flow(structure, ham, poisson.ecm_point(q, p, fu))
             mine = np.concatenate([qdot, pdot, fdot[np.triu_indices(3, 1)]])
             assert np.abs(mine - flow).max() < 1e-9
+
+
+# The right-hand sides as they stood before their diagonals were masked with
+# one strided write; the kernels must equal them bit for bit.
+
+def _parent_goldfish_acceleration(q, qdot):
+    gaps = pairwise_differences(q)
+    np.fill_diagonal(gaps, 1.0)
+    inv = 1.0 / gaps
+    np.fill_diagonal(inv, 0.0)
+    return 2.0 * qdot * (inv @ qdot)
+
+
+def _parent_ecm_forces(q, f):
+    gaps = pairwise_differences(q)
+    np.fill_diagonal(gaps, 1.0)
+    ratios = f**2 / gaps**3
+    np.fill_diagonal(ratios, 0.0)
+    inv2 = 1.0 / gaps**2
+    np.fill_diagonal(inv2, 0.0)
+    return 2.0 * ratios.sum(axis=1), -(f * inv2) @ f + f @ (inv2 * f)
+
+
+def _parent_ecm_rhs(n, y):
+    pdot, fdot = _parent_ecm_forces(y[:n], antisymmetric_from_upper(y[2 * n :], n))
+    return np.concatenate([y[n : 2 * n], pdot, fdot[upper_indices(n)]])
+
+
+def _parent_pair_acceleration(lam, lamdot, coupling):
+    gaps = pairwise_differences(lam)
+    np.fill_diagonal(gaps, np.inf)
+    kernel = coupling(gaps)
+    np.fill_diagonal(kernel, 0.0)
+    return 2.0 * lamdot * (kernel @ lamdot)
+
+
+def _parent_frame_rhs(n, y):
+    q, qdot, r = y[:n], y[n : 2 * n], y[2 * n :].reshape(n, n)
+    gaps = pairwise_differences(q) + np.eye(n)
+    inv = 1.0 / gaps - np.eye(n)
+    m = -np.sqrt(np.outer(qdot, qdot)) * inv
+    return np.concatenate([qdot, 2.0 * qdot * (inv @ qdot), (r @ m).ravel()])
+
+
+class TestStageKernels:
+    """Each right-hand side equals its parent form bit for bit, on the
+    contiguous stage vectors of the integrator and on strided grid rows."""
+
+    @staticmethod
+    def _states(n, width):
+        rows = _grid(n, 6, width, seed=n)
+        return list(rows) + [np.ascontiguousarray(y) for y in rows]
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_goldfish_and_ecm(self, n):
+        for y in self._states(n, 2 * n):
+            q, qdot = y[:n], y[n:]
+            assert np.array_equal(dynamics.goldfish_acceleration(q, qdot),
+                                  _parent_goldfish_acceleration(q, qdot))
+        system = dynamics.EcmSystem(n)
+        for y in self._states(n, 2 * n + n * (n - 1) // 2):
+            f = antisymmetric_from_upper(y[2 * n :], n)
+            for ours, parent in zip(dynamics.ecm_forces(y[:n], f), _parent_ecm_forces(y[:n], f)):
+                assert np.array_equal(ours, parent)
+            assert np.array_equal(system.rhs(0.0, y), _parent_ecm_rhs(n, y))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_pair_flows(self, n):
+        # a = 100 makes sinh overflow at every off-diagonal gap
+        for coupling in (hyperbolic.SinhSystem(n, 0.5).coupling, hyperbolic.SinhSystem(n, 100.0).coupling,
+                         hyperbolic.CothSystem.coupling):
+            for y in self._states(n, 2 * n):
+                with np.errstate(over="ignore"):
+                    parent = _parent_pair_acceleration(y[:n], y[n:], coupling)
+                assert np.array_equal(hyperbolic._pair_acceleration(y[:n], y[n:], coupling), parent)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_frame_flow(self, monkeypatch, n):
+        real, seen = reduction.solve_ivp, []
+
+        def capture(fun, *args, **kwargs):
+            seen.append(fun)  # the frame flow's right-hand side
+            return real(fun, *args, **kwargs)
+
+        monkeypatch.setattr(reduction, "solve_ivp", capture)
+        q0 = -2.0 + 4.0 / n * (np.arange(n) + 0.5)
+        reduction.frame_flow(q0, np.ones(n), [0.0, 0.01])
+        for y in self._states(n, 2 * n + n * n):
+            y = np.ascontiguousarray(y)
+            assert np.array_equal(seen[0](0.0, y), _parent_frame_rhs(n, y))
+
+    def test_ecm_rejects_a_non_finite_spin_stage_with_the_parent_message(self):
+        n = 4
+        for bad in (np.nan, np.inf, -np.inf):
+            y = np.ascontiguousarray(_grid(n, 1, 2 * n + 6, seed=0)[0])
+            y[2 * n + 3] = bad
+            with pytest.raises(ValueError) as parent:
+                _parent_ecm_rhs(n, y)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(parent.value))}$"):
+                dynamics.EcmSystem(n).rhs(0.0, y)
 
 
 class TestHamiltonians:
@@ -178,22 +279,22 @@ class TestGoldfishExact:
 class TestIntegrate:
     def test_matches_exact_solver(self):
         s = dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])
-        traj = dynamics.integrate("goldfish", s, 1.0, TIGHT, output_points=11)
+        traj = dynamics.integrate(dynamics.GoldfishSystem(2), s, 1.0, TIGHT, output_points=11)
         assert np.abs(traj.states[-1].q - dynamics.goldfish_exact(s, 1.0)).max() < 1e-9
         assert traj.diagnostics["bn_drift"].max() < 1e-9
 
     def test_single_particle_is_free(self):
         s = dynamics.GoldfishState([0.5], [2.0])
-        traj = dynamics.integrate("goldfish", s, 1.0, TIGHT, output_points=5)
+        traj = dynamics.integrate(dynamics.GoldfishSystem(1), s, 1.0, TIGHT, output_points=5)
         for t, state in zip(traj.times, traj.states):
             assert abs(state.q[0] - (0.5 + 2.0 * t)) < 1e-12
 
     def test_spin_system_tracks_goldfish_on_surface(self):
         q0 = np.array([0.0, 1.0, 2.2])
         qdot0 = np.array([1.0, 0.8, 1.2])
-        gtraj = dynamics.integrate("goldfish", dynamics.GoldfishState(q0, qdot0), 0.3, TIGHT, 16)
+        gtraj = dynamics.integrate(dynamics.GoldfishSystem(3), dynamics.GoldfishState(q0, qdot0), 0.3, TIGHT, 16)
         estate = dynamics.ECMState(q0, qdot0, dynamics.f_from_velocities(q0, qdot0))
-        etraj = dynamics.integrate("ecm", estate, 0.3, TIGHT, 16)
+        etraj = dynamics.integrate(dynamics.EcmSystem(3), estate, 0.3, TIGHT, 16)
         worst = max(np.abs(a.q - b.q).max() for a, b in zip(gtraj.states, etraj.states))
         assert worst < 1e-8
         assert etraj.diagnostics["constraint_norm"].max() < 1e-8
@@ -203,7 +304,7 @@ class TestIntegrate:
         config = dynamics.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, collision_gap=1e-2)
         s = dynamics.GoldfishState([0.0, 1.0], [1.0, -1.0])
         with pytest.raises(CollisionDetected) as info:
-            dynamics.integrate("goldfish", s, 2.0, config, output_points=21)
+            dynamics.integrate(dynamics.GoldfishSystem(2), s, 2.0, config, output_points=21)
         assert info.value.partial is not None
         assert info.value.partial.times.size > 0
         assert 0.0 < info.value.time < 0.5
@@ -213,17 +314,12 @@ class TestIntegrate:
         with pytest.raises(StepSizeUnderflow):
             dynamics.integrate(system, np.array([1.0]), 2.0, dynamics.IntegratorConfig())
 
-    def test_unknown_system_name(self):
-        s = dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])
-        with pytest.raises(ValueError, match="unknown system"):
-            dynamics.integrate("nosuch", s, 1.0)
-
     def test_invalid_spans_and_points(self):
         s = dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            dynamics.integrate("goldfish", s, 1.0, output_points=1)
+            dynamics.integrate(dynamics.GoldfishSystem(2), s, 1.0, output_points=1)
         with pytest.raises(ValueError):
-            dynamics.integrate("goldfish", s, (1.0, 1.0))
+            dynamics.integrate(dynamics.GoldfishSystem(2), s, (1.0, 1.0))
 
 
 def _grid(n: int, rows: int, width: int, seed: int) -> np.ndarray:
@@ -314,7 +410,7 @@ class TestOutputGrid:
         config = dynamics.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, collision_gap=1e-2)
         state0 = dynamics.GoldfishState([0.0, 1.0], [1.0, -1.0])
         with pytest.raises(CollisionDetected) as info:
-            dynamics.integrate("goldfish", state0, 2.0, config, output_points=21)
+            dynamics.integrate(dynamics.GoldfishSystem(2), state0, 2.0, config, output_points=21)
         sol, partial = seen["sol"], info.value.partial
         expected = salvage(dynamics.GoldfishSystem(2), sol.t, sol.y)
         if expected is None:

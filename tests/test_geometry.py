@@ -151,5 +151,5 @@ class TestGeodesicFlow:
         q = np.array([-0.5, 0.5, 1.5])
         state = geometry.GeodesicState(q, geometry.metric(q) @ np.array([1.0, 0.8, 1.2]))
         config = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
-        traj = dynamics.integrate("geodesic", state, 0.3, config, output_points=11)
+        traj = dynamics.integrate(dynamics.GeodesicSystem(3), state, 0.3, config, output_points=11)
         assert traj.diagnostics["energy_drift"].max() < 1e-9

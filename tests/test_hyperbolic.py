@@ -61,6 +61,18 @@ class TestLaxPair:
         assert_allclose(lax, [[2.0]])
         assert_allclose(m, [[0.0]])
 
+    def test_overflowing_sinh_leaves_the_pair_finite(self):
+        # 2a |gap| is 800 or more except between the last two particles (100):
+        # the overflowed entries of L are sqrt(lamdot_i lamdot_j), M's are 0
+        lamdot = np.array([1.0, 2.0, 0.5])
+        state = hyperbolic.HyperbolicState([0.0, 4.0, 4.5], lamdot)
+        with np.errstate(all="raise"):
+            lax, m = hyperbolic.lax_pair(state, 100.0)
+        roots = np.sqrt(np.outer(lamdot, lamdot))
+        assert np.array_equal(lax[0], roots[0]) and np.array_equal(lax[:, 0], roots[:, 0])
+        assert np.all(m[0, 1:] == 0.0) and np.all(m[1:, 0] == 0.0)
+        assert_allclose(lax, roots, rtol=1e-15)
+
     def test_requires_positive_velocities(self):
         with pytest.raises(NonPositiveVelocity):
             hyperbolic.lax_pair(hyperbolic.HyperbolicState([0.0, 1.0], [1.0, -1.0]), 0.5)

@@ -58,7 +58,8 @@ def checked_solve_ivp(statuses):
 ODE_CONFIGS = {name: fields for name, (fields, _) in SYSTEM_CONFIGS.items() if cli.SPECS[name].build}
 
 
-@pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
+# 1e-12 with the default abs_tol 1e-12 is verify's TIGHT setting
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-6, 1e-12])
 @pytest.mark.parametrize("system", sorted(ODE_CONFIGS))
 def test_integrate_matches_scipy_on_every_system(monkeypatch, system, rel_tol):
     statuses = []
@@ -82,7 +83,7 @@ def test_goldfish_collisions_match_scipy(monkeypatch):
         gap = float(rng.choice([0.0, 1e-6, 1e-2]))
         config = dynamics.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, collision_gap=gap)
         try:
-            dynamics.integrate("goldfish", dynamics.GoldfishState(q0, qdot0), 2.0, config, 41)
+            dynamics.integrate(dynamics.GoldfishSystem(n), dynamics.GoldfishState(q0, qdot0), 2.0, config, 41)
         except IntegrationError:  # gap event, rejected stage state or step underflow
             pass
     assert statuses.count(1) >= 3 and -1 in statuses
