@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -235,15 +235,6 @@ def conserved_bn_grid(q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
     return b
 
 
-def total_momentum(state) -> float:
-    """Sum of velocities (goldfish) or momenta (spin chart); equals b_1."""
-    if isinstance(state, GoldfishState):
-        return float(np.sum(state.qdot))
-    if isinstance(state, ECMState):
-        return float(np.sum(state.p))
-    raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # exact goldfish solver
 # ---------------------------------------------------------------------------
@@ -259,27 +250,21 @@ def goldfish_exact(state0: GoldfishState, t: float, root_tol: float = 1e-9) -> n
     return symfun.roots_from_coords(x, tol=root_tol)
 
 
-def goldfish_exact_state(state0: GoldfishState, t: float) -> GoldfishState:
-    """Exact state at time t; velocities from qdot = J^{-1} b."""
-    q = goldfish_exact(state0, t)
-    qdot = symfun.jacobian_inverse(q) @ conserved_bn(state0)
-    return GoldfishState(q, qdot)
-
-
 def goldfish_exact_trajectory(state0: GoldfishState, times) -> np.ndarray:
     """Exact positions on a time grid, shape (len(times), N).
 
-    With every velocity positive and every t >= 0 the positions are the
-    eigenvalues of diag(q0) + t v v^T, v = sqrt(qdot0) (Calogero), that is
-    the roots of 1/t + sum_i qdot_i/(q_i - mu) = 0, solved for the whole grid
-    by ``secular.secular_roots``.  Other inputs take ``goldfish_exact``'s
+    The positions are the eigenvalues of diag(q0) + t v v^T, v = sqrt(qdot0)
+    (Calogero), that is the roots of 1/t + sum_i qdot_i/(q_i - mu) = 0.
+    Inside the kernel's domain (``secular.domain_error``: every velocity
+    positive, every t >= 0 and finite) they are solved for the whole grid by
+    ``secular.secular_roots``.  Other inputs take ``goldfish_exact``'s
     arithmetic per point, with x(0) and b computed once for the whole grid,
     and its typed errors.
     """
     from . import secular
 
     times = np.asarray(times, dtype=float)
-    if np.all(state0.qdot > 0) and np.all(times >= 0):
+    if secular.domain_error(state0.q, state0.qdot, times) is None:
         return secular.secular_roots(state0.q, state0.qdot, times)
     x0 = symfun.elem_sym_coords(state0.q)
     b = conserved_bn(state0)
@@ -291,9 +276,15 @@ def goldfish_exact_trajectory(state0: GoldfishState, times) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class OdeSystem:
-    """Adapter between a model state and the flat vector the integrator sees."""
+    """A system of n particles as the flat vector the integrator sees.
 
-    name = "custom"
+    The packed state starts with the n positions, which the integrator
+    monitors for collisions.  Its states require finite entries and positions
+    that form a configuration (``symfun.as_configuration``).
+    """
+
+    def __init__(self, n: int):
+        self.n = n
 
     def pack(self, state) -> np.ndarray:
         raise NotImplementedError
@@ -304,26 +295,27 @@ class OdeSystem:
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def positions(self, y: np.ndarray) -> np.ndarray | None:
-        """Coordinates monitored for collisions; None disables monitoring."""
-        return None
+    def positions(self, y: np.ndarray) -> np.ndarray:
+        return y[: self.n]
 
     def rejected_row(self, rows: np.ndarray) -> int | None:
-        """Index of the first of ``rows`` (one packed state each) that ``unpack`` rejects, or None."""
-        for k, y in enumerate(rows):
-            try:
-                self.unpack(y)
-            except ValueError:
-                return k
-        return None
+        """Index of the first of ``rows`` (one packed state each) that ``unpack`` rejects, or None.
+
+        The state checks of ``unpack`` for the whole grid at once.
+        """
+        accepted = np.isfinite(rows).all(axis=1)
+        if self.n > 1:
+            accepted &= (np.diff(rows[:, : self.n], axis=1) > symfun.COLLISION_TOL).all(axis=1)
+        rejected = np.flatnonzero(~accepted)
+        return int(rejected[0]) if rejected.size else None
 
     def reference(self, state0):
         """Values frozen at t = 0 that the diagnostics drift against."""
-        return None
+        raise NotImplementedError
 
     def grid_diagnostics(self, reference, rows: np.ndarray) -> dict[str, np.ndarray]:
         """Named residuals of each of ``rows`` (one packed state each) against ``reference``."""
-        return {}
+        raise NotImplementedError
 
     def diagnostics(self, reference, state) -> dict[str, float]:
         """``grid_diagnostics`` of one state."""
@@ -331,29 +323,7 @@ class OdeSystem:
         return {key: float(values[0]) for key, values in grid.items()}
 
 
-class ParticleSystem(OdeSystem):
-    """A system of n particles whose packed state starts with the n positions.
-
-    Its states require finite entries and positions that form a
-    configuration (``symfun.as_configuration``).
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def positions(self, y):
-        return y[: self.n]
-
-    def rejected_row(self, rows):
-        """The state checks of ``unpack`` for the whole grid at once."""
-        accepted = np.isfinite(rows).all(axis=1)
-        if self.n > 1:
-            accepted &= (np.diff(rows[:, : self.n], axis=1) > symfun.COLLISION_TOL).all(axis=1)
-        rejected = np.flatnonzero(~accepted)
-        return int(rejected[0]) if rejected.size else None
-
-
-class GoldfishSystem(ParticleSystem):
+class GoldfishSystem(OdeSystem):
     name = "goldfish"
 
     def pack(self, state: GoldfishState) -> np.ndarray:
@@ -374,7 +344,7 @@ class GoldfishSystem(ParticleSystem):
         return {"bn_drift": drift.max(axis=1), "momentum_drift": drift[:, 0]}
 
 
-class EcmSystem(ParticleSystem):
+class EcmSystem(OdeSystem):
     name = "ecm"
 
     def pack(self, state: ECMState) -> np.ndarray:
@@ -414,7 +384,7 @@ class EcmSystem(ParticleSystem):
         return {"energy_drift": np.array(energy), "constraint_norm": np.array(constraint)}
 
 
-class GeodesicSystem(ParticleSystem):
+class GeodesicSystem(OdeSystem):
     name = "geodesic"
 
     def pack(self, state) -> np.ndarray:
@@ -441,25 +411,6 @@ class GeodesicSystem(ParticleSystem):
 
         drift = [abs(geodesic_hamiltonian(self.unpack(y)) - reference) for y in rows]
         return {"energy_drift": np.array(drift)}
-
-
-class CustomSystem(OdeSystem):
-    """Bare first-order system ydot = rhs(t, y); states are plain vectors."""
-
-    name = "custom"
-
-    def __init__(self, rhs: Callable[[float, np.ndarray], np.ndarray], name: str = "custom"):
-        self._rhs = rhs
-        self.name = name
-
-    def pack(self, state):
-        return np.asarray(state, dtype=float)
-
-    def unpack(self, y):
-        return y.copy()
-
-    def rhs(self, t, y):
-        return np.asarray(self._rhs(t, y), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +450,7 @@ def integrate(
     grid = np.linspace(t0, t1, output_points)
 
     events = []
-    if system.positions(y0) is not None and system.positions(y0).size > 1:
+    if system.n > 1:
 
         def gap_event(t, y):
             # signed adjacent gaps in the initial order: a crossing that one

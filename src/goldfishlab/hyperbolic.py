@@ -233,27 +233,28 @@ def _secular_positions(data: HyperbolicData, times) -> np.ndarray | None:
 
     Z(t) = diag(z) + gamma z c^T with z = e^{2 a} and gamma = expm1(2 P t)/P,
     so mu(t) solves 1/gamma + sum_i c_i z_i/(z_i - mu) = 0.  The domain is
-    c_i > 0 and t >= 0, with z and gamma finite; q = a_o + log1p(tau/z_o)/2
-    from the root's offset tau to its origin pole z_o.
+    the kernel's (``secular.domain_error``: every c_i > 0, t >= 0, z and
+    gamma finite) with z_0 > 0 added, which the log map
+    q = a_o + log1p(tau/z_o)/2 from the root's offset tau to its origin pole
+    z_o needs.
     """
-    times = np.asarray(times, dtype=float)
-    if not (np.all(data.c_vec > 0) and np.all(times >= 0)):
-        return None
     p = data.momentum
-    z = np.exp(2.0 * data.a_vec)
-    gamma = np.expm1(2.0 * p * times) / p
-    # z must be positive and strictly increasing, which e^{2a} can miss only
-    # by under- or overflow
-    if not (np.all(np.diff(z, prepend=0.0) > 0) and np.isfinite(z[-1]) and np.all(np.isfinite(gamma))):
+    # an overflow, or 0/0 at P = 0, leaves a non-finite value that the
+    # domain test rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.exp(2.0 * data.a_vec)
+        w = data.c_vec * z
+        gamma = np.expm1(2.0 * p * np.asarray(times, dtype=float)) / p
+    if not z[0] > 0 or secular.domain_error(z, w, gamma) is not None:
         return None
-    origin, offset = secular.secular_offsets(z, data.c_vec * z, gamma)
+    origin, offset = secular.secular_offsets(z, w, gamma)
     return data.a_vec[origin] + 0.5 * np.log1p(offset / z[origin])
 
 
 def z_eigen_trajectory(data: HyperbolicData, times) -> np.ndarray:
     """``z_eigen_solution`` on a time grid, shape (len(times), N).
 
-    Inside the secular-equation domain (every c_i > 0, t >= 0) all times are
+    Inside the secular-equation domain (``_secular_positions``) all times are
     solved at once; elsewhere ``z_eigen_solution`` runs per point, with its
     typed errors.
     """
@@ -266,7 +267,7 @@ def z_eigen_trajectory(data: HyperbolicData, times) -> np.ndarray:
 def s_exact_trajectory(data: HyperbolicData, times) -> np.ndarray:
     """Exact positions q(t) on a time grid, shape (len(times), N).
 
-    Inside the secular-equation domain (every c_i > 0, t >= 0) this is
+    Inside the secular-equation domain (``_secular_positions``) this is
     ``z_eigen_trajectory``'s solution: the roots of the polynomial with Vieta
     data s(t) are the eigenvalues of Z(t).  Elsewhere it is ``s_exact``'s
     arithmetic per point, with s(0) and sdot(0) computed once for the whole
@@ -287,7 +288,7 @@ def s_derivatives(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarra
     return alpha + beta * growth, 2.0 * p * beta * growth, 4.0 * p * p * beta * growth
 
 
-class _PairFlowSystem(dynamics.ParticleSystem):
+class _PairFlowSystem(dynamics.OdeSystem):
     """Second-order pair-coupled flow as a first-order system for the integrator.
 
     Subclasses supply ``coupling``, the pair function of the gaps.  Every RHS

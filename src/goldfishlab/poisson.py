@@ -515,17 +515,18 @@ def b_integrals(q, pi) -> np.ndarray:
     return symfun.jacobian(q) @ qdot
 
 
-def commutation_check(q, pi, m: int, n: int, h: float = 1e-4) -> float:
+def commutation_matrix(q, pi, h: float = 1e-4) -> np.ndarray:
     """{B_m, B_n} under canonical {q_i, pi_j} = delta_ij, by central differences.
 
-    ``m``, ``n`` are 1-based integral labels; the result should vanish.
+    Entry [m - 1, n - 1] belongs to the 1-based integral labels m, n; every
+    entry should vanish.  One pass of 4N perturbed ``b_integrals`` serves
+    all pairs, and each entry sums its terms in the order of the perturbed
+    coordinate k.
     """
     q = symfun.as_configuration(q)
     pi = finite_vector(pi, q.size, "pi")
     nq = q.size
-    if not (1 <= m <= nq and 1 <= n <= nq):
-        raise ValueError("integral labels must lie in 1..N")
-    total = 0.0
+    total = np.zeros((nq, nq))
     for k in range(nq):
         qp = q.copy()
         qm = q.copy()
@@ -537,5 +538,5 @@ def commutation_check(q, pi, m: int, n: int, h: float = 1e-4) -> float:
         pp[k] += h
         pm[k] -= h
         dp = (b_integrals(q, pp) - b_integrals(q, pm)) / (2.0 * h)
-        total += dq[m - 1] * dp[n - 1] - dp[m - 1] * dq[n - 1]
-    return float(total)
+        total += np.outer(dq, dp) - np.outer(dp, dq)
+    return total

@@ -102,30 +102,40 @@ def eigen_track(
 
     Eigenvalues come out ascending.  The first frame fixes each column's sign
     by making its largest-magnitude entry positive; later frames flip columns
-    to keep a positive overlap with the previous time.  Returns the frame
+    to keep a positive overlap with the previous time (an overlap of exactly
+    0 keeps the sign).  The grid is decomposed in stacks of about 2^16
+    entries (16 times at N = 64).  Raises EigenvalueCollision at the first
+    time whose eigenvalue gap is below ``gap_tol``.  Returns the frame
     trajectory and the eigenvalue curves, shape (n_t, N).
     """
     times = np.asarray(times, dtype=float)
     n = flow.n
     frames = np.empty((times.size, n, n))
     eigenvalues = np.empty((times.size, n))
-    prev = None
-    for k, t in enumerate(times):
-        vals, vecs = np.linalg.eigh(free_flow(flow, t))
-        if n > 1 and np.diff(vals).min() < gap_tol:
-            raise EigenvalueCollision(
-                f"eigenvalue gap {np.diff(vals).min():.3e} below {gap_tol:.3e} at t = {t:.6g}"
-            )
-        if prev is None:
-            lead = np.abs(vecs).argmax(axis=0)
-            signs = np.sign(vecs[lead, np.arange(n)])
-        else:
-            signs = np.sign(np.sum(prev * vecs, axis=0))
-        signs[signs == 0] = 1.0
-        vecs = vecs * signs
-        frames[k] = vecs
-        eigenvalues[k] = vals
-        prev = vecs
+    signs = np.empty((times.size, n))
+    block = max(1, 2**16 // (n * n))
+    for start in range(0, times.size, block):
+        stop = min(start + block, times.size)
+        vals, frames[start:stop] = np.linalg.eigh(flow.x0 + times[start:stop, None, None] * flow.v0)
+        if n > 1:
+            gaps = np.diff(vals, axis=1).min(axis=1)
+            failing = np.flatnonzero(gaps < gap_tol)
+            if failing.size:
+                k = failing[0]
+                raise EigenvalueCollision(
+                    f"eigenvalue gap {gaps[k]:.3e} below {gap_tol:.3e} at t = {times[start + k]:.6g}"
+                )
+        eigenvalues[start:stop] = vals
+        # sign of each raw column's overlap with the raw column one time
+        # earlier; a flipped column flips its overlaps exactly, so the flips
+        # are the running product of these signs
+        first = max(start, 1)
+        signs[first:stop] = np.sign(np.sum(frames[first - 1 : stop - 1] * frames[first:stop], axis=1))
+    if times.size:
+        lead = np.abs(frames[0]).argmax(axis=0)
+        signs[0] = np.sign(frames[0][lead, np.arange(n)])
+    signs[signs == 0] = 1.0
+    frames *= np.cumprod(signs, axis=0)[:, None, :]
     return FrameTrajectory(times=times, frames=frames), eigenvalues
 
 
@@ -151,11 +161,6 @@ def canonical_transform(q, p) -> ReducedChart:
         raise NonPositiveMomentum("canonical transform needs p_i > 0")
     root = np.sqrt(p)
     return ReducedChart(Q=2.0 * q * root, P=root)
-
-
-def canonical_transform_inverse(chart: ReducedChart) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse map: p = P^2, q = Q / (2 P)."""
-    return chart.Q / (2.0 * chart.P), chart.P**2
 
 
 def angular_momentum(chart: ReducedChart) -> np.ndarray:
@@ -286,9 +291,3 @@ def invariant_vectors(ft: FrameTrajectory) -> tuple[np.ndarray, np.ndarray]:
     u = np.einsum("tij,tj->ti", ft.frames, ft.Q)
     v = np.einsum("tij,tj->ti", ft.frames, ft.P)
     return u, v
-
-
-def free_vector_hamiltonian(u: np.ndarray, v: np.ndarray) -> float:
-    """H[u, v] = 1/2 (v.v)^2, the reduced free-vector generator."""
-    vv = float(np.dot(v, v))
-    return 0.5 * vv * vv

@@ -42,24 +42,42 @@ def secular_roots(d, w, gamma) -> np.ndarray:
     return d[origin] + offset
 
 
-def secular_offsets(d, w, gamma) -> tuple[np.ndarray, np.ndarray]:
-    """(origin, offset) with root = d[origin] + offset, both of shape (len(gamma), N).
+def domain_error(d, w, gamma) -> str | None:
+    """Which condition of the kernel's domain (d, w, gamma) fails first, or None inside it.
 
-    The origin is the pole nearer to the root, so the offset carries the
-    root's distance to it to full relative accuracy.
+    The domain: d and w equal-length vectors and gamma a vector; poles d
+    finite and strictly increasing; weights w positive and finite; gamma
+    finite and >= 0.  Every exact route tests its data here to choose
+    between the kernel and its per-point fallback.
     """
     d = np.asarray(d, dtype=float)
     w = np.asarray(w, dtype=float)
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    n = d.size
-    if d.ndim != 1 or w.shape != d.shape or gamma.ndim != 1 or n == 0:
-        raise ValueError("d and w must be equal-length vectors and gamma a vector")
+    if d.ndim != 1 or w.shape != d.shape or gamma.ndim != 1 or d.size == 0:
+        return "d and w must be equal-length vectors and gamma a vector"
     if not (np.all(np.isfinite(d)) and np.all(np.diff(d) > 0)):
-        raise ValueError("poles d must be finite and strictly increasing")
+        return "poles d must be finite and strictly increasing"
     if not (np.all(w > 0) and np.all(np.isfinite(w))):
-        raise ValueError("weights w must be positive and finite")
+        return "weights w must be positive and finite"
     if not (np.all(gamma >= 0) and np.all(np.isfinite(gamma))):
-        raise ValueError("gamma must be finite and >= 0")
+        return "gamma must be finite and >= 0"
+    return None
+
+
+def secular_offsets(d, w, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """(origin, offset) with root = d[origin] + offset, both of shape (len(gamma), N).
+
+    The origin is the pole nearer to the root, so the offset carries the
+    root's distance to it to full relative accuracy.  Raises ValueError with
+    ``domain_error``'s message outside the domain.
+    """
+    d = np.asarray(d, dtype=float)
+    w = np.asarray(w, dtype=float)
+    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    error = domain_error(d, w, gamma)
+    if error is not None:
+        raise ValueError(error)
+    n = d.size
 
     origin = np.broadcast_to(np.arange(n), (gamma.size, n)).copy()
     offset = np.zeros((gamma.size, n))

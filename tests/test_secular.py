@@ -1,8 +1,10 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
 
-from goldfishlab.secular import secular_offsets, secular_roots
+from goldfishlab.secular import domain_error, secular_offsets, secular_roots
 
 #: half-width of the certified interval around each offset, in units in the
 #: last place of the offset itself
@@ -114,5 +116,36 @@ def test_long_grid_is_solved_in_blocks_with_the_same_roots():
     ],
 )
 def test_outside_domain_rejected(d, w, gamma):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(domain_error(d, w, gamma))}$"):
         secular_roots(d, w, gamma)
+
+
+SHAPES = "d and w must be equal-length vectors and gamma a vector"
+POLES = "poles d must be finite and strictly increasing"
+WEIGHTS = "weights w must be positive and finite"
+GAMMA = "gamma must be finite and >= 0"
+
+
+@pytest.mark.parametrize(
+    "d, w, gamma, condition",
+    [
+        ([0.0, 1.0], [1.0, 1.0], [0.0, 0.1, 1e300], None),
+        ([0.0, 1.0], [1.0], [0.1], SHAPES),
+        ([], [], [0.1], SHAPES),
+        ([0.0, 1.0], [1.0, 1.0], [[0.1]], SHAPES),
+        ([0.0, np.nan], [1.0, 1.0], [0.1], POLES),
+        ([-np.inf, 1.0], [1.0, 1.0], [0.1], POLES),
+        ([0.0, 0.0], [1.0, 1.0], [0.1], POLES),
+        ([0.0, 1.0], [1.0, 0.0], [0.1], WEIGHTS),
+        ([0.0, 1.0], [np.inf, 1.0], [0.1], WEIGHTS),
+        ([0.0, 1.0], [np.nan, 1.0], [0.1], WEIGHTS),
+        ([0.0, 1.0], [1.0, 1.0], [0.1, -1e-300], GAMMA),
+        ([0.0, 1.0], [1.0, 1.0], [np.inf], GAMMA),
+        ([0.0, 1.0], [1.0, 1.0], [np.nan], GAMMA),
+        # the first failing condition is named
+        ([1.0, 0.0], [-1.0, 1.0], [-0.1], POLES),
+        ([0.0, 1.0], [-1.0, 1.0], [-0.1], WEIGHTS),
+    ],
+)
+def test_domain_error_names_the_failing_condition(d, w, gamma, condition):
+    assert domain_error(d, w, gamma) == condition

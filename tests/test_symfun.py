@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,8 +119,40 @@ class TestJacobianInverse:
     @settings(max_examples=40, deadline=None)
     @given(configurations(min_n=1))
     def test_product_is_identity(self, q):
-        prod = symfun.jacobian(q) @ symfun.jacobian_inverse(q)
-        assert np.abs(prod - np.eye(len(q))).max() < 1e-10
+        # Exact arithmetic on the same floats: the closed form times J is I
+        # exactly, and each float entry of J^-1 lies within a relative 4 N eps
+        # of its exact value (N - 1 rounded differences, N - 2 products, one
+        # power and one quotient).  Entries below the smallest normal float
+        # may underflow, so that much absolute error is allowed too.
+        n = len(q)
+        exact_q = [Fraction(x) for x in q]
+        jac = []
+        for m in range(n):  # J[m, j] = e_m of q without q_j
+            row = []
+            for j in range(n):
+                e = [Fraction(1)] + [Fraction(0)] * n
+                for i, x in enumerate(exact_q):
+                    if i != j:
+                        for k in range(n, 0, -1):
+                            e[k] += x * e[k - 1]
+                row.append(e[m])
+            jac.append(row)
+        inverse = []
+        for i, x in enumerate(exact_q):
+            denom = Fraction(1)
+            for j, y in enumerate(exact_q):
+                if j != i:
+                    denom *= x - y
+            inverse.append([(-1) ** m * x ** (n - 1 - m) / denom for m in range(n)])
+        for i in range(n):
+            for k in range(n):
+                assert sum(jac[i][m] * inverse[m][k] for m in range(n)) == (i == k)
+        got = symfun.jacobian_inverse(q)
+        bound = 4 * n * Fraction(np.finfo(float).eps)
+        tiny = Fraction(np.finfo(float).tiny)
+        for i in range(n):
+            for m in range(n):
+                assert abs(Fraction(got[i, m]) - inverse[i][m]) <= bound * abs(inverse[i][m]) + tiny
 
 
 class TestRootsFromCoords:
