@@ -51,8 +51,7 @@ def main():
 
     worst = 0.0
     for t, s in zip(traj.times, traj.states):
-        eigs = np.sort(np.linalg.eigvalsh(hyperbolic.matrix_geodesic(data, t)))
-        worst = max(worst, np.abs(np.log(eigs) / (2.0 * args.a) - s.lam).max())
+        worst = max(worst, np.abs(hyperbolic.matrix_positions(data, t) - s.lam).max())
     print(f"  matrix-geodesic eigenvalues: {worst:.3e} from integrated flow")
 
     k0 = hyperbolic.conserved_combination(data, 0.0)

@@ -316,11 +316,7 @@ def _positions_sinh_matrix(cfg: RunConfig) -> np.ndarray:
     from . import hyperbolic
 
     data = hyperbolic.HyperbolicData(a=cfg.a, a_vec=cfg.a_vec, c_vec=cfg.c_vec)
-    out = []
-    for t in cfg.times:
-        eigs = np.sort(np.linalg.eigvalsh(hyperbolic.matrix_geodesic(data, t)))
-        out.append(np.log(eigs) / (2.0 * cfg.a))
-    return np.vstack(out)
+    return np.vstack([hyperbolic.matrix_positions(data, t) for t in cfg.times])
 
 
 def _positions_z_eigen(cfg: RunConfig) -> np.ndarray:

@@ -19,14 +19,10 @@ from .utils import finite_vector, pairwise_differences
 
 @dataclass(frozen=True)
 class WFunction:
-    """Odd pair function w entering the connection symbols.
-
-    ``deriv`` is d w / d x; when absent it is replaced by central differences
-    with step 1e-6 * max(1, |x|).
-    """
+    """Odd pair function w entering the connection symbols, with ``deriv`` = d w / d x."""
 
     func: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray] | None = None
+    deriv: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"
 
     @classmethod
@@ -42,12 +38,6 @@ class WFunction:
     def rational(cls) -> "WFunction":
         """w(x) = 2/x, the flat member of the family."""
         return cls.scaled_rational(2.0)
-
-    def deriv_at(self, x: np.ndarray) -> np.ndarray:
-        if self.deriv is not None:
-            return self.deriv(x)
-        h = 1e-6 * np.maximum(1.0, np.abs(x))
-        return (self.func(x + h) - self.func(x - h)) / (2.0 * h)
 
 
 #: Flat choice w(x) = 2/x.
@@ -81,7 +71,7 @@ def pair_weights(q, w: WFunction = W_FLAT) -> tuple[np.ndarray, np.ndarray]:
     if not np.allclose(wmat, -wmat.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(wmat).max())):
         raise ValueError("w must be odd: w(-x) = -w(x)")
     wprime = np.zeros((n, n))
-    wprime[off] = -0.5 * np.asarray(w.deriv_at(gaps[off]), dtype=float)
+    wprime[off] = -0.5 * np.asarray(w.deriv(gaps[off]), dtype=float)
     return wmat, wprime
 
 
@@ -137,21 +127,20 @@ def curvature(q, w: WFunction = W_FLAT) -> np.ndarray:
     )
 
 
-def curvature_finite_difference(q, w: WFunction = W_FLAT, h: float = 1e-6) -> np.ndarray:
+def curvature_from_connection(q, w: WFunction = W_FLAT) -> np.ndarray:
     """Independent curvature assembly R = dGamma + Gamma Gamma - (b <-> d).
 
-    The derivative term is taken by central differences; used as the oracle
-    against the closed form.
+    The derivative term is exact: d_d Gamma^c_{ab} = delta_ca d_d w_cb +
+    delta_cb d_d w_ca with d_d w_ik = w'_ik (delta_di - delta_dk).  Used as
+    the oracle against the closed form ``curvature``.
     """
     q = symfun.as_configuration(q)
     n = q.size
-    dgamma = np.empty((n, n, n, n))  # [d, c, a, b]
-    for d in range(n):
-        qp = q.copy()
-        qm = q.copy()
-        qp[d] += h
-        qm[d] -= h
-        dgamma[d] = (connection_symbols(qp, w) - connection_symbols(qm, w)) / (2.0 * h)
+    _, wp = pair_weights(q, w)
+    eye = np.eye(n)
+    dw = wp[None, :, :] * (eye[:, :, None] - eye[:, None, :])  # [d, i, k]
+    # [d, c, a, b]
+    dgamma = eye[None, :, :, None] * dw[:, :, None, :] + eye[None, :, None, :] * dw[:, :, :, None]
     gam = connection_symbols(q, w)
     quad = np.einsum("eab,cde->cadb", gam, gam) - np.einsum("ead,cbe->cadb", gam, gam)
     return dgamma.transpose(1, 2, 0, 3) - dgamma.transpose(1, 2, 3, 0) + quad
@@ -214,22 +203,6 @@ def inverse_metric_gradient(q) -> np.ndarray:
     dnum = eye[:, :, None] * t[None, :, :] + eye[:, None, :] * t.T[None, :, :]
     dlog = logd[:, :, None] + logd[:, None, :]
     return dnum / np.outer(denom, denom)[None, :, :] - ginv[None, :, :] * dlog
-
-
-def inverse_metric_gradient_fd(q, h: float | None = None) -> np.ndarray:
-    """Central-difference fallback for d g^{ij} / d q_k, indexed [k, i, j]."""
-    q = symfun.as_configuration(q)
-    n = q.size
-    if h is None:
-        h = 1e-6 * max(1.0, float(np.abs(q).max()))
-    out = np.empty((n, n, n))
-    for k in range(n):
-        qp = q.copy()
-        qm = q.copy()
-        qp[k] += h
-        qm[k] -= h
-        out[k] = (inverse_metric(qp) - inverse_metric(qm)) / (2.0 * h)
-    return out
 
 
 def geodesic_hamiltonian(state: GeodesicState) -> float:

@@ -145,6 +145,24 @@ def matrix_geodesic(data: HyperbolicData, t: float) -> np.ndarray:
     return left[:, None] * middle * left[None, :]
 
 
+def matrix_positions(data: HyperbolicData, t: float) -> np.ndarray:
+    """Positions log(mu) / (2a) from the ascending eigenvalues mu of ``matrix_geodesic``.
+
+    eigvalsh resolves the eigenvalues only to eps * max(mu), and max(mu) grows
+    like e^{2a (a_N - a_1)}, so at large a the small ones are lost.  Raises
+    NonPositiveEigenvalue where X(t) is not finite in doubles or an
+    eigenvalue is <= 0, instead of returning a NaN position.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = matrix_geodesic(data, t)
+    if not np.isfinite(x).all():
+        raise NonPositiveEigenvalue(f"X(t) is not finite in double precision at t = {t:.6g}")
+    mu = np.linalg.eigvalsh(x)
+    if mu[0] <= 0:
+        raise NonPositiveEigenvalue(f"smallest eigenvalue {mu[0]:.3e} <= 0 at t = {t:.6g}")
+    return np.log(mu) / (2.0 * data.a)
+
+
 def conserved_combination(data: HyperbolicData, t: float) -> np.ndarray:
     """K(t) = Xdot X^{-1} + X^{-1} Xdot, constant along the matrix geodesic.
 
@@ -192,11 +210,25 @@ def z_eigen_solution(data: HyperbolicData, t: float, imag_tol: float = 1e-9) -> 
 
 
 def s_initial(data: HyperbolicData) -> tuple[np.ndarray, np.ndarray]:
-    """s_n(0) and sdot_n(0): symmetric functions of z_i = e^{2 a_i} and their rates."""
-    z0 = np.exp(2.0 * data.a_vec)
-    s0 = symfun.elem_sym_coords(z0)
-    zdot0 = 2.0 * data.c_vec * z0
-    return s0, symfun.jacobian(z0) @ zdot0
+    """s_n(0) and sdot_n(0): symmetric functions of z_i = e^{2 a_i} and their rates.
+
+    Raises NonPositiveRoot where z, s(0) or sdot(0) overflows double precision
+    (from a_i near 354 on): the roots z_i of the s polynomial are then out of
+    reach.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        z0 = np.exp(2.0 * data.a_vec)
+        finite = np.isfinite(z0).all()
+        if finite:
+            s0 = symfun.elem_sym_coords(z0)
+            zdot0 = 2.0 * data.c_vec * z0
+            sdot0 = symfun.jacobian(z0) @ zdot0
+            finite = np.isfinite(s0).all() and np.isfinite(sdot0).all()
+    if not finite:
+        raise NonPositiveRoot(
+            f"s(0) or sdot(0) overflows double precision (largest a_i = {data.a_vec[-1]:g})"
+        )
+    return s0, sdot0
 
 
 def _s_line(data: HyperbolicData) -> tuple[float, np.ndarray, np.ndarray]:

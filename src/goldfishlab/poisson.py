@@ -41,45 +41,24 @@ GOLDFISH_COEFFICIENT = 2.0
 
 @dataclass(frozen=True)
 class PhaseObservable:
-    """Scalar function on a chart with an optional analytic gradient."""
+    """Scalar function on a chart with its analytic gradient."""
 
     evaluate: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    gradient: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
     def value(self, point: np.ndarray) -> float:
         return float(self.evaluate(np.asarray(point, dtype=float)))
 
     def gradient_at(self, point: np.ndarray) -> np.ndarray:
-        """Analytic gradient when present, else central differences.
-
-        Step per coordinate: 1e-6 * max(1, |z_a|).
-        """
+        """The gradient at the point; GradientUnavailable unless finite and of the point's shape."""
         point = np.asarray(point, dtype=float)
-        if self.gradient is not None:
-            grad = np.asarray(self.gradient(point), dtype=float)
-        else:
-            grad = np.empty(point.size)
-            for a in range(point.size):
-                h = 1e-6 * max(1.0, abs(point[a]))
-                zp = point.copy()
-                zm = point.copy()
-                zp[a] += h
-                zm[a] -= h
-                grad[a] = (self.evaluate(zp) - self.evaluate(zm)) / (2.0 * h)
+        grad = np.asarray(self.gradient(point), dtype=float)
         if grad.shape != point.shape or not np.all(np.isfinite(grad)):
             raise GradientUnavailable(
                 f"observable {self.name or '<unnamed>'} has no finite gradient here"
             )
         return grad
-
-
-def constant_observable(value: float) -> PhaseObservable:
-    return PhaseObservable(
-        evaluate=lambda z: value,
-        gradient=lambda z: np.zeros_like(z),
-        name=f"const[{value:g}]",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -312,30 +291,6 @@ def bracket_eval(
     return float(f_obs.gradient_at(point) @ pi_mat @ g_obs.gradient_at(point))
 
 
-def _inner_bracket_observable(structure: PoissonStructure, b: int, c: int) -> PhaseObservable:
-    """The closed-form function point -> {z_b, z_c} as an observable."""
-    return PhaseObservable(
-        evaluate=lambda z: structure.bracket(b, c, z),
-        gradient=lambda z: structure.structure_gradient(z)[:, b, c],
-        name=f"{{{structure.chart[b]},{structure.chart[c]}}}",
-    )
-
-
-def jacobi_residual(structure: PoissonStructure, point, triple) -> float:
-    """{z_a, {z_b, z_c}} + cyclic, via nested bracket evaluation."""
-    a, b, c = (structure.index(t) if isinstance(t, str) else t for t in triple)
-    point = np.asarray(point, dtype=float)
-    total = 0.0
-    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        total += bracket_eval(
-            structure,
-            structure.coordinate_observable(x),
-            _inner_bracket_observable(structure, y, z),
-            point,
-        )
-    return total
-
-
 def jacobi_residual_all(structure: PoissonStructure, point) -> float:
     """max |{z_a, {z_b, z_c}} + cyclic| over all coordinate triples at the point."""
     point = np.asarray(point, dtype=float)
@@ -515,28 +470,20 @@ def b_integrals(q, pi) -> np.ndarray:
     return symfun.jacobian(q) @ qdot
 
 
-def commutation_matrix(q, pi, h: float = 1e-4) -> np.ndarray:
-    """{B_m, B_n} under canonical {q_i, pi_j} = delta_ij, by central differences.
+def commutation_matrix(q, pi) -> np.ndarray:
+    """{B_m, B_n} under canonical {q_i, pi_j} = delta_ij, from analytic derivatives.
 
     Entry [m - 1, n - 1] belongs to the 1-based integral labels m, n; every
-    entry should vanish.  One pass of 4N perturbed ``b_integrals`` serves
-    all pairs, and each entry sums its terms in the order of the perturbed
-    coordinate k.
+    entry should vanish.  With B = J g^{-1} pi, dB/dpi = (J g^{-1})^T and
+    dB/dq_k = (d_k J) g^{-1} pi + J (d_k g^{-1}) pi, so with a = dB/dq^T dB/dpi
+    the matrix is a - a^T, exactly antisymmetric.
     """
     q = symfun.as_configuration(q)
     pi = finite_vector(pi, q.size, "pi")
-    nq = q.size
-    total = np.zeros((nq, nq))
-    for k in range(nq):
-        qp = q.copy()
-        qm = q.copy()
-        qp[k] += h
-        qm[k] -= h
-        dq = (b_integrals(qp, pi) - b_integrals(qm, pi)) / (2.0 * h)
-        pp = pi.copy()
-        pm = pi.copy()
-        pp[k] += h
-        pm[k] -= h
-        dp = (b_integrals(q, pp) - b_integrals(q, pm)) / (2.0 * h)
-        total += np.outer(dq, dp) - np.outer(dp, dq)
-    return total
+    jac = symfun.jacobian(q)
+    ginv = geometry.inverse_metric(q)
+    dp = (jac @ ginv).T  # [k, m] = d B_m / d pi_k
+    dginv_pi = geometry.inverse_metric_gradient(q) @ pi
+    dq = symfun.jacobian_derivative(q) @ (ginv @ pi) + dginv_pi @ jac.T  # [k, m] = d B_m / d q_k
+    a = dq.T @ dp
+    return a - a.T

@@ -97,6 +97,25 @@ def jacobian_stack(qs: np.ndarray) -> np.ndarray:
     return jac
 
 
+def jacobian_derivative(q) -> np.ndarray:
+    """dJ[r, j] / dq_k, indexed [k, r, j]: e_{r-1} of q without q_j and q_k.
+
+    Zero where k = j or r = 0.  Column j of J is e_0..e_{N-1} of q without
+    q_j, so its derivative in q_k is that leave-one-out row's Jacobian
+    column for q_k, one row down: one ``jacobian_stack`` call on the N
+    leave-one-out rows gives every entry.
+    """
+    q = as_configuration(q)
+    n = q.size
+    out = np.zeros((n, n, n))
+    if n > 1:
+        others = ~np.eye(n, dtype=bool)
+        sub = jacobian_stack(np.broadcast_to(q, (n, n))[others].reshape(n, n - 1))
+        cols, ks = np.nonzero(others)  # row j of sub drops q_j; its entry i is q_k
+        out[ks, 1:, cols] = sub.transpose(0, 2, 1).reshape(n * (n - 1), n - 1)
+    return out
+
+
 def jacobian_det(q) -> float:
     """det J = prod_{i<j} (q_i - q_j), evaluated from the product formula."""
     q = as_configuration(q)

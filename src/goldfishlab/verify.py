@@ -14,6 +14,7 @@ import os
 import time
 import zlib
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -63,6 +64,15 @@ def _check(name: str, suite: str, mode: str = "below"):
     return wrap
 
 
+def _elementary(values: list[Fraction]) -> list[Fraction]:
+    """All elementary symmetric polynomials e_0..e_m of ``values``, in exact arithmetic."""
+    e = [Fraction(1)] + [Fraction(0)] * len(values)
+    for v in values:
+        for k in range(len(values), 0, -1):
+            e[k] += v * e[k - 1]
+    return e
+
+
 # ---------------------------------------------------------------------------
 # symfun
 # ---------------------------------------------------------------------------
@@ -102,21 +112,25 @@ def _symfun_inverse(rng):
 
 
 @_check("symfun_jacobian_finite_difference", "symfun")
-def _symfun_fd(rng):
-    worst = 0.0
-    h = 1e-5
+def _symfun_jacobian_columns(rng):
+    """Each column of J against an exact difference of the coordinates x = e(q).
+
+    e(q) is affine in each q_j, so e(q | q_j := 1) - e(q | q_j := 0) is column
+    j with no truncation error; it is evaluated in Fractions of the same float
+    draws, so the residual is the rounding of ``jacobian`` alone.
+    """
+    worst = Fraction(0)
     for _ in range(10):
         n = int(rng.integers(2, 7))
         q = sampling.random_configuration(rng, n)
         jac = symfun.jacobian(q)
+        exact = [Fraction(v) for v in q]
         for j in range(n):
-            qp = q.copy()
-            qm = q.copy()
-            qp[j] += h
-            qm[j] -= h
-            col = (symfun.elem_sym_coords(qp) - symfun.elem_sym_coords(qm)) / (2 * h)
-            worst = max(worst, float(np.abs(col - jac[:, j]).max()))
-    return worst, 1e-8
+            high = _elementary(exact[:j] + [Fraction(1)] + exact[j + 1 :])
+            low = _elementary(exact[:j] + [Fraction(0)] + exact[j + 1 :])
+            for row in range(n):
+                worst = max(worst, abs(high[row + 1] - low[row + 1] - Fraction(jac[row, j])))
+    return float(worst), 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +160,7 @@ def _curvature_crosscheck(rng):
     for _ in range(20):
         n = int(rng.integers(2, 6))
         q = sampling.random_configuration(rng, n)
-        diff = geometry.curvature(q, w) - geometry.curvature_finite_difference(q, w)
+        diff = geometry.curvature(q, w) - geometry.curvature_from_connection(q, w)
         worst = max(worst, float(np.abs(diff).max()))
     return worst, 1e-6
 
@@ -205,15 +219,7 @@ def _inverse_metric_closed_form(rng):
     quantity is a Fraction; the product g g^{-1} must equal the identity with
     zero residual, for N up to 6 including poorly conditioned corners.
     """
-    from fractions import Fraction
     from math import prod
-
-    def elementary(values):
-        e = [Fraction(1)] + [Fraction(0)] * len(values)
-        for v in values:
-            for k in range(len(values), 0, -1):
-                e[k] += v * e[k - 1]
-        return e
 
     worst = Fraction(0)
     grid = [Fraction(k, 8) for k in range(-24, 25)]
@@ -224,7 +230,7 @@ def _inverse_metric_closed_form(rng):
         jac = [[None] * n for _ in range(n)]
         for j in range(n):
             rest = q[:j] + q[j + 1 :]
-            col = elementary(rest)
+            col = _elementary(rest)
             for row in range(n):
                 jac[row][j] = col[row]
         g = [[sum(jac[k][i] * jac[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
@@ -478,15 +484,14 @@ def _vector_transform(rng):
 
 @_check("poisson_b_commutation", "poisson")
 def _b_commutation(rng):
-    # gap floor 0.3 keeps the third derivatives entering the finite-difference
-    # truncation error at desk scale
+    # gap floor 0.3: the derivatives cancel to rounding, which grows with cond(g)
     worst = 0.0
     for n in (2, 3, 4, 5):
         for _ in range(5):
             q = sampling.random_configuration(rng, n, min_gap=0.3)
             pi = sampling.random_velocities(rng, n)
             # antisymmetric with a zero diagonal: its largest entry is that of a pair m < n
-            worst = max(worst, float(np.abs(poisson.commutation_matrix(q, pi, h=1e-4)).max()))
+            worst = max(worst, float(np.abs(poisson.commutation_matrix(q, pi)).max()))
     return worst, 1e-6
 
 
@@ -744,8 +749,7 @@ def _matrix_vs_ode(rng):
         state = hyperbolic.HyperbolicState(a_vec, c_vec)
         traj = dynamics.integrate(hyperbolic.SinhSystem(n, a), state, 0.3, TIGHT, output_points=16)
         for t, y in zip(traj.times, traj.rows):
-            eigs = np.sort(np.linalg.eigvalsh(hyperbolic.matrix_geodesic(data, t)))
-            lam = np.log(eigs) / (2.0 * a)
+            lam = hyperbolic.matrix_positions(data, t)
             worst = max(worst, float(np.abs(lam - y[:n]).max()))
     return worst, 1e-7
 
@@ -766,29 +770,29 @@ def _exact_agreement(rng):
 
 @_check("hyperbolic_coth_residual", "hyperbolic")
 def _coth_residual(rng):
-    """Exact solutions satisfy the coth equation, by central differencing in t.
+    """Exact solutions satisfy the coth equation, by implicit differentiation.
 
-    Five-point central second differences with h = 1e-3 keep the truncation
-    error below the scale of interest; velocities come from the analytic
-    symmetric-function rates through the chain rule.
+    z = e^{2q} solves e(z) = s(t), so J zdot = sdot and
+    J zddot = sddot - sum_{k,j} d_k J[:, j] zdot_k zdot_j; then qdot = zdot/(2z)
+    and qddot = (zddot/z - 4 qdot^2)/2, with no step in t.
     """
     worst = 0.0
-    h = 1e-3
     for _ in range(3):
         n = int(rng.integers(2, 5))
         a_vec, c_vec = _hyperbolic_case(rng, n)
         data = hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=c_vec)
         for t in (0.1, 0.25, 0.4):
-            samples = [hyperbolic.z_eigen_solution(data, t + k * h) for k in (-2, -1, 0, 1, 2)]
-            acc_fd = (
-                -samples[0] + 16.0 * samples[1] - 30.0 * samples[2] + 16.0 * samples[3] - samples[4]
-            ) / (12.0 * h**2)
-            qc = samples[2]
-            z = np.exp(2.0 * qc)
-            _, sdot, _ = hyperbolic.s_derivatives(data, t)
-            vel = (symfun.jacobian_inverse(z) @ sdot) / (2.0 * z)
-            acc = hyperbolic.coth_rhs(hyperbolic.HyperbolicState(qc, vel))
-            worst = max(worst, float(np.abs(acc_fd - acc).max()))
+            q = hyperbolic.z_eigen_solution(data, t)
+            z = np.exp(2.0 * q)
+            _, sdot, sddot = hyperbolic.s_derivatives(data, t)
+            jac_inv = symfun.jacobian_inverse(z)
+            zdot = jac_inv @ sdot
+            quadratic = np.einsum("krj,k,j->r", symfun.jacobian_derivative(z), zdot, zdot)
+            zddot = jac_inv @ (sddot - quadratic)
+            vel = zdot / (2.0 * z)
+            acc = 0.5 * (zddot / z - 4.0 * vel**2)
+            target = hyperbolic.coth_rhs(hyperbolic.HyperbolicState(q, vel))
+            worst = max(worst, float(np.abs(acc - target).max()))
     return worst, 1e-5
 
 

@@ -341,6 +341,14 @@ class TestCompareCommand:
               "t_end": 200, "output_points": 3}, "z_eigen", 3, "error: NonPositiveEigenvalue: "),
             ({"system": "hyperbolic-coth", "N": 3, "a_vec": [0, 1, 2], "c_vec": [1, 1, 1],
               "t_end": 200, "output_points": 3}, "s_exact", 3, "error: NonPositiveRoot: "),
+            # sdot(0) = J (2 c z) overflows at a = 354, s(0) at [353, 354] and z
+            # itself at 355: a typed error and no warning
+            ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 354], "c_vec": [1, 10],
+              "t_end": 0.001, "output_points": 3}, "s_exact", 3, "error: NonPositiveRoot: "),
+            ({"system": "hyperbolic-coth", "N": 2, "a_vec": [353, 354], "c_vec": [1, -0.5],
+              "t_end": 0.001, "output_points": 3}, "s_exact", 3, "error: NonPositiveRoot: "),
+            ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 355], "c_vec": [1, 1],
+              "t_end": 0.001, "output_points": 3}, "s_exact", 3, "error: NonPositiveRoot: "),
         ],
     )
     def test_coth_routes_outside_the_kernel_domain_as_a_process(self, tmp_path, raw, solvers, code, stderr):
@@ -357,6 +365,29 @@ class TestCompareCommand:
         if code == 0:
             table = out.read_text().partition("solver,seconds\n")[0]
             assert table.splitlines() == ["t", "0", "0.00050000000000000001", "0.001"]
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # e^{2 a a_vec} overflows: X(t) is not finite
+            {"system": "hyperbolic-sinh", "N": 2, "a": 100, "a_vec": [0, 4], "c_vec": [1, 1],
+             "t_end": 0.1, "output_points": 3},
+            # eigvalsh loses the small eigenvalues of X(t) below eps * max: some read <= 0
+            {"system": "hyperbolic-sinh", "N": 4, "a": 20, "a_vec": [0, 0.5, 1, 1.5],
+             "c_vec": [1, 0.5, 1.5, 1], "t_end": 0.3, "rel_tol": 1e-12},
+        ],
+    )
+    def test_sinh_matrix_eigen_outside_double_precision_as_a_process(self, tmp_path, raw):
+        cfg = write_config(tmp_path / "cfg.json", raw)
+        out = tmp_path / "cmp.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "goldfishlab", "compare", "--config", cfg,
+                               "--solvers", "matrix_eigen,rk_integration", "--out", str(out)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: NonPositiveEigenvalue: ")
+        assert proc.stderr.count("\n") == 1 and not out.exists()
 
     def test_single_solver_omits_columns(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {**GOLDFISH, "t_end": 0.2})

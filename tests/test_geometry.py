@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,19 +65,12 @@ class TestCurvature:
     @given(configurations(max_n=5))
     def test_closed_form_matches_connection_assembly(self, q):
         w = geometry.WFunction.scaled_rational(1.0)
-        diff = geometry.curvature(q, w) - geometry.curvature_finite_difference(q, w)
-        assert np.abs(diff).max() < 1e-6
-
-    def test_custom_w_uses_numeric_derivative(self):
-        analytic = geometry.WFunction.scaled_rational(1.5)
-        numeric = geometry.WFunction(func=lambda x: 1.5 / x, label="1.5/x")
-        q = np.array([-0.5, 0.6, 1.4])
-        assert_allclose(
-            geometry.curvature(q, numeric), geometry.curvature(q, analytic), atol=1e-7
-        )
+        closed = geometry.curvature(q, w)
+        diff = closed - geometry.curvature_from_connection(q, w)
+        assert np.abs(diff).max() <= 1e-12 * max(1.0, np.abs(closed).max())
 
     def test_even_w_rejected(self):
-        even = geometry.WFunction(func=lambda x: x**2)
+        even = geometry.WFunction(func=lambda x: x**2, deriv=lambda x: 2.0 * x)
         with pytest.raises(ValueError, match="odd"):
             geometry.curvature(np.array([0.0, 1.0]), even)
 
@@ -130,13 +124,24 @@ class TestGeodesicFlow:
         assert_allclose(qdot, [2.0])
         assert_allclose(pidot, [0.0])
 
-    def test_gradient_analytic_vs_finite_difference(self):
+    def test_gradient_analytic_vs_mpmath(self):
+        # d g^{ij} / d q_k of the closed form sum_m (q_i q_j)^m / (D_i D_j), by
+        # mpmath's own differentiation at 30 digits
         q = np.array([-1.2, -0.1, 0.8, 1.7])
-        assert_allclose(
-            geometry.inverse_metric_gradient(q),
-            geometry.inverse_metric_gradient_fd(q),
-            atol=1e-7,
-        )
+        n = q.size
+
+        def entry(i, j, k):
+            def g_ij(x):
+                qs = [mpmath.mpf(v) for v in q]
+                qs[k] = x
+                d = [mpmath.fprod(qs[a] - qs[b] for b in range(n) if b != a) for a in range(n)]
+                return mpmath.fsum((qs[i] * qs[j]) ** m for m in range(n)) / (d[i] * d[j])
+
+            return float(mpmath.diff(g_ij, mpmath.mpf(q[k])))
+
+        with mpmath.workdps(30):
+            exact = np.array([[[entry(i, j, k) for j in range(n)] for i in range(n)] for k in range(n)])
+        assert_allclose(geometry.inverse_metric_gradient(q), exact, rtol=1e-12, atol=1e-12)
 
     def test_acceleration_matches_goldfish(self):
         q = np.array([-0.9, 0.2, 1.4])

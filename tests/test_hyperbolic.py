@@ -106,6 +106,14 @@ class TestMatrixGeodesic:
     def test_initial_matrix(self):
         assert_allclose(hyperbolic.matrix_geodesic(PAIR, 0.0), np.diag(np.exp([0.0, 2.0])))
 
+    def test_positions_are_the_log_eigenvalues(self):
+        data = hyperbolic.HyperbolicData(
+            a=0.7, a_vec=np.array([-0.4, 0.3, 1.1]), c_vec=np.array([0.9, 1.2, 0.7])
+        )
+        for t in (0.0, 0.15, 0.3):
+            eigs = np.sort(np.linalg.eigvalsh(hyperbolic.matrix_geodesic(data, t)))
+            assert np.array_equal(hyperbolic.matrix_positions(data, t), np.log(eigs) / (2.0 * data.a))
+
     def test_conserved_combination_constant(self):
         data = hyperbolic.HyperbolicData(
             a=0.8, a_vec=np.array([-0.4, 0.3, 1.1]), c_vec=np.array([0.9, 1.2, 0.7])

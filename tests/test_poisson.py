@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from goldfishlab import dynamics, poisson, reduction
+from goldfishlab import dynamics, geometry, poisson, reduction
 from goldfishlab.errors import GradientUnavailable, NegativeMomentum
 
 from conftest import states
@@ -49,16 +51,34 @@ class TestEcmStructure:
             assert poisson.jacobi_residual_all(s, random_ecm_point(rng, 4)) < 1e-10
 
     def test_jacobi_operation_matches_vectorized(self):
+        # the nested operation {z_a, {z_b, z_c}} + cyclic through bracket_eval,
+        # with the inner bracket as an observable, over every triple
         rng = np.random.default_rng(2)
         s = poisson.ecm_structure(3)
         point = random_ecm_point(rng, 3)
-        res = poisson.jacobi_residual(s, point, ("f_1_2", "f_2_3", "f_1_3"))
-        assert abs(res) < 1e-10
+
+        def inner(b, c):
+            return poisson.PhaseObservable(
+                evaluate=lambda z: s.bracket(b, c, z),
+                gradient=lambda z: s.structure_gradient(z)[:, b, c],
+            )
+
+        nested = 0.0
+        for a, b, c in itertools.product(range(s.dim), repeat=3):
+            cyclic = sum(
+                poisson.bracket_eval(s, s.coordinate_observable(x), inner(y, z), point)
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
+            )
+            nested = max(nested, abs(cyclic))
+        assert nested < 1e-10
+        assert abs(poisson.jacobi_residual_all(s, point) - nested) < 1e-12
 
     def test_repeated_index_vanishes(self):
+        # at N = 2 the structure matrix is constant ({f12, f12} = 0), so every
+        # triple, (q1, q1, p1) among them, vanishes exactly
         s = poisson.ecm_structure(2)
         point = poisson.ecm_point([0.0, 1.0], [1.0, 1.0], [0.4])
-        assert poisson.jacobi_residual(s, point, ("q1", "q1", "p1")) == 0.0
+        assert poisson.jacobi_residual_all(s, point) == 0.0
 
 
 class TestGoldfishStructure:
@@ -126,7 +146,6 @@ class TestGoldfishStructure:
                 q = np.sort(rng.uniform(-2, 2, 4))
             point = poisson.goldfish_point(q, rng.uniform(0.5, 1.5, 4))
             assert poisson.jacobi_residual_all(s, point) < 1e-8
-            assert abs(poisson.jacobi_residual(s, point, ("q1", "pi1", "pi2"))) < 1e-8
 
 
 class TestBracketEval:
@@ -154,7 +173,9 @@ class TestBracketEval:
 
     def test_gradient_unavailable(self):
         s = poisson.ecm_structure(2)
-        bad = poisson.PhaseObservable(evaluate=lambda z: float("nan"))
+        bad = poisson.PhaseObservable(
+            evaluate=lambda z: float("nan"), gradient=lambda z: np.full_like(z, np.nan)
+        )
         with pytest.raises(GradientUnavailable):
             poisson.bracket_eval(
                 s, bad, s.coordinate_observable("q1"), poisson.ecm_point([0.0, 1.0], [1, 1], [0.0])
@@ -171,7 +192,11 @@ class TestBracketEval:
             poisson.reduced_coordinate_observable(s, 1),
             poisson.reduced_momentum_observable(s, 1),
         ):
-            numeric = poisson.PhaseObservable(evaluate=obs.evaluate).gradient_at(point)
+            numeric = np.empty(point.size)
+            for a in range(point.size):
+                h = 1e-6 * max(1.0, abs(point[a]))
+                step = h * np.eye(point.size)[a]
+                numeric[a] = (obs.evaluate(point + step) - obs.evaluate(point - step)) / (2.0 * h)
             assert np.abs(obs.gradient_at(point) - numeric).max() < 1e-8
 
 
@@ -191,7 +216,8 @@ class TestHamiltonianFlow:
     def test_constant_observable_generates_no_flow(self):
         s = poisson.ecm_structure(2)
         point = poisson.ecm_point([0.0, 1.0], [1.0, 1.0], [0.5])
-        assert np.all(poisson.hamiltonian_flow(s, poisson.constant_observable(3.0), point) == 0.0)
+        constant = poisson.PhaseObservable(evaluate=lambda z: 3.0, gradient=np.zeros_like)
+        assert np.all(poisson.hamiltonian_flow(s, constant, point) == 0.0)
 
     def test_printed_coefficient_fails_to_reproduce_goldfish(self):
         s1 = poisson.goldfish_structure(2, coefficient=1.0)
@@ -321,7 +347,8 @@ class TestBIntegrals:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_commutation_matrix_is_the_per_pair_sum(self, n):
-        # the per-pair definition: {B_m, B_n} summed over the perturbed coordinate k
+        # the per-pair definition: {B_m, B_n} summed over the coordinate k, with
+        # the derivatives of b_integrals taken by central differences here
         rng = np.random.default_rng(n)
         q = np.sort(rng.uniform(-2, 2, n)) + 0.5 * np.arange(n)
         pi = rng.uniform(0.5, 1.5, n)
@@ -332,21 +359,32 @@ class TestBIntegrals:
             dq = (poisson.b_integrals(q + step, pi) - poisson.b_integrals(q - step, pi)) / (2.0 * h)
             dp = (poisson.b_integrals(q, pi + step) - poisson.b_integrals(q, pi - step)) / (2.0 * h)
             derivatives.append((dq, dp))
-        c = poisson.commutation_matrix(q, pi, h)
+        c = poisson.commutation_matrix(q, pi)
         for m in range(n):
             for l in range(n):
                 total = 0.0
                 for dq, dp in derivatives:
                     total += dq[m] * dp[l] - dp[m] * dq[l]
-                assert c[m, l] == total
+                assert abs(c[m, l] - total) < 1e-6
+
+    def test_commutation_detects_a_wrong_metric_gradient(self, monkeypatch):
+        # negative control: a 0.1 % error in d g^{-1}/dq moves the brackets far
+        # above the rounding of the correct matrix
+        rng = np.random.default_rng(7)
+        q = np.sort(rng.uniform(-2, 2, 4)) + 0.5 * np.arange(4)
+        pi = rng.uniform(0.5, 1.5, 4)
+        assert np.abs(poisson.commutation_matrix(q, pi)).max() < 1e-10
+        real = geometry.inverse_metric_gradient
+        monkeypatch.setattr(geometry, "inverse_metric_gradient", lambda x: 1.001 * real(x))
+        assert np.abs(poisson.commutation_matrix(q, pi)).max() > 1e-5
 
     def test_commutation_examples(self):
         c = poisson.commutation_matrix([1.0, 2.0], [8.0, 5.0])
-        assert c[0, 1] == pytest.approx(0.0, abs=1e-6)
+        assert c[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert c[0, 0] == 0.0
         rng = np.random.default_rng(11)
         q = np.sort(rng.uniform(-2, 2, 3))
         pi = rng.uniform(0.5, 1.5, 3)
         c = poisson.commutation_matrix(q, pi)
-        assert np.abs(c).max() < 1e-6
+        assert np.abs(c).max() < 1e-10
         assert np.array_equal(c, -c.T)

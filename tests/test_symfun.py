@@ -90,6 +90,44 @@ class TestJacobianBitIdentity:
         assert np.array_equal(symfun.jacobian(q), per_column_jacobian(q))
 
 
+def exact_jacobian(values):
+    """J[r][j] = e_r of ``values`` without entry j, in exact arithmetic."""
+    n = len(values)
+    columns = []
+    for j in range(n):
+        e = [Fraction(1)] + [Fraction(0)] * n
+        for x in values[:j] + values[j + 1 :]:
+            for k in range(n, 0, -1):
+                e[k] += x * e[k - 1]
+        columns.append(e)
+    return [[columns[j][r] for j in range(n)] for r in range(n)]
+
+
+class TestJacobianDerivative:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_is_the_exact_difference_in_each_coordinate(self, n):
+        # J is affine in each q_k, so J(q | q_k := 1) - J(q | q_k := 0) is
+        # dJ/dq_k exactly.  Each float entry, an e_{r-1} of N - 2 of the
+        # floats, lies within 4 N eps of it times the same difference taken
+        # over |q|; where that difference is 0 (k = j, r = 0) it must be 0.
+        rng = np.random.default_rng(n)
+        q = np.sort(rng.uniform(-3.0, 3.0, n))
+        got = symfun.jacobian_derivative(q)
+        assert got.shape == (n, n, n)
+        exact = [Fraction(x) for x in q]
+        bound = 4 * n * Fraction(np.finfo(float).eps)
+        for k in range(n):
+            diffs = []
+            for values in (exact, [abs(x) for x in exact]):
+                high = exact_jacobian(values[:k] + [Fraction(1)] + values[k + 1 :])
+                low = exact_jacobian(values[:k] + [Fraction(0)] + values[k + 1 :])
+                diffs.append([[h - l for h, l in zip(hr, lr)] for hr, lr in zip(high, low)])
+            diff, scale = diffs
+            for r in range(n):
+                for j in range(n):
+                    assert abs(Fraction(got[k, r, j]) - diff[r][j]) <= bound * scale[r][j]
+
+
 class TestJacobianDet:
     def test_hand_values(self):
         assert symfun.jacobian_det([1.0, 2.0]) == -1.0
