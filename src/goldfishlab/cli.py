@@ -295,10 +295,10 @@ def _goldfish_initial(cfg: RunConfig) -> dynamics.GoldfishState:
 
 
 def _geodesic_velocities(cfg: RunConfig) -> dynamics.GoldfishState:
-    """The goldfish data of a geodesic config: qdot = g^{-1} pi."""
-    from .geometry import inverse_metric
+    """The goldfish data of a geodesic config: the qdot of Hamilton's equations."""
+    from .geometry import GeodesicState, geodesic_rhs
 
-    return dynamics.GoldfishState(cfg.q0, inverse_metric(cfg.q0) @ cfg.p0)
+    return dynamics.GoldfishState(cfg.q0, geodesic_rhs(GeodesicState(cfg.q0, cfg.p0))[0])
 
 
 def _flat_exact(initial) -> Callable[[RunConfig], np.ndarray]:

@@ -128,20 +128,26 @@ class Trajectory:
 # right-hand sides and conserved quantities
 # ---------------------------------------------------------------------------
 
-def goldfish_acceleration(q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-    """Accelerations qddot_i = 2 sum_{j != i} qdot_i qdot_j / (q_i - q_j) on plain arrays."""
+def pair_acceleration(q: np.ndarray, qdot: np.ndarray, coupling) -> np.ndarray:
+    """qddot_i = 2 qdot_i sum_{j != i} coupling(q_i - q_j) qdot_j on plain arrays.
+
+    The goldfish flow has the coupling np.reciprocal, the sinh and coth flows
+    of ``hyperbolic`` theirs.
+    """
     n = q.size
     gaps = pairwise_differences(q)
-    # fresh C-contiguous matrices: one strided write masks the diagonal
-    gaps.ravel()[:: n + 1] = 1.0
-    inv = 1.0 / gaps
-    inv.ravel()[:: n + 1] = 0.0
-    return 2.0 * qdot * (inv @ qdot)
+    # fresh C-contiguous matrices: one strided write masks the diagonal; the
+    # couplings are finite at an infinite gap and raise no floating-point
+    # warning there
+    gaps.ravel()[:: n + 1] = np.inf
+    kernel = coupling(gaps)
+    kernel.ravel()[:: n + 1] = 0.0
+    return 2.0 * qdot * (kernel @ qdot)
 
 
 def goldfish_rhs(state: GoldfishState) -> np.ndarray:
     """Accelerations of the goldfish flow at a validated state."""
-    return goldfish_acceleration(state.q, state.qdot)
+    return pair_acceleration(state.q, state.qdot, np.reciprocal)
 
 
 def ecm_forces(q: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +340,7 @@ class GoldfishSystem(OdeSystem):
 
     def rhs(self, t, y):
         q, qdot = y[: self.n], y[self.n :]
-        return np.concatenate([qdot, goldfish_acceleration(q, qdot)])
+        return np.concatenate([qdot, pair_acceleration(q, qdot, np.reciprocal)])
 
     def reference(self, state0: GoldfishState):
         return conserved_bn(state0)
@@ -482,7 +488,7 @@ def integrate(
     def build(times, ys, partial: bool):
         # one packed state per row; each row stays a strided view of the
         # solver's column, since a BLAS product in a diagnostic (the geodesic
-        # pi g^-1 pi) rounds differently on a contiguous copy
+        # J^-T pi) can round differently on a contiguous copy
         rows = ys.T
         rejected = system.rejected_row(rows)
         if not partial:

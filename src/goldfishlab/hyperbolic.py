@@ -63,29 +63,16 @@ class HyperbolicData:
         return float(np.sum(self.c_vec))
 
 
-def _pair_acceleration(lam: np.ndarray, lamdot: np.ndarray, coupling) -> np.ndarray:
-    """lamddot_i = 2 lamdot_i sum_{j != i} coupling(lam_i - lam_j) lamdot_j on plain arrays."""
-    n = lam.size
-    gaps = pairwise_differences(lam)
-    # fresh C-contiguous matrices: one strided write masks the diagonal; the
-    # couplings of sinh and coth are finite at an infinite gap and raise no
-    # floating-point warning there
-    gaps.ravel()[:: n + 1] = np.inf
-    kernel = coupling(gaps)
-    kernel.ravel()[:: n + 1] = 0.0
-    return 2.0 * lamdot * (kernel @ lamdot)
-
-
 def hyperbolic_rhs(state: HyperbolicState, a: float) -> np.ndarray:
     """lamddot_i = 2 sum_{j != i} 2 a lamdot_i lamdot_j / sinh(2 a (lam_i - lam_j))."""
     if a == 0:
         raise ValueError("a must be nonzero; the a -> 0 limit is the rational flow")
-    return _pair_acceleration(state.lam, state.lamdot, SinhSystem(state.n, a).coupling)
+    return dynamics.pair_acceleration(state.lam, state.lamdot, SinhSystem(state.n, a).coupling)
 
 
 def coth_rhs(state: HyperbolicState) -> np.ndarray:
     """qddot_i = 2 sum_{j != i} qdot_i qdot_j coth(q_i - q_j)."""
-    return _pair_acceleration(state.lam, state.lamdot, CothSystem.coupling)
+    return dynamics.pair_acceleration(state.lam, state.lamdot, CothSystem.coupling)
 
 
 def lax_pair(state: HyperbolicState, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -212,17 +199,19 @@ def z_eigen_solution(data: HyperbolicData, t: float, imag_tol: float = 1e-9) -> 
 def s_initial(data: HyperbolicData) -> tuple[np.ndarray, np.ndarray]:
     """s_n(0) and sdot_n(0): symmetric functions of z_i = e^{2 a_i} and their rates.
 
-    Raises NonPositiveRoot where z, s(0) or sdot(0) overflows double precision
-    (from a_i near 354 on): the roots z_i of the s polynomial are then out of
-    reach.
+    z is not validated as a configuration: its order is that of a_vec, and
+    its gaps may lie below the collision tolerance (a_vec near -20), where the
+    root recovery reports the collision.  Raises NonPositiveRoot where z, s(0)
+    or sdot(0) overflows double precision (from a_i near 354 on): the roots
+    z_i of the s polynomial are then out of reach.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         z0 = np.exp(2.0 * data.a_vec)
         finite = np.isfinite(z0).all()
         if finite:
-            s0 = symfun.elem_sym_coords(z0)
+            s0 = symfun.elementary_all(z0)[1:]
             zdot0 = 2.0 * data.c_vec * z0
-            sdot0 = symfun.jacobian(z0) @ zdot0
+            sdot0 = symfun.jacobian_stack(z0[None, :])[0] @ zdot0
             finite = np.isfinite(s0).all() and np.isfinite(sdot0).all()
     if not finite:
         raise NonPositiveRoot(
@@ -339,7 +328,7 @@ class _PairFlowSystem(dynamics.OdeSystem):
         if not np.isfinite(y).all():
             HyperbolicState(lam, lamdot)  # raises the state check's error, in its order
         symfun.check_gaps(lam)
-        return np.concatenate([lamdot, _pair_acceleration(lam, lamdot, self.coupling)])
+        return np.concatenate([lamdot, dynamics.pair_acceleration(lam, lamdot, self.coupling)])
 
     def _momentum_drift(self, reference: float, rows: np.ndarray) -> np.ndarray:
         # summed along contiguous rows, each sum is np.sum of that row's velocities

@@ -4,8 +4,8 @@ Two charts are provided as data: the spin-extended chart (q, p, f) of the
 Euler-Calogero-Moser system and the reduced chart (q, pi) whose brackets act
 as Dirac brackets for the goldfish flow.  On top of them sit generic bracket
 evaluation for observables, Jacobi-identity residuals, Hamiltonian flows, the
-so(N) constraint functions G_ij, and the commuting momentum-linear integrals
-B_n of the geodesic picture.
+so(N) constraint functions G_ij, and the brackets of the commuting
+momentum-linear integrals B_n = P_n of the geodesic picture.
 
 Note on the reduced chart: the {pi_i, pi_j} structure function carries a
 factor 2 (coefficient ``GOLDFISH_COEFFICIENT``).  Re-deriving the bracket from
@@ -125,46 +125,28 @@ def _ff_block(f: np.ndarray, rows_i, rows_j, cols_i, cols_j) -> np.ndarray:
     )
 
 
-def ecm_structure(n: int, with_frame: bool = False) -> PoissonStructure:
+def ecm_structure(n: int) -> PoissonStructure:
     """Poisson structure on the chart (q_1..q_n, p_1..p_n, f_{i<j}).
 
     Non-trivial brackets: {q_i, p_j} = delta_ij and the so(N) relations with
-    coefficient 1/2 among the spins f.  ``with_frame`` appends the N^2 frame
-    entries r_ij with {r_ij, f_kl} = -1/2 (d_jk r_il - d_jl r_ik).
+    coefficient 1/2 among the spins f.
     """
     if n < 2:
         raise ValueError("ecm structure needs n >= 2")
     iu, ju = upper_indices(n)
-    nf = iu.size
     chart = (
         [f"q{i + 1}" for i in range(n)]
         + [f"p{i + 1}" for i in range(n)]
         + [f"f_{i + 1}_{j + 1}" for i, j in zip(iu, ju)]
     )
-    if with_frame:
-        chart += [f"r_{i + 1}_{j + 1}" for i in range(n) for j in range(n)]
     d = len(chart)
-    base = 2 * n + nf
 
     def matrix(point: np.ndarray) -> np.ndarray:
-        f = antisymmetric_from_upper(point[2 * n : base], n)
+        f = antisymmetric_from_upper(point[2 * n :], n)
         out = np.zeros((d, d))
         out[:n, n : 2 * n] = np.eye(n)
         out[n : 2 * n, :n] = -np.eye(n)
-        out[2 * n : base, 2 * n : base] = _ff_block(f, iu, ju, iu, ju)
-        if with_frame:
-            r = point[base:].reshape(n, n)
-            # {r_ij, f_kl}: rows over all (i, j), cols over upper pairs (k, l)
-            ri = np.repeat(np.arange(n), n)[:, None]
-            rj = np.tile(np.arange(n), n)[:, None]
-            kb = iu[None, :]
-            lb = ju[None, :]
-            block = -0.5 * (
-                (rj == kb).astype(float) * r[ri, lb]
-                - (rj == lb).astype(float) * r[ri, kb]
-            )
-            out[base:, 2 * n : base] = block
-            out[2 * n : base, base:] = -block.T
+        out[2 * n :, 2 * n :] = _ff_block(f, iu, ju, iu, ju)
         return out
 
     # the whole structure matrix is linear in the point, so its gradient is a
@@ -242,20 +224,17 @@ def goldfish_structure(n: int, coefficient: float = GOLDFISH_COEFFICIENT) -> Poi
 # chart packing
 # ---------------------------------------------------------------------------
 
-def ecm_point(q, p, f, r=None) -> np.ndarray:
-    """Pack (q, p, f[, r]) into an ecm-chart point.
+def ecm_point(q, p, f) -> np.ndarray:
+    """Pack (q, p, f) into an ecm-chart point.
 
     ``f`` may be a full antisymmetric matrix or a strictly-upper vector in
-    row-major order; ``r`` is a full matrix.
+    row-major order.
     """
     q = np.asarray(q, dtype=float)
     n = q.size
     f = np.asarray(f, dtype=float)
     fu = upper_triangle(check_antisymmetric(f, n)) if f.ndim == 2 else finite_vector(f, n * (n - 1) // 2, "f")
-    parts = [q, finite_vector(p, n, "p"), fu]
-    if r is not None:
-        parts.append(np.asarray(r, dtype=float).reshape(n * n))
-    return np.concatenate(parts)
+    return np.concatenate([q, finite_vector(p, n, "p"), fu])
 
 
 def ecm_parts(point, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -460,14 +439,6 @@ def g_constraints(q, p, f) -> np.ndarray:
     if f.ndim == 1:
         f = antisymmetric_from_upper(f, n)
     return 2.0 * (f + pairwise_differences(q) * np.sqrt(np.outer(p, p)))
-
-
-def b_integrals(q, pi) -> np.ndarray:
-    """Commuting integrals B_n = (J qdot)_n with qdot = g^{-1} pi; linear in pi."""
-    q = symfun.as_configuration(q)
-    pi = finite_vector(pi, q.size, "pi")
-    qdot = geometry.inverse_metric(q) @ pi
-    return symfun.jacobian(q) @ qdot
 
 
 def commutation_matrix(q, pi) -> np.ndarray:

@@ -49,8 +49,8 @@ def check_gaps(q: np.ndarray, min_gap: float = COLLISION_TOL) -> None:
             )
 
 
-def _elementary_all(values: np.ndarray) -> np.ndarray:
-    """All elementary symmetric polynomials e_0..e_m of ``values`` (m = len).
+def elementary_all(values: np.ndarray) -> np.ndarray:
+    """All elementary symmetric polynomials e_0..e_m of ``values`` (m = len), not validated.
 
     One-pass stable recurrence, O(m^2); e_0 = 1.
     """
@@ -65,7 +65,7 @@ def _elementary_all(values: np.ndarray) -> np.ndarray:
 def elem_sym_coords(q) -> np.ndarray:
     """Flat coordinates x_n = e_n(q), n = 1..N."""
     q = as_configuration(q)
-    return _elementary_all(q)[1:]
+    return elementary_all(q)[1:]
 
 
 def jacobian(q) -> np.ndarray:
@@ -76,7 +76,7 @@ def jacobian(q) -> np.ndarray:
 def jacobian_stack(qs: np.ndarray) -> np.ndarray:
     """``jacobian`` of each row of qs (rows, N), shape (rows, N, N); rows not validated.
 
-    Column j is the recurrence of ``_elementary_all`` run over q without q_j.
+    Column j is the recurrence of ``elementary_all`` run over q without q_j.
     All columns of all rows are advanced together in one pass over the N
     positions: step i applies J[1:] = J[1:] + q_i J[:-1] and then restores
     column i, which must skip q_i.  Before step i a column holds e_0..e_i at

@@ -349,6 +349,10 @@ class TestCompareCommand:
               "t_end": 0.001, "output_points": 3}, "s_exact", 3, "error: NonPositiveRoot: "),
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 355], "c_vec": [1, 1],
               "t_end": 0.001, "output_points": 3}, "s_exact", 3, "error: NonPositiveRoot: "),
+            # z = e^{2 a} near a = -20 has its gap far below the collision
+            # tolerance: the root recovery of the s polynomial reports it
+            ({"system": "hyperbolic-coth", "N": 2, "a_vec": [-20, -19.9], "c_vec": [1, -0.5],
+              "t_end": 0.1, "output_points": 3}, "s_exact", 3, "error: RootCollision: "),
         ],
     )
     def test_coth_routes_outside_the_kernel_domain_as_a_process(self, tmp_path, raw, solvers, code, stderr):
@@ -579,3 +583,20 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+def test_geodesic_runs_leave_the_closed_form_inverse_metric_to_verify(tmp_path, monkeypatch):
+    # the closed-form g^{-1} and its gradient lose about cond(g) digits; the
+    # geodesic simulate and compare runs go through J^{-1} instead
+    from goldfishlab import geometry
+
+    def refuse(q):
+        raise AssertionError("closed-form inverse metric evaluated outside verify")
+
+    monkeypatch.setattr(geometry, "inverse_metric", refuse)
+    monkeypatch.setattr(geometry, "inverse_metric_gradient", refuse)
+    cfg = write_config(tmp_path / "cfg.json", {"system": "geodesic", "N": 3, "t_end": 0.3,
+                                               "output_points": 7, **SYSTEM_CONFIGS["geodesic"][0]})
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "traj.csv")]) == 0
+    assert cli.main(["compare", "--config", cfg, "--solvers", "rk_integration,flat_exact",
+                     "--out", str(tmp_path / "cmp.csv")]) == 0

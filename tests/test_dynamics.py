@@ -121,7 +121,7 @@ class TestStageKernels:
     def test_goldfish_and_ecm(self, n):
         for y in self._states(n, 2 * n):
             q, qdot = y[:n], y[n:]
-            assert np.array_equal(dynamics.goldfish_acceleration(q, qdot),
+            assert np.array_equal(dynamics.pair_acceleration(q, qdot, np.reciprocal),
                                   _parent_goldfish_acceleration(q, qdot))
         system = dynamics.EcmSystem(n)
         for y in self._states(n, 2 * n + n * (n - 1) // 2):
@@ -138,7 +138,7 @@ class TestStageKernels:
             for y in self._states(n, 2 * n):
                 with np.errstate(over="ignore"):
                     parent = _parent_pair_acceleration(y[:n], y[n:], coupling)
-                assert np.array_equal(hyperbolic._pair_acceleration(y[:n], y[n:], coupling), parent)
+                assert np.array_equal(dynamics.pair_acceleration(y[:n], y[n:], coupling), parent)
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_frame_flow(self, monkeypatch, n):
@@ -388,7 +388,7 @@ class TestOutputGrid:
                     system.rhs(0.0, y)
             else:
                 state = hyperbolic.HyperbolicState(y[:3], y[3:])
-                expected = hyperbolic._pair_acceleration(state.lam, state.lamdot, system.coupling)
+                expected = dynamics.pair_acceleration(state.lam, state.lamdot, system.coupling)
                 assert np.array_equal(system.rhs(0.0, y), np.concatenate([state.lamdot, expected]))
 
     @pytest.mark.parametrize("bad_row", [None, 0, 2, -1])

@@ -124,6 +124,23 @@ class TestGeodesicFlow:
         assert_allclose(qdot, [2.0])
         assert_allclose(pidot, [0.0])
 
+    @pytest.mark.parametrize("n, draws, tol", [(n, 10, 1e-12) for n in range(1, 9)] + [(32, 1, 1e-10)])
+    def test_flat_momenta_match_the_closed_form(self, n, draws, tol):
+        # Hamilton's equations and H through P = J^{-T} pi against the
+        # closed-form g^{-1} and its gradient, on gaps in [0.3, 0.9]
+        rng = np.random.default_rng(n)
+        for _ in range(draws):
+            q = 0.6 * np.arange(n) - 0.3 * (n - 1) + rng.uniform(-0.15, 0.15, n)
+            pi = rng.uniform(-1.5, 1.5, n)
+            state = geometry.GeodesicState(q, pi)
+            ginv = geometry.inverse_metric(q)
+            dg = geometry.inverse_metric_gradient(q)
+            closed = ginv @ pi, -0.5 * np.einsum("i,kij,j->k", pi, dg, pi)
+            for ours, oracle in zip(geometry.geodesic_rhs(state), closed):
+                assert np.abs(ours - oracle).max() <= tol * np.abs(oracle).max()
+            energy = 0.5 * float(pi @ ginv @ pi)
+            assert abs(geometry.geodesic_hamiltonian(state) - energy) <= tol * energy
+
     def test_gradient_analytic_vs_mpmath(self):
         # d g^{ij} / d q_k of the closed form sum_m (q_i q_j)^m / (D_i D_j), by
         # mpmath's own differentiation at 30 digits
