@@ -5,9 +5,12 @@
 
 Seeds SEED_FROM..SEED_TO, both included.  Each line holds the seed, a digest
 of the command's stdout and of its JSON report with every ``seconds`` field
-masked, and the failing checks ("-" if none).  Two source trees that print the
-same lines give the same verify output at those seeds, timings apart, so
-diffing the output of two trees checks that a change left ``verify`` alone.
+masked, the failing checks ("-" if none), and the seed's margin: the "below"
+check (pass iff residual <= tolerance) with the largest residual/tolerance
+ratio among those with a tolerance above 0, and that ratio.  Two source trees
+that print the same digests give the same verify output at those seeds,
+timings apart, so diffing the output of two trees checks that a change left
+``verify`` alone; where it did not, the margins show by how much it moved.
 Exits 1 if any check failed at any seed.
 """
 import argparse
@@ -22,8 +25,21 @@ from pathlib import Path
 from goldfishlab import cli
 
 
-def scan_seed(seed: int, report_path: Path) -> tuple[str, list[str]]:
-    """(digest, failing check names) of ``verify all --seed seed``."""
+def tightest_below(report: list[dict]) -> tuple[str, float]:
+    """(name, residual / tolerance) of the report's "below" check closest to its tolerance.
+
+    The report holds no check modes, but a check is a "below" check exactly
+    when its pass flag equals residual <= tolerance: a negative control passes
+    above its tolerance and fails at or below it.
+    """
+    ratio, name = max((entry["max_residual"] / entry["tolerance"], entry["name"]) for entry in report
+                      if entry["tolerance"] > 0
+                      and (entry["max_residual"] <= entry["tolerance"]) == entry["pass"])
+    return name, ratio
+
+
+def scan_seed(seed: int, report_path: Path) -> tuple[str, list[str], tuple[str, float]]:
+    """(digest, failing check names, ``tightest_below``) of ``verify all --seed seed``."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         cli.main(["verify", "all", "--seed", str(seed), "--out", str(report_path)])
@@ -31,7 +47,8 @@ def scan_seed(seed: int, report_path: Path) -> tuple[str, list[str]]:
     masked = [{key: value for key, value in entry.items() if key != "seconds"} for entry in report]
     payload = stdout.getvalue() + "\0" + json.dumps(masked, sort_keys=True)
     digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-    return digest, [entry["name"] for entry in report if not entry["pass"]]
+    failing = [entry["name"] for entry in report if not entry["pass"]]
+    return digest, failing, tightest_below(report)
 
 
 def main() -> int:
@@ -44,9 +61,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         report_path = Path(tmp) / "report.json"
         for seed in range(args.seed_from, args.seed_to + 1):
-            digest, failing = scan_seed(seed, report_path)
+            digest, failing, (name, ratio) = scan_seed(seed, report_path)
             any_failed = any_failed or bool(failing)
-            print(f"{seed} {digest} {','.join(failing) or '-'}", flush=True)
+            print(f"{seed} {digest} {','.join(failing) or '-'} {name} {ratio:.3g}", flush=True)
     return 1 if any_failed else 0
 
 

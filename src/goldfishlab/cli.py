@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import dynamics, symfun
-from .errors import ConfigInvalid, GoldfishLabError, IntegrationError
+from .errors import ConfigInvalid, GoldfishLabError, IntegrationError, OutputUnwritable
 from .rk45 import MIN_RTOL
 from .utils import upper_indices
 
@@ -167,19 +167,25 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``; an OSError (a missing directory, say) becomes OutputUnwritable."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write output: {exc}") from exc
+
+
 def _write_csv(path, header: list[str], rows, footer=()) -> None:
     """One line per row of numbers, each as ``_fmt`` writes it."""
     template = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
     lines += [template % tuple(row) for row in rows]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join([*lines, *footer]) + "\n")
+    _write_text(path, "\n".join([*lines, *footer]) + "\n")
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def sidecar_path(out_path) -> Path:
@@ -196,14 +202,11 @@ def _simulate_matrix(cfg: RunConfig):
 
     flow = reduction.rank1_velocity(cfg.q0, cfg.qdot0)
     _, eigenvalues = reduction.eigen_track(flow, cfg.times, gap_tol=cfg.collision_gap)
-    state0 = dynamics.GoldfishState(cfg.q0, cfg.qdot0)
-    x0 = symfun.elem_sym_coords(cfg.q0)
-    b = dynamics.conserved_bn(state0)
-    drift = []
-    for t, eig in zip(cfg.times, eigenvalues):
-        drift.append(float(np.abs(symfun.elem_sym_coords(eig) - (x0 + t * b)).max()))
+    x0, b = symfun.flat_line(cfg.q0, cfg.qdot0)
+    x = symfun.flat_line(eigenvalues, np.zeros_like(eigenvalues))[0]
+    drift = np.abs(x - (x0 + cfg.times[:, None] * b)).max(axis=1)
     rows = [[t, *eig] for t, eig in zip(cfg.times, eigenvalues)]
-    return rows, {"flat_drift": drift}
+    return rows, {"flat_drift": drift.tolist()}
 
 
 def _integrate(cfg: RunConfig, system: dynamics.OdeSystem, state0) -> dynamics.Trajectory:
@@ -482,6 +485,17 @@ class _VerifySelectors:
         return iter(self._names())
 
 
+def _seed(text: str) -> int:
+    """A verify seed: a nonnegative integer, as the random generators require."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goldfishlab",
@@ -497,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     # set after add_argument, which would read the choices: the other
     # commands never read them and so never import verify
     p_ver.add_argument("selector").choices = _VerifySelectors()
-    p_ver.add_argument("--seed", type=int, default=42)
+    p_ver.add_argument("--seed", type=_seed, default=42)
     p_ver.add_argument("--out", required=True, help="output JSON report path")
 
     p_cmp = sub.add_parser("compare", help="run several solvers and tabulate discrepancies")
@@ -509,12 +523,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return run_simulate(args.config, args.out)
-    if args.command == "verify":
-        return run_verify(args.selector, args.seed, args.out)
-    if args.command == "compare":
-        return run_compare(args.config, [s for s in args.solvers.split(",") if s], args.out)
+    try:
+        if args.command == "simulate":
+            return run_simulate(args.config, args.out)
+        if args.command == "verify":
+            return run_verify(args.selector, args.seed, args.out)
+        if args.command == "compare":
+            return run_compare(args.config, [s for s in args.solvers.split(",") if s], args.out)
+    except OutputUnwritable as exc:
+        print(f"error: {exc}", file=sys.stderr)
     return 2
 
 

@@ -220,27 +220,6 @@ def f_from_velocities(q, qdot) -> np.ndarray:
     return -pairwise_differences(q) * np.sqrt(np.outer(qdot, qdot))
 
 
-def conserved_bn(state: GoldfishState) -> np.ndarray:
-    """Conserved b_n = (J(q) qdot)_n, the flat-coordinate velocities."""
-    return symfun.jacobian(state.q) @ state.qdot
-
-
-def conserved_bn_grid(q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-    """``conserved_bn`` of each row of validated (q, qdot), shape (rows, N).
-
-    The Jacobians are built by ``symfun.jacobian_stack`` in blocks of about
-    2^16 entries (16 rows at N = 64), which keeps the stack near 0.5 MB.
-    Each row equals ``conserved_bn`` of that state bit for bit.
-    """
-    rows, n = q.shape
-    block = max(1, 2**16 // (n * n))
-    b = np.empty((rows, n))
-    for start in range(0, rows, block):
-        jac = symfun.jacobian_stack(q[start : start + block])
-        b[start : start + block] = np.matmul(jac, qdot[start : start + block, :, None])[:, :, 0]
-    return b
-
-
 # ---------------------------------------------------------------------------
 # exact goldfish solver
 # ---------------------------------------------------------------------------
@@ -252,8 +231,8 @@ def goldfish_exact(state0: GoldfishState, t: float, root_tol: float = 1e-9) -> n
     ascending.  Raises ComplexRoots / RootCollision once the real,
     collision-free sector is left.
     """
-    x = symfun.elem_sym_coords(state0.q) + t * conserved_bn(state0)
-    return symfun.roots_from_coords(x, tol=root_tol)
+    x0, b = symfun.flat_line(state0.q, state0.qdot)
+    return symfun.roots_from_coords(x0 + t * b, tol=root_tol)
 
 
 def goldfish_exact_trajectory(state0: GoldfishState, times) -> np.ndarray:
@@ -272,8 +251,7 @@ def goldfish_exact_trajectory(state0: GoldfishState, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if secular.domain_error(state0.q, state0.qdot, times) is None:
         return secular.secular_roots(state0.q, state0.qdot, times)
-    x0 = symfun.elem_sym_coords(state0.q)
-    b = conserved_bn(state0)
+    x0, b = symfun.flat_line(state0.q, state0.qdot)
     return np.vstack([symfun.roots_from_coords(x0 + t * b, tol=1e-9) for t in times])
 
 
@@ -343,10 +321,10 @@ class GoldfishSystem(OdeSystem):
         return np.concatenate([qdot, pair_acceleration(q, qdot, np.reciprocal)])
 
     def reference(self, state0: GoldfishState):
-        return conserved_bn(state0)
+        return symfun.flat_line(state0.q, state0.qdot)[1]
 
     def grid_diagnostics(self, reference, rows):
-        drift = np.abs(conserved_bn_grid(rows[:, : self.n], rows[:, self.n :]) - reference)
+        drift = np.abs(symfun.flat_line(rows[:, : self.n], rows[:, self.n :])[1] - reference)
         return {"bn_drift": drift.max(axis=1), "momentum_drift": drift[:, 0]}
 
 

@@ -68,6 +68,10 @@ class ConfigInvalid(GoldfishLabError):
     """A run configuration failed validation."""
 
 
+class OutputUnwritable(GoldfishLabError):
+    """An output file given on the command line could not be written."""
+
+
 class IntegrationError(GoldfishLabError):
     """Base class for integrator failures; carries the partial trajectory."""
 

@@ -156,18 +156,22 @@ def metric(q) -> np.ndarray:
 
 
 def _denominators(q: np.ndarray) -> np.ndarray:
-    """D_i = prod_{k != i} (q_i - q_k)."""
+    """D_i = prod_{k != i} (q_i - q_k), in q's dtype."""
     n = q.size
-    return np.prod(pairwise_differences(q) + np.eye(n), axis=1)
+    return np.prod(pairwise_differences(q) + np.eye(n, dtype=q.dtype), axis=1)
 
 
 def inverse_metric(q) -> np.ndarray:
     """Closed form g^{ij} = sum_{m=0}^{N-1} (q_i q_j)^m / (D_i D_j)."""
-    q = symfun.as_configuration(q)
+    return _closed_form_inverse_metric(symfun.as_configuration(q))
+
+
+def _closed_form_inverse_metric(q: np.ndarray) -> np.ndarray:
+    """``inverse_metric`` of an unvalidated array in its dtype: exact on Fractions."""
     n = q.size
     prod = np.outer(q, q)
-    numer = np.zeros((n, n))
-    term = np.ones((n, n))
+    numer = np.zeros((n, n), q.dtype)
+    term = np.ones((n, n), q.dtype)
     for _ in range(n):
         numer += term
         term = term * prod

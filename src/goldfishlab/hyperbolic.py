@@ -20,6 +20,7 @@ from .errors import (
     NonPositiveVelocity,
     NonRealSpectrum,
     PoleProximity,
+    RootCollision,
     ZeroMomentum,
 )
 from .utils import finite_vector, pairwise_differences
@@ -180,7 +181,9 @@ def z_eigen_solution(data: HyperbolicData, t: float, imag_tol: float = 1e-9) -> 
 
     (L0)_ij = c_j row-replicated, and e^{2 t L0} = I + gamma L0 in closed form.
     Mixed-sign velocities are allowed here, only reality and positivity of
-    the spectrum are enforced: q_i = ln(mu_i) / 2 with mu ascending.
+    the spectrum are enforced: q_i = ln(mu_i) / 2 with mu ascending.  Raises
+    RootCollision where two positions lie closer than ``symfun.COLLISION_TOL``,
+    as the root recovery of ``s_exact`` does.
     """
     p = data.momentum
     if p == 0:
@@ -193,7 +196,11 @@ def z_eigen_solution(data: HyperbolicData, t: float, imag_tol: float = 1e-9) -> 
     mu = np.sort(mu.real)
     if mu[0] <= 0:
         raise NonPositiveEigenvalue(f"smallest eigenvalue {mu[0]:.3e} <= 0")
-    return 0.5 * np.log(mu)
+    q = 0.5 * np.log(mu)
+    gap = np.diff(q).min() if q.size > 1 else np.inf
+    if gap < symfun.COLLISION_TOL:
+        raise RootCollision(f"position gap {gap:.3e} below collision tolerance {symfun.COLLISION_TOL:.3e}")
+    return q
 
 
 def s_initial(data: HyperbolicData) -> tuple[np.ndarray, np.ndarray]:
@@ -209,9 +216,7 @@ def s_initial(data: HyperbolicData) -> tuple[np.ndarray, np.ndarray]:
         z0 = np.exp(2.0 * data.a_vec)
         finite = np.isfinite(z0).all()
         if finite:
-            s0 = symfun.elementary_all(z0)[1:]
-            zdot0 = 2.0 * data.c_vec * z0
-            sdot0 = symfun.jacobian_stack(z0[None, :])[0] @ zdot0
+            s0, sdot0 = symfun.flat_line(z0, 2.0 * data.c_vec * z0)
             finite = np.isfinite(s0).all() and np.isfinite(sdot0).all()
     if not finite:
         raise NonPositiveRoot(

@@ -49,23 +49,30 @@ def check_gaps(q: np.ndarray, min_gap: float = COLLISION_TOL) -> None:
             )
 
 
-def elementary_all(values: np.ndarray) -> np.ndarray:
-    """All elementary symmetric polynomials e_0..e_m of ``values`` (m = len), not validated.
+def flat_line(values: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, b): x_n = e_n(values) and b_n = sum_j rates_j dx_n/dvalues_j, n = 1..N.
 
-    One-pass stable recurrence, O(m^2); e_0 = 1.
+    For (q, qdot) the goldfish flow is the line x(0) + t b.  One pass of the
+    recurrence e_{1..i+1} += v_i e_{0..i} over the last axis, differentiated
+    in forward mode, gives both in O(N^2), where J(q) qdot costs O(N^3).
+    Leading axes are rows; nothing is validated.  Arrays are allocated in the
+    inputs' dtype with no float literal, so Fraction object arrays stay exact.
     """
-    m = values.size
-    e = np.zeros(m + 1)
-    e[0] = 1.0
-    for v in values:
-        e[1:] = e[1:] + v * e[:-1]
-    return e
+    # transposed, entry i holds v_i of every row, broadcast over e_0..e_i
+    values, rates = values.T, rates.T
+    e = np.zeros((values.shape[0] + 1,) + values.shape[1:], np.result_type(values, rates))
+    e[0] = 1
+    d = np.zeros_like(e)
+    for i, (v, r) in enumerate(zip(values, rates)):
+        d[1 : i + 2] += v * d[: i + 1] + r * e[: i + 1]
+        e[1 : i + 2] += v * e[: i + 1]
+    return e[1:].T, d[1:].T
 
 
 def elem_sym_coords(q) -> np.ndarray:
     """Flat coordinates x_n = e_n(q), n = 1..N."""
     q = as_configuration(q)
-    return elementary_all(q)[1:]
+    return flat_line(q, np.zeros_like(q))[0]
 
 
 def jacobian(q) -> np.ndarray:
@@ -76,7 +83,7 @@ def jacobian(q) -> np.ndarray:
 def jacobian_stack(qs: np.ndarray) -> np.ndarray:
     """``jacobian`` of each row of qs (rows, N), shape (rows, N, N); rows not validated.
 
-    Column j is the recurrence of ``elementary_all`` run over q without q_j.
+    Column j is the recurrence of ``flat_line``'s x run over q without q_j.
     All columns of all rows are advanced together in one pass over the N
     positions: step i applies J[1:] = J[1:] + q_i J[:-1] and then restores
     column i, which must skip q_i.  Before step i a column holds e_0..e_i at
@@ -84,11 +91,11 @@ def jacobian_stack(qs: np.ndarray) -> np.ndarray:
     they would in the full update.  That is O(N) numpy calls and O(N^3) flops
     per row, and every entry receives the same IEEE operations in the same
     order as in the per-column definition, so the result is bit-identical to
-    it whatever the number of rows.
+    it whatever the number of rows.  Fraction rows (object dtype) stay exact.
     """
     rows, n = qs.shape
-    jac = np.zeros((rows, n, n))
-    jac[:, 0] = 1.0
+    jac = np.zeros((rows, n, n), qs.dtype)
+    jac[:, 0] = 1
     for i in range(n):
         m = min(i + 2, n)
         skipped = jac[:, 1:m, i].copy()

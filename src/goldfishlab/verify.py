@@ -64,13 +64,8 @@ def _check(name: str, suite: str, mode: str = "below"):
     return wrap
 
 
-def _elementary(values: list[Fraction]) -> list[Fraction]:
-    """All elementary symmetric polynomials e_0..e_m of ``values``, in exact arithmetic."""
-    e = [Fraction(1)] + [Fraction(0)] * len(values)
-    for v in values:
-        for k in range(len(values), 0, -1):
-            e[k] += v * e[k - 1]
-    return e
+#: Exact rational value of each entry of a float or Fraction array, as an object array.
+_fractions = np.frompyfunc(Fraction, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -116,20 +111,21 @@ def _symfun_jacobian_columns(rng):
     """Each column of J against an exact difference of the coordinates x = e(q).
 
     e(q) is affine in each q_j, so e(q | q_j := 1) - e(q | q_j := 0) is column
-    j with no truncation error; it is evaluated in Fractions of the same float
-    draws, so the residual is the rounding of ``jacobian`` alone.
+    j with no truncation error; ``symfun.flat_line`` evaluates it in Fractions
+    of the same float draws, so the residual is the rounding of ``jacobian``
+    alone.
     """
     worst = Fraction(0)
     for _ in range(10):
         n = int(rng.integers(2, 7))
         q = sampling.random_configuration(rng, n)
         jac = symfun.jacobian(q)
-        exact = [Fraction(v) for v in q]
-        for j in range(n):
-            high = _elementary(exact[:j] + [Fraction(1)] + exact[j + 1 :])
-            low = _elementary(exact[:j] + [Fraction(0)] + exact[j + 1 :])
-            for row in range(n):
-                worst = max(worst, abs(high[row + 1] - low[row + 1] - Fraction(jac[row, j])))
+        # row j of corners[0] (of corners[1]) is the exact q with q_j := 1 (:= 0)
+        corners = np.tile(_fractions(q), (2, n, 1))
+        corners[0, range(n), range(n)] = 1
+        corners[1, range(n), range(n)] = 0
+        x = symfun.flat_line(corners, np.zeros_like(corners))[0]
+        worst = max(worst, np.abs((x[0] - x[1]).T - _fractions(jac)).max())
     return float(worst), 1e-8
 
 
@@ -216,39 +212,20 @@ def _inverse_metric_closed_form(rng):
     """Exact rational arithmetic: the closed-form inverse is exactly g^{-1}.
 
     Configurations are drawn on the eighth-integer grid over [-3, 3] so every
-    quantity is a Fraction; the product g g^{-1} must equal the identity with
-    zero residual, for N up to 6 including poorly conditioned corners.
+    quantity is a Fraction: g = J^T J from ``symfun.jacobian_stack`` and the
+    closed form of ``geometry.inverse_metric`` both run on the Fractions.  The
+    product g g^{-1} must equal the identity with zero residual, for N up to 6
+    including poorly conditioned corners.
     """
-    from math import prod
-
     worst = Fraction(0)
     grid = [Fraction(k, 8) for k in range(-24, 25)]
     for _ in range(10):
         n = int(rng.integers(2, 7))
         picks = sorted(rng.choice(len(grid), size=n, replace=False))
-        q = [grid[k] for k in picks]
-        jac = [[None] * n for _ in range(n)]
-        for j in range(n):
-            rest = q[:j] + q[j + 1 :]
-            col = _elementary(rest)
-            for row in range(n):
-                jac[row][j] = col[row]
-        g = [[sum(jac[k][i] * jac[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        denom = [
-            prod([q[i] - q[k] for k in range(n) if k != i], start=Fraction(1))
-            for i in range(n)
-        ]
-        ginv = [
-            [
-                sum((q[i] * q[j]) ** m for m in range(n)) / (denom[i] * denom[j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        for i in range(n):
-            for j in range(n):
-                entry = sum(g[i][k] * ginv[k][j] for k in range(n))
-                worst = max(worst, abs(entry - (1 if i == j else 0)))
+        q = np.array([grid[k] for k in picks], dtype=object)
+        jac = symfun.jacobian_stack(q[None, :])[0]
+        prod = jac.T @ jac @ geometry._closed_form_inverse_metric(q)
+        worst = max(worst, np.abs(prod - np.eye(n, dtype=object)).max())
     return float(worst), 0.0
 
 

@@ -251,6 +251,31 @@ class TestVerifyCommand:
         assert err.endswith(f"error: argument selector: invalid choice: 'nosuch' (choose from {choices})\n")
 
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "symfun", "--seed", "-1", "--out", str(tmp_path / "r.json")])
+        assert info.value.code == 2
+        assert not (tmp_path / "r.json").exists()
+        usage, _, error = capsys.readouterr().err.partition("\n")
+        assert usage == "usage: goldfishlab verify [-h] [--seed SEED] --out OUT"
+        assert error.endswith("error: argument --seed: seed must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "verify"])
+def test_output_in_a_missing_directory_exits_two_as_a_process(tmp_path, command):
+    out = str(tmp_path / "missing" / "out.csv")
+    cfg = write_config(tmp_path / "cfg.json", GOLDFISH)
+    argv = {"simulate": ["--config", cfg], "compare": ["--config", cfg, "--solvers", "flat_exact"],
+            "verify": ["symfun", "--seed", "1"]}[command]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "goldfishlab", command, *argv, "--out", out],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write output: ") and proc.stderr.count("\n") == 1
+    assert out in proc.stderr and proc.stdout == ""
+
+
 class TestCompareCommand:
     def test_goldfish_solver_pair(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {**GOLDFISH, "t_end": 0.3})
@@ -353,6 +378,10 @@ class TestCompareCommand:
             # tolerance: the root recovery of the s polynomial reports it
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [-20, -19.9], "c_vec": [1, -0.5],
               "t_end": 0.1, "output_points": 3}, "s_exact", 3, "error: RootCollision: "),
+            # there the spectrum of Z(t > 0) is a complex pair near 5e-18 with
+            # imaginary parts near 3e-19: both positions read -19.9386
+            ({"system": "hyperbolic-coth", "N": 2, "a_vec": [-20, -19.9], "c_vec": [1, -0.5],
+              "t_end": 0.1, "output_points": 3}, "z_eigen", 3, "error: RootCollision: "),
         ],
     )
     def test_coth_routes_outside_the_kernel_domain_as_a_process(self, tmp_path, raw, solvers, code, stderr):

@@ -213,12 +213,13 @@ class TestFFromVelocities:
 
 class TestConservedQuantities:
     def test_bn_hand_values(self):
-        assert_allclose(dynamics.conserved_bn(dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])), [2.0, 1.0])
-        assert_allclose(
-            dynamics.conserved_bn(dynamics.GoldfishState([1.0, 2.0, 3.0], [1.0, 0.0, 0.0])),
-            [1.0, 5.0, 6.0],
-        )
-        assert np.all(dynamics.conserved_bn(dynamics.GoldfishState([1.0, 2.0], [0.0, 0.0])) == 0.0)
+        # the goldfish diagnostics drift against b = J(q) qdot of symfun.flat_line
+        def reference(q, qdot):
+            return dynamics.GoldfishSystem(len(q)).reference(dynamics.GoldfishState(q, qdot))
+
+        assert reference([0.0, 1.0], [1.0, 1.0]).tolist() == [2.0, 1.0]
+        assert reference([1.0, 2.0, 3.0], [1.0, 0.0, 0.0]).tolist() == [1.0, 5.0, 6.0]
+        assert np.all(reference([1.0, 2.0], [0.0, 0.0]) == 0.0)
 
 
 class TestGoldfishExact:
@@ -344,14 +345,25 @@ class TestOutputGrid:
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_blocked_bn_is_the_per_row_product(self, n):
-        # 37 rows: one partial block for N <= 42, full blocks and a partial one above
+        # named for the blocked J(q) qdot it once pinned: the grid's b_n drift
+        # is the per-row drift of symfun.flat_line's b bit for bit, that b is
+        # J(q) qdot to rounding, and the stacked Jacobians are the per-row ones
         rows = _grid(n, 37, 2 * n, seed=0)
         q, qdot = rows[:, :n], rows[:, n:]
         jac = symfun.jacobian_stack(q)
-        b = dynamics.conserved_bn_grid(q, qdot)
+        system = dynamics.GoldfishSystem(n)
+        reference = system.reference(system.unpack(rows[0]))
+        drift = system.grid_diagnostics(reference, rows)
+        assert drift["bn_drift"][0] == 0.0
+        eps = np.finfo(float).eps
         for k in range(len(rows)):
             assert np.array_equal(jac[k], symfun.jacobian(q[k]))
-            assert np.array_equal(b[k], symfun.jacobian(q[k]) @ qdot[k])
+            b = symfun.flat_line(q[k], qdot[k])[1]
+            assert drift["bn_drift"][k] == np.abs(b - reference).max()
+            assert drift["momentum_drift"][k] == abs(b[0] - reference[0])
+            # each of b and J qdot rounds within 2 N eps of the sums over |q|, |qdot|
+            scale = symfun.flat_line(np.abs(q[k]), np.abs(qdot[k]))[1]
+            assert np.all(np.abs(b - jac[k] @ qdot[k]) <= 4 * n * eps * scale)
 
     @pytest.mark.parametrize("system, width", [
         (dynamics.GoldfishSystem(5), 10), (dynamics.EcmSystem(5), 20),

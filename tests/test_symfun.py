@@ -39,6 +39,77 @@ class TestElemSymCoords:
             symfun.as_configuration([0.0, np.inf])
 
 
+def plain_recurrence(values):
+    """e_1..e_N of a float vector by the recurrence over the whole coefficient vector."""
+    e = np.zeros(values.size + 1)
+    e[0] = 1.0
+    for v in values:
+        e[1:] = e[1:] + v * e[:-1]
+    return e[1:]
+
+
+def exact_elementary(values):
+    """e_1..e_N of a list of Fractions, in exact arithmetic."""
+    e = [Fraction(1)] + [Fraction(0)] * len(values)
+    for v in values:
+        for k in range(len(values), 0, -1):
+            e[k] += v * e[k - 1]
+    return e[1:]
+
+
+class TestFlatLine:
+    def test_hand_values(self):
+        # b = J(q) qdot: J([0, 1]) = [[1, 1], [1, 0]], J([1, 2, 3])[:, 0] = [1, 5, 6]
+        x, b = symfun.flat_line(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        assert x.tolist() == [1.0, 0.0] and b.tolist() == [2.0, 1.0]
+        x, b = symfun.flat_line(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0]))
+        assert x.tolist() == [6.0, 11.0, 6.0] and b.tolist() == [1.0, 5.0, 6.0]
+        assert np.all(symfun.flat_line(np.array([1.0, 2.0]), np.zeros(2))[1] == 0.0)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_rows_are_the_single_row_calls_and_x_the_plain_recurrence(self, n):
+        rng = np.random.default_rng(n)
+        scale = 10.0 ** rng.uniform(-1, 2)
+        q = np.sort(rng.uniform(-scale, scale, (5, n)), axis=1)
+        qdot = rng.uniform(-1.0, 1.0, (5, n))
+        x, b = symfun.flat_line(q, qdot)
+        assert x.shape == b.shape == (5, n)
+        for k in range(5):
+            row_x, row_b = symfun.flat_line(q[k], qdot[k])
+            assert np.array_equal(row_x, plain_recurrence(q[k]))
+            assert np.array_equal(x[k], row_x) and np.array_equal(b[k], row_b)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_b_is_the_exact_affine_difference(self, n):
+        # e(q) is affine in each q_j, so b = sum_j qdot_j (e(q | q_j := 1) -
+        # e(q | q_j := 0)) exactly; on Fractions the kernel must give it, and
+        # in floats each b_n lies within 2 N eps of the same sum over |q|, |qdot|
+        rng = np.random.default_rng(n)
+        q = np.sort(rng.uniform(-3.0, 3.0, n))
+        qdot = rng.uniform(-1.5, 1.5, n)
+        exact_q, exact_qdot = [Fraction(v) for v in q], [Fraction(v) for v in qdot]
+        target = [Fraction(0)] * n
+        for j, rate in enumerate(exact_qdot):
+            high = exact_elementary(exact_q[:j] + [Fraction(1)] + exact_q[j + 1 :])
+            low = exact_elementary(exact_q[:j] + [Fraction(0)] + exact_q[j + 1 :])
+            target = [t + rate * (h - l) for t, h, l in zip(target, high, low)]
+        x, b = symfun.flat_line(np.array(exact_q, dtype=object), np.array(exact_qdot, dtype=object))
+        assert x.tolist() == exact_elementary(exact_q) and b.tolist() == target
+        assert all(type(v) in (Fraction, int) for v in [*x, *b])
+        got = symfun.flat_line(q, qdot)[1]
+        scale = symfun.flat_line(np.abs(q), np.abs(qdot))[1]
+        bound = 2 * n * Fraction(np.finfo(float).eps)
+        for k in range(n):
+            assert abs(Fraction(got[k]) - target[k]) <= bound * Fraction(scale[k])
+
+    def test_stacked_fractions_stay_exact(self):
+        rows = np.array([[Fraction(1, 3), Fraction(2)], [Fraction(-5, 7), 1]], dtype=object)
+        x, b = symfun.flat_line(rows, np.array([[1, 0], [Fraction(1, 2), 2]], dtype=object))
+        assert x.tolist() == [[Fraction(7, 3), Fraction(2, 3)], [Fraction(2, 7), Fraction(-5, 7)]]
+        assert b.tolist() == [[1, 2], [Fraction(5, 2), Fraction(-13, 14)]]
+        assert all(type(v) in (Fraction, int) for v in [*x.flat, *b.flat])
+
+
 class TestJacobian:
     def test_hand_values(self):
         assert_allclose(symfun.jacobian([1.0, 2.0]), [[1.0, 1.0], [2.0, 1.0]])
@@ -93,14 +164,15 @@ class TestJacobianBitIdentity:
 def exact_jacobian(values):
     """J[r][j] = e_r of ``values`` without entry j, in exact arithmetic."""
     n = len(values)
-    columns = []
-    for j in range(n):
-        e = [Fraction(1)] + [Fraction(0)] * n
-        for x in values[:j] + values[j + 1 :]:
-            for k in range(n, 0, -1):
-                e[k] += x * e[k - 1]
-        columns.append(e)
+    columns = [[Fraction(1)] + exact_elementary(values[:j] + values[j + 1 :]) for j in range(n)]
     return [[columns[j][r] for j in range(n)] for r in range(n)]
+
+
+def test_jacobian_stack_is_exact_on_fractions():
+    q = [Fraction(-13, 8), Fraction(-1, 4), Fraction(5, 8), Fraction(17, 8)]
+    stack = symfun.jacobian_stack(np.array([q, q[::-1]], dtype=object))
+    assert stack[0].tolist() == exact_jacobian(q)
+    assert stack[1].tolist() == exact_jacobian(q[::-1])
 
 
 class TestJacobianDerivative:
