@@ -1,9 +1,10 @@
 """Command-line front end: simulate, verify, compare.
 
-Exit codes: 0 success, 1 verification found a failing check, 2 bad usage or
-invalid configuration, 3 a solver stopped early (collision or step-size
-failure; partial trajectory rows are still written, with a truncation note in
-the diagnostics sidecar).
+Exit codes: 0 success, 1 verification found a failing check, 2 bad usage,
+invalid configuration or an unwritable output (a missing ``--out`` directory
+or an ``--out`` that is a directory is found before any work runs), 3 a solver stopped early (collision or
+step-size failure; partial trajectory rows are still written, with a
+truncation note in the diagnostics sidecar).
 
 All numeric CSV fields carry 17 significant digits with '.' decimal separator
 and LF line endings, so identical configurations reproduce byte-identical
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -174,6 +176,22 @@ def _write_text(path, text: str) -> None:
             handle.write(text)
     except OSError as exc:
         raise OutputUnwritable(f"cannot write output: {exc}") from exc
+
+
+def _check_output_path(path) -> None:
+    """OutputUnwritable if ``path`` is a directory, or its directory is missing or not writable.
+
+    Run before any solver or check, so that such a path is reported at once
+    and not after all the work; ``_write_text`` still catches what this
+    cannot foresee.
+    """
+    target = Path(path)
+    if target.is_dir():
+        raise OutputUnwritable(f"cannot write output: {path} is a directory")
+    if not (target.parent.is_dir() and os.access(target.parent, os.W_OK)):
+        raise OutputUnwritable(
+            f"cannot write output: {path}: directory {target.parent} is missing or not writable"
+        )
 
 
 def _write_csv(path, header: list[str], rows, footer=()) -> None:
@@ -524,6 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_output_path(args.out)
         if args.command == "simulate":
             return run_simulate(args.config, args.out)
         if args.command == "verify":

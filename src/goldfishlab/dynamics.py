@@ -224,7 +224,7 @@ def f_from_velocities(q, qdot) -> np.ndarray:
 # exact goldfish solver
 # ---------------------------------------------------------------------------
 
-def goldfish_exact(state0: GoldfishState, t: float, root_tol: float = 1e-9) -> np.ndarray:
+def goldfish_exact(state0: GoldfishState, t: float) -> np.ndarray:
     """Positions at time t from the straight flat-coordinate line.
 
     x(t) = x(0) + t b; positions are the polynomial roots of x(t), sorted
@@ -232,7 +232,7 @@ def goldfish_exact(state0: GoldfishState, t: float, root_tol: float = 1e-9) -> n
     collision-free sector is left.
     """
     x0, b = symfun.flat_line(state0.q, state0.qdot)
-    return symfun.roots_from_coords(x0 + t * b, tol=root_tol)
+    return symfun.roots_from_coords(x0 + t * b)
 
 
 def goldfish_exact_trajectory(state0: GoldfishState, times) -> np.ndarray:
@@ -252,7 +252,7 @@ def goldfish_exact_trajectory(state0: GoldfishState, times) -> np.ndarray:
     if secular.domain_error(state0.q, state0.qdot, times) is None:
         return secular.secular_roots(state0.q, state0.qdot, times)
     x0, b = symfun.flat_line(state0.q, state0.qdot)
-    return np.vstack([symfun.roots_from_coords(x0 + t * b, tol=1e-9) for t in times])
+    return np.vstack([symfun.roots_from_coords(x0 + t * b) for t in times])
 
 
 # ---------------------------------------------------------------------------

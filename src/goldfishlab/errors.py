@@ -17,7 +17,7 @@ class RootCollision(GoldfishLabError):
 
 
 class GradientUnavailable(GoldfishLabError):
-    """An observable could not produce a finite gradient at the point."""
+    """An observable has no finite gradient at the point."""
 
 
 class NegativeMomentum(GoldfishLabError):

@@ -25,6 +25,9 @@ from .errors import (
 )
 from .utils import finite_vector, pairwise_differences
 
+#: Distance from a pole a_i within which ``root_function_f`` is not evaluated.
+POLE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class HyperbolicState:
@@ -176,7 +179,7 @@ def _rank_one_exp(c_vec: np.ndarray, p: float, s: float) -> np.ndarray:
     return np.eye(c_vec.size) + np.expm1(s * p) / p * c_vec
 
 
-def z_eigen_solution(data: HyperbolicData, t: float, imag_tol: float = 1e-9) -> np.ndarray:
+def z_eigen_solution(data: HyperbolicData, t: float) -> np.ndarray:
     """Positions from the eigenvalues of Z(t) = e^{2 Lambda0} e^{2 t L0}.
 
     (L0)_ij = c_j row-replicated, and e^{2 t L0} = I + gamma L0 in closed form.
@@ -191,8 +194,8 @@ def z_eigen_solution(data: HyperbolicData, t: float, imag_tol: float = 1e-9) -> 
     z = np.exp(2.0 * data.a_vec)[:, None] * _rank_one_exp(data.c_vec, p, 2.0 * t)
     mu = np.linalg.eigvals(z)
     worst_imag = float(np.abs(mu.imag).max())
-    if worst_imag >= imag_tol:
-        raise NonRealSpectrum(f"imaginary part {worst_imag:.3e} >= {imag_tol:.3e}")
+    if worst_imag >= symfun.IMAG_TOL:
+        raise NonRealSpectrum(f"imaginary part {worst_imag:.3e} >= {symfun.IMAG_TOL:.3e}")
     mu = np.sort(mu.real)
     if mu[0] <= 0:
         raise NonPositiveEigenvalue(f"smallest eigenvalue {mu[0]:.3e} <= 0")
@@ -235,15 +238,15 @@ def _s_line(data: HyperbolicData) -> tuple[float, np.ndarray, np.ndarray]:
     return p, s0 - beta, beta
 
 
-def _s_positions(s_t: np.ndarray, root_tol: float) -> np.ndarray:
+def _s_positions(s_t: np.ndarray) -> np.ndarray:
     """q = half the logs of the roots of the monic polynomial with Vieta data s_t."""
-    roots = symfun.roots_from_coords(s_t, tol=root_tol)
+    roots = symfun.roots_from_coords(s_t)
     if roots[0] <= 0:
         raise NonPositiveRoot(f"smallest root {roots[0]:.3e} <= 0")
     return 0.5 * np.log(roots)
 
 
-def s_exact(data: HyperbolicData, t: float, root_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def s_exact(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact (s(t), q(t)) from the linear evolution sddot_n = 2 P sdot_n.
 
     Each s_n(t) = alpha_n + beta_n e^{2 P t}; q(t) is recovered as half the
@@ -251,7 +254,7 @@ def s_exact(data: HyperbolicData, t: float, root_tol: float = 1e-9) -> tuple[np.
     """
     p, alpha, beta = _s_line(data)
     s_t = alpha + beta * np.exp(2.0 * p * t)
-    return s_t, _s_positions(s_t, root_tol)
+    return s_t, _s_positions(s_t)
 
 
 def _secular_positions(data: HyperbolicData, times) -> np.ndarray | None:
@@ -304,7 +307,7 @@ def s_exact_trajectory(data: HyperbolicData, times) -> np.ndarray:
         return q
     p, alpha, beta = _s_line(data)
     times = np.asarray(times, dtype=float)
-    return np.vstack([_s_positions(alpha + beta * np.exp(2.0 * p * t), 1e-9) for t in times])
+    return np.vstack([_s_positions(alpha + beta * np.exp(2.0 * p * t)) for t in times])
 
 
 def s_derivatives(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -394,14 +397,14 @@ class CothSystem(_PairFlowSystem):
         return {"momentum_drift": self._momentum_drift(reference, rows)}
 
 
-def root_function_f(data: HyperbolicData, t: float, q: float, pole_tol: float = 1e-8) -> float:
+def root_function_f(data: HyperbolicData, t: float, q: float) -> float:
     """f(q) = sum_i (c_i / P) tanh(P t) / tanh(q - a_i) - 1.
 
     The coth trajectory passes through the roots of f; used as a residual
-    check only.  Raises PoleProximity within ``pole_tol`` of any a_i.
+    check only.  Raises PoleProximity within ``POLE_TOL`` of any a_i.
     """
     p = data.momentum
     gaps = q - data.a_vec
-    if np.abs(gaps).min() < pole_tol:
-        raise PoleProximity(f"q within {pole_tol:g} of a pole")
+    if np.abs(gaps).min() < POLE_TOL:
+        raise PoleProximity(f"q within {POLE_TOL:g} of a pole")
     return float(np.sum((data.c_vec / p) * np.tanh(p * t) / np.tanh(gaps)) - 1.0)

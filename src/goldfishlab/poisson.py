@@ -1,11 +1,16 @@
-"""Finite-dimensional Poisson structures and bracket machinery.
+"""Finite-dimensional Poisson structures and brackets of gradients.
 
-Two charts are provided as data: the spin-extended chart (q, p, f) of the
-Euler-Calogero-Moser system and the reduced chart (q, pi) whose brackets act
-as Dirac brackets for the goldfish flow.  On top of them sit generic bracket
-evaluation for observables, Jacobi-identity residuals, Hamiltonian flows, the
-so(N) constraint functions G_ij, and the brackets of the commuting
-momentum-linear integrals B_n = P_n of the geodesic picture.
+A Poisson structure here is its structure matrix Pi(z) = ({z_a, z_b}) and the
+matrix's coordinate derivatives, both in closed form, and an observable F is
+its gradient array dF/dz at the point, so {F, G} = dF . Pi(z) . dG.  Two
+charts are provided: the spin-extended chart (q, p, f) of the
+Euler-Calogero-Moser system, packed by ``ecm_point``, and the reduced chart
+(q, pi), packed by ``goldfish_point``, whose brackets act as Dirac brackets
+for the goldfish flow.  On them sit the Jacobi-identity residual, Hamiltonian
+flows, the gradients of the Hamiltonians, of the total momentum, of the so(N)
+constraint functions G_ij and of the square-root chart (Q, P), the constraint
+values themselves, and the brackets of the commuting momentum-linear
+integrals B_n = P_n of the geodesic picture.
 
 Note on the reduced chart: the {pi_i, pi_j} structure function carries a
 factor 2 (coefficient ``GOLDFISH_COEFFICIENT``).  Re-deriving the bracket from
@@ -21,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry, symfun
-from .errors import GradientUnavailable, NegativeMomentum, NonPositiveMomentum
+from .errors import GradientUnavailable, NegativeMomentum
 from .utils import (
     antisymmetric_from_upper,
     check_antisymmetric,
@@ -36,78 +41,21 @@ GOLDFISH_COEFFICIENT = 2.0
 
 
 # ---------------------------------------------------------------------------
-# observables
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PhaseObservable:
-    """Scalar function on a chart with its analytic gradient."""
-
-    evaluate: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
-
-    def value(self, point: np.ndarray) -> float:
-        return float(self.evaluate(np.asarray(point, dtype=float)))
-
-    def gradient_at(self, point: np.ndarray) -> np.ndarray:
-        """The gradient at the point; GradientUnavailable unless finite and of the point's shape."""
-        point = np.asarray(point, dtype=float)
-        grad = np.asarray(self.gradient(point), dtype=float)
-        if grad.shape != point.shape or not np.all(np.isfinite(grad)):
-            raise GradientUnavailable(
-                f"observable {self.name or '<unnamed>'} has no finite gradient here"
-            )
-        return grad
-
-
-# ---------------------------------------------------------------------------
 # structures
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PoissonStructure:
-    """A chart plus closed-form structure functions {z_a, z_b}.
+    """Closed-form structure functions {z_a, z_b} on a chart of n particles.
 
     ``matrix`` returns the full antisymmetric structure matrix at a point and
-    ``matrix_gradient`` its coordinate derivatives, indexed [d, a, b]; both are
-    closed forms, so the Jacobi sweeps stay cheap and exact.
+    ``matrix_gradient`` its coordinate derivatives d Pi_ab / d z_d, indexed
+    [d, a, b]; both are closed forms, so the Jacobi sweeps stay cheap and exact.
     """
 
-    chart: tuple[str, ...]
+    n: int
     matrix: Callable[[np.ndarray], np.ndarray]
     matrix_gradient: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
-    n: int = 0
-
-    @property
-    def dim(self) -> int:
-        return len(self.chart)
-
-    def index(self, coordinate: str) -> int:
-        return self.chart.index(coordinate)
-
-    def structure_matrix(self, point: np.ndarray) -> np.ndarray:
-        return self.matrix(np.asarray(point, dtype=float))
-
-    def structure_gradient(self, point: np.ndarray) -> np.ndarray:
-        """d Pi_ab / d z_d as an array [d, a, b]."""
-        return self.matrix_gradient(np.asarray(point, dtype=float))
-
-    def bracket(self, a: int, b: int, point: np.ndarray) -> float:
-        """The single structure function {z_a, z_b} at the point."""
-        return float(self.structure_matrix(point)[a, b])
-
-    def coordinate_observable(self, a: int | str) -> PhaseObservable:
-        if isinstance(a, str):
-            a = self.index(a)
-        unit = np.zeros(self.dim)
-        unit[a] = 1.0
-        return PhaseObservable(
-            evaluate=lambda z, a=a: z[a],
-            gradient=lambda z, unit=unit: unit,
-            name=self.chart[a],
-        )
 
 
 def _ff_block(f: np.ndarray, rows_i, rows_j, cols_i, cols_j) -> np.ndarray:
@@ -134,12 +82,7 @@ def ecm_structure(n: int) -> PoissonStructure:
     if n < 2:
         raise ValueError("ecm structure needs n >= 2")
     iu, ju = upper_indices(n)
-    chart = (
-        [f"q{i + 1}" for i in range(n)]
-        + [f"p{i + 1}" for i in range(n)]
-        + [f"f_{i + 1}_{j + 1}" for i, j in zip(iu, ju)]
-    )
-    d = len(chart)
+    d = 2 * n + iu.size
 
     def matrix(point: np.ndarray) -> np.ndarray:
         f = antisymmetric_from_upper(point[2 * n :], n)
@@ -158,14 +101,7 @@ def ecm_structure(n: int) -> PoissonStructure:
         unit[k] = 1.0
         grad[k] = matrix(unit) - zero
     grad.setflags(write=False)
-
-    return PoissonStructure(
-        chart=tuple(chart),
-        matrix=matrix,
-        matrix_gradient=lambda point, grad=grad: grad,
-        name="ecm",
-        n=n,
-    )
+    return PoissonStructure(n, matrix, lambda point, grad=grad: grad)
 
 
 def goldfish_structure(n: int, coefficient: float = GOLDFISH_COEFFICIENT) -> PoissonStructure:
@@ -178,7 +114,6 @@ def goldfish_structure(n: int, coefficient: float = GOLDFISH_COEFFICIENT) -> Poi
     """
     if n < 2:
         raise ValueError("goldfish structure needs n >= 2")
-    chart = tuple([f"q{i + 1}" for i in range(n)] + [f"pi{i + 1}" for i in range(n)])
     c = float(coefficient)
 
     def matrix(point: np.ndarray) -> np.ndarray:
@@ -211,13 +146,7 @@ def goldfish_structure(n: int, coefficient: float = GOLDFISH_COEFFICIENT) -> Poi
             out[n + k, n:, :n] = -dqpi
         return out
 
-    return PoissonStructure(
-        chart=chart,
-        matrix=matrix,
-        matrix_gradient=matrix_gradient,
-        name=f"goldfish[c={c:g}]",
-        n=n,
-    )
+    return PoissonStructure(n, matrix, matrix_gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -249,32 +178,29 @@ def goldfish_point(q, pi) -> np.ndarray:
     return np.concatenate([q, finite_vector(pi, q.size, "pi")])
 
 
-def goldfish_parts(point, n: int) -> tuple[np.ndarray, np.ndarray]:
-    point = np.asarray(point, dtype=float)
-    return point[:n], point[n:]
-
-
 # ---------------------------------------------------------------------------
-# bracket evaluation, Jacobi, flows
+# brackets, Jacobi, flows
 # ---------------------------------------------------------------------------
 
-def bracket_eval(
-    structure: PoissonStructure,
-    f_obs: PhaseObservable,
-    g_obs: PhaseObservable,
-    point,
-) -> float:
-    """{F, G} = sum_ab dF/dz_a {z_a, z_b} dG/dz_b at the point."""
-    point = np.asarray(point, dtype=float)
-    pi_mat = structure.structure_matrix(point)
-    return float(f_obs.gradient_at(point) @ pi_mat @ g_obs.gradient_at(point))
+def _finite(gradient) -> np.ndarray:
+    """The gradient as a float array; GradientUnavailable unless every entry is finite."""
+    gradient = np.asarray(gradient, dtype=float)
+    if not np.all(np.isfinite(gradient)):
+        raise GradientUnavailable("the gradient is not finite here")
+    return gradient
+
+
+def bracket_eval(structure: PoissonStructure, grad_f, grad_g, point) -> float:
+    """{F, G} = sum_ab dF/dz_a {z_a, z_b} dG/dz_b from the gradients at the point."""
+    pi_mat = structure.matrix(np.asarray(point, dtype=float))
+    return float(_finite(grad_f) @ pi_mat @ _finite(grad_g))
 
 
 def jacobi_residual_all(structure: PoissonStructure, point) -> float:
     """max |{z_a, {z_b, z_c}} + cyclic| over all coordinate triples at the point."""
     point = np.asarray(point, dtype=float)
-    pi_mat = structure.structure_matrix(point)
-    dpi = structure.structure_gradient(point)
+    pi_mat = structure.matrix(point)
+    dpi = structure.matrix_gradient(point)
     res = (
         np.einsum("ad,dbc->abc", pi_mat, dpi)
         + np.einsum("bd,dca->abc", pi_mat, dpi)
@@ -283,142 +209,79 @@ def jacobi_residual_all(structure: PoissonStructure, point) -> float:
     return float(np.abs(res).max())
 
 
-def hamiltonian_flow(structure: PoissonStructure, hamiltonian: PhaseObservable, point) -> np.ndarray:
-    """zdot_a = {z_a, H} for every chart coordinate."""
+def hamiltonian_flow(structure: PoissonStructure, grad_h, point) -> np.ndarray:
+    """zdot_a = {z_a, H} for every chart coordinate, from the gradient of H at the point."""
+    return structure.matrix(np.asarray(point, dtype=float)) @ _finite(grad_h)
+
+
+# ---------------------------------------------------------------------------
+# gradients of the named observables
+# ---------------------------------------------------------------------------
+
+def ecm_hamiltonian_gradient(point, n: int) -> np.ndarray:
+    """dH on the ecm chart, H = 1/2 sum p^2 + 1/2 sum_{i != j} f_ij^2/(q_i - q_j)^2."""
+    q, p, f = ecm_parts(point, n)
+    gaps = pairwise_differences(q) + np.eye(n)
+    ratios = f**2 / gaps**3
+    np.fill_diagonal(ratios, 0.0)
+    dq = -2.0 * ratios.sum(axis=1)
+    iu, ju = upper_indices(n)
+    df = 2.0 * f[iu, ju] / (q[iu] - q[ju]) ** 2
+    return np.concatenate([dq, p, df])
+
+
+def momentum_gradient(point, n: int) -> np.ndarray:
+    """dP of the total momentum P = sum of the momentum block (p or pi) on either chart."""
+    grad = np.zeros(np.size(point))
+    grad[n : 2 * n] = 1.0
+    return grad
+
+
+def goldfish_hamiltonian_gradient(point, n: int) -> np.ndarray:
+    """dH on the reduced chart, H = 1/2 (sum pi)^2."""
     point = np.asarray(point, dtype=float)
-    pi_mat = structure.structure_matrix(point)
-    return pi_mat @ hamiltonian.gradient_at(point)
+    grad = np.zeros(point.size)
+    grad[n : 2 * n] = np.sum(point[n : 2 * n])
+    return grad
 
 
-# ---------------------------------------------------------------------------
-# named observables on the built-in charts
-# ---------------------------------------------------------------------------
+def g_constraint_gradient(point, n: int, i: int, j: int) -> np.ndarray:
+    """dG_ij on the ecm chart, G_ij = 2 (f_ij + (q_i - q_j) sqrt(p_i p_j)), 0 <= i < j < n.
 
-def _pad(structure: PoissonStructure, base_grad: np.ndarray) -> np.ndarray:
-    out = np.zeros(structure.dim)
-    out[: base_grad.size] = base_grad
-    return out
-
-
-def ecm_hamiltonian_observable(structure: PoissonStructure) -> PhaseObservable:
-    """H = 1/2 sum p^2 + 1/2 sum_{i != j} f_ij^2/(q_i - q_j)^2 with analytic gradient."""
-    n = structure.n
-
-    def value(z):
-        q, p, f = ecm_parts(z, n)
-        gaps = pairwise_differences(q) + np.eye(n)
-        off = ~np.eye(n, dtype=bool)
-        return 0.5 * np.sum(p**2) + 0.5 * np.sum(f[off] ** 2 / gaps[off] ** 2)
-
-    def grad(z):
-        q, p, f = ecm_parts(z, n)
-        gaps = pairwise_differences(q) + np.eye(n)
-        ratios = f**2 / gaps**3
-        np.fill_diagonal(ratios, 0.0)
-        dq = -2.0 * ratios.sum(axis=1)
-        iu, ju = upper_indices(n)
-        df = 2.0 * f[iu, ju] / (q[iu] - q[ju]) ** 2
-        return _pad(structure, np.concatenate([dq, p, df]))
-
-    return PhaseObservable(evaluate=value, gradient=grad, name="H_ecm")
-
-
-def total_momentum_observable(structure: PoissonStructure) -> PhaseObservable:
-    """P = sum of the momentum-block coordinates (p or pi)."""
-    n = structure.n
-
-    def grad(z):
-        g = np.zeros(structure.dim)
-        g[n : 2 * n] = 1.0
-        return g
-
-    return PhaseObservable(
-        evaluate=lambda z: float(np.sum(z[n : 2 * n])),
-        gradient=grad,
-        name="P",
-    )
-
-
-def goldfish_hamiltonian_observable(structure: PoissonStructure) -> PhaseObservable:
-    """H = 1/2 (sum pi)^2 on the reduced chart."""
-    n = structure.n
-
-    def grad(z):
-        g = np.zeros(structure.dim)
-        g[n : 2 * n] = np.sum(z[n : 2 * n])
-        return g
-
-    return PhaseObservable(
-        evaluate=lambda z: 0.5 * float(np.sum(z[n : 2 * n]) ** 2),
-        gradient=grad,
-        name="H_reduced",
-    )
-
-
-def g_constraint_observable(structure: PoissonStructure, i: int, j: int) -> PhaseObservable:
-    """G_ij = 2 (f_ij + (q_i - q_j) sqrt(p_i p_j)) as an observable, i < j (0-based)."""
-    n = structure.n
+    Raises GradientUnavailable unless p_i, p_j > 0.
+    """
     if not 0 <= i < j < n:
         raise ValueError("need 0 <= i < j < n")
-    iu, ju = upper_indices(n)
-    f_idx = int(np.flatnonzero((iu == i) & (ju == j))[0])
-
-    def value(z):
-        q, p, f = ecm_parts(z, n)
-        if p[i] < 0 or p[j] < 0:
-            raise NegativeMomentum("G_ij needs p_i, p_j >= 0")
-        return 2.0 * (f[i, j] + (q[i] - q[j]) * np.sqrt(p[i] * p[j]))
-
-    def grad(z):
-        q, p, _ = ecm_parts(z, n)
-        if p[i] <= 0 or p[j] <= 0:
-            raise GradientUnavailable("G_ij gradient needs p_i, p_j > 0")
-        root = np.sqrt(p[i] * p[j])
-        g = np.zeros(structure.dim)
-        g[i] = 2.0 * root
-        g[j] = -2.0 * root
-        g[n + i] = (q[i] - q[j]) * np.sqrt(p[j] / p[i])
-        g[n + j] = (q[i] - q[j]) * np.sqrt(p[i] / p[j])
-        g[2 * n + f_idx] = 2.0
-        return g
-
-    return PhaseObservable(evaluate=value, gradient=grad, name=f"G_{i + 1}_{j + 1}")
+    point = np.asarray(point, dtype=float)
+    q, p = point[:n], point[n : 2 * n]
+    if p[i] <= 0 or p[j] <= 0:
+        raise GradientUnavailable("G_ij gradient needs p_i, p_j > 0")
+    root = np.sqrt(p[i] * p[j])
+    grad = np.zeros(point.size)
+    grad[i] = 2.0 * root
+    grad[j] = -2.0 * root
+    grad[n + i] = (q[i] - q[j]) * np.sqrt(p[j] / p[i])
+    grad[n + j] = (q[i] - q[j]) * np.sqrt(p[i] / p[j])
+    # f_ij is entry i n - i (i + 1) / 2 + j - i - 1 of the row-major upper triangle
+    grad[2 * n + i * n - i * (i + 1) // 2 + j - i - 1] = 2.0
+    return grad
 
 
-def reduced_coordinate_observable(structure: PoissonStructure, k: int) -> PhaseObservable:
-    """Q_k = 2 q_k sqrt(p_k) on the ecm chart (0-based k)."""
-    n = structure.n
+def reduced_chart_gradients(point, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dQ_k, dP_k) on the ecm chart, Q_k = 2 q_k sqrt(p_k) and P_k = sqrt(p_k) (0-based k).
 
-    def value(z):
-        q, p, _ = ecm_parts(z, n)
-        if p[k] <= 0:
-            raise NonPositiveMomentum("Q_k needs p_k > 0")
-        return 2.0 * q[k] * np.sqrt(p[k])
-
-    def grad(z):
-        q, p, _ = ecm_parts(z, n)
-        g = np.zeros(structure.dim)
-        g[k] = 2.0 * np.sqrt(p[k])
-        g[n + k] = q[k] / np.sqrt(p[k])
-        return g
-
-    return PhaseObservable(evaluate=value, gradient=grad, name=f"Q{k + 1}")
-
-
-def reduced_momentum_observable(structure: PoissonStructure, k: int) -> PhaseObservable:
-    """P_k = sqrt(p_k) on the ecm chart (0-based k)."""
-    n = structure.n
-
-    def grad(z):
-        g = np.zeros(structure.dim)
-        g[n + k] = 0.5 / np.sqrt(z[n + k])
-        return g
-
-    return PhaseObservable(
-        evaluate=lambda z: float(np.sqrt(z[n + k])),
-        gradient=grad,
-        name=f"P{k + 1}",
-    )
+    Raises GradientUnavailable unless p_k > 0.
+    """
+    point = np.asarray(point, dtype=float)
+    if point[n + k] <= 0:
+        raise GradientUnavailable("Q_k, P_k gradients need p_k > 0")
+    root = np.sqrt(point[n + k])
+    dq = np.zeros(point.size)
+    dq[k] = 2.0 * root
+    dq[n + k] = point[k] / root
+    dp = np.zeros(point.size)
+    dp[n + k] = 0.5 / root
+    return dq, dp
 
 
 # ---------------------------------------------------------------------------

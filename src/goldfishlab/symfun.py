@@ -16,36 +16,39 @@ import numpy as np
 from .errors import ComplexRoots, RootCollision
 from .utils import finite_vector, pairwise_differences, upper_indices
 
-#: Default absolute gap below which two positions count as collided.
+#: Absolute gap at or below which two positions count as collided.
 COLLISION_TOL = 1e-8
 
+#: Largest imaginary part of a recovered root or eigenvalue still read as real.
+IMAG_TOL = 1e-9
 
-def as_configuration(q, min_gap: float = COLLISION_TOL) -> np.ndarray:
+
+def as_configuration(q) -> np.ndarray:
     """Validate q as an ordered configuration and return it as a float array.
 
     Requires N >= 1, strictly increasing entries and a minimal adjacent gap
-    above ``min_gap``.
+    above ``COLLISION_TOL``.
     """
     q = finite_vector(q, name="q")
     if q.size < 1:
         raise ValueError("configuration needs at least one particle")
-    check_gaps(q, min_gap)
+    check_gaps(q)
     return q
 
 
-def check_gaps(q: np.ndarray, min_gap: float = COLLISION_TOL) -> None:
+def check_gaps(q: np.ndarray) -> None:
     """The order check of ``as_configuration`` on a finite 1-d float array.
 
     Raises ValueError unless q is strictly increasing with every adjacent gap
-    above ``min_gap``.
+    above ``COLLISION_TOL``.
     """
     if q.size > 1:
         smallest = (q[1:] - q[:-1]).min()
         if smallest <= 0:
             raise ValueError("positions must be strictly increasing")
-        if smallest <= min_gap:
+        if smallest <= COLLISION_TOL:
             raise ValueError(
-                f"minimal gap {smallest:.3e} at or below collision tolerance {min_gap:.3e}"
+                f"minimal gap {smallest:.3e} at or below collision tolerance {COLLISION_TOL:.3e}"
             )
 
 
@@ -141,25 +144,25 @@ def jacobian_inverse(q) -> np.ndarray:
     return signs[None, :] * powers / denom[:, None]
 
 
-def roots_from_coords(x, tol: float = 1e-9, min_gap: float = COLLISION_TOL) -> np.ndarray:
+def roots_from_coords(x) -> np.ndarray:
     """Recover positions as the roots of the monic polynomial with Vieta data x.
 
     The polynomial is lambda^N - x_1 lambda^(N-1) + ... + (-1)^N x_N; roots are
     computed as companion-matrix eigenvalues and returned sorted ascending.
 
-    Raises ComplexRoots when any |Im root| >= tol, RootCollision when two real
-    roots are closer than ``min_gap``.
+    Raises ComplexRoots when any |Im root| >= ``IMAG_TOL``, RootCollision when
+    two real roots are closer than ``COLLISION_TOL``.
     """
     x = finite_vector(x, name="x")
     n = x.size
     coeffs = np.concatenate(([1.0], ((-1.0) ** np.arange(1, n + 1)) * x))
     roots = np.roots(coeffs)
     worst_imag = float(np.abs(roots.imag).max()) if n else 0.0
-    if worst_imag >= tol:
-        raise ComplexRoots(f"imaginary part {worst_imag:.3e} >= tol {tol:.3e}")
+    if worst_imag >= IMAG_TOL:
+        raise ComplexRoots(f"imaginary part {worst_imag:.3e} >= tol {IMAG_TOL:.3e}")
     real = np.sort(roots.real)
-    if n > 1 and np.diff(real).min() < min_gap:
+    if n > 1 and np.diff(real).min() < COLLISION_TOL:
         raise RootCollision(
-            f"root gap {np.diff(real).min():.3e} below collision tolerance {min_gap:.3e}"
+            f"root gap {np.diff(real).min():.3e} below collision tolerance {COLLISION_TOL:.3e}"
         )
     return real

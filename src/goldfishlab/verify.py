@@ -285,9 +285,9 @@ def _antisymmetry(rng):
         ecm = poisson.ecm_structure(n)
         gold = poisson.goldfish_structure(n)
         for _ in range(334):
-            mat = ecm.structure_matrix(_ecm_random_point(rng, n))
+            mat = ecm.matrix(_ecm_random_point(rng, n))
             worst = max(worst, float(np.abs(mat + mat.T).max()))
-            mat = gold.structure_matrix(_goldfish_random_point(rng, n))
+            mat = gold.matrix(_goldfish_random_point(rng, n))
             worst = max(worst, float(np.abs(mat + mat.T).max()))
     return worst, 0.0
 
@@ -320,7 +320,7 @@ def _flow_matches_rhs(rng):
         structure = poisson.ecm_structure(n)
         point = _ecm_random_point(rng, n)
         q, p, f = poisson.ecm_parts(point, n)
-        flow = poisson.hamiltonian_flow(structure, poisson.ecm_hamiltonian_observable(structure), point)
+        flow = poisson.hamiltonian_flow(structure, poisson.ecm_hamiltonian_gradient(point, n), point)
         qdot, pdot, fdot = dynamics.ecm_rhs(dynamics.ECMState(q, p, f))
         direct = np.concatenate([qdot, pdot, fdot[np.triu_indices(n, 1)]])
         worst = max(worst, float(np.abs(flow - direct).max()))
@@ -334,9 +334,8 @@ def _induced_goldfish_residual(rng, coefficient: float) -> float:
         n = int(rng.integers(2, 5))
         structure = poisson.goldfish_structure(n, coefficient=coefficient)
         point = _goldfish_random_point(rng, n)
-        q, pi = poisson.goldfish_parts(point, n)
-        ham = poisson.goldfish_hamiltonian_observable(structure)
-        flow = poisson.hamiltonian_flow(structure, ham, point)
+        q, pi = point[:n], point[n:]
+        flow = poisson.hamiltonian_flow(structure, poisson.goldfish_hamiltonian_gradient(point, n), point)
         qdot = flow[:n]
         pidot = flow[n:]
         momentum = float(np.sum(pi))
@@ -366,11 +365,11 @@ def _constraint_weak_zero(rng):
         q = sampling.random_configuration(rng, n)
         p = sampling.random_velocities(rng, n)
         point = poisson.ecm_point(q, p, dynamics.f_from_velocities(q, p))
-        ham = poisson.ecm_hamiltonian_observable(structure)
+        ham = poisson.ecm_hamiltonian_gradient(point, n)
         for i in range(n):
             for j in range(i + 1, n):
-                obs = poisson.g_constraint_observable(structure, i, j)
-                worst = max(worst, abs(poisson.bracket_eval(structure, obs, ham, point)))
+                grad = poisson.g_constraint_gradient(point, n, i, j)
+                worst = max(worst, abs(poisson.bracket_eval(structure, grad, ham, point)))
     return worst, 1e-9
 
 
@@ -381,12 +380,12 @@ def _constraint_offsurface(rng):
         n = int(rng.integers(2, 5))
         structure = poisson.ecm_structure(n)
         point = _ecm_random_point(rng, n)
-        ham = poisson.ecm_hamiltonian_observable(structure)
+        ham = poisson.ecm_hamiltonian_gradient(point, n)
         largest = 0.0
         for i in range(n):
             for j in range(i + 1, n):
-                obs = poisson.g_constraint_observable(structure, i, j)
-                largest = max(largest, abs(poisson.bracket_eval(structure, obs, ham, point)))
+                grad = poisson.g_constraint_gradient(point, n, i, j)
+                largest = max(largest, abs(poisson.bracket_eval(structure, grad, ham, point)))
         smallest = min(smallest, largest)
     return float(smallest), 1e-3
 
@@ -405,8 +404,8 @@ def _constraint_algebra(rng):
             for k, l in pairs:
                 got = poisson.bracket_eval(
                     structure,
-                    poisson.g_constraint_observable(structure, i, j),
-                    poisson.g_constraint_observable(structure, k, l),
+                    poisson.g_constraint_gradient(point, n, i, j),
+                    poisson.g_constraint_gradient(point, n, k, l),
                     point,
                 )
                 want = (
@@ -426,11 +425,11 @@ def _constraint_momentum(rng):
         n = int(rng.integers(2, 5))
         structure = poisson.ecm_structure(n)
         point = _ecm_random_point(rng, n)
-        mom = poisson.total_momentum_observable(structure)
+        mom = poisson.momentum_gradient(point, n)
         for i in range(n):
             for j in range(i + 1, n):
-                obs = poisson.g_constraint_observable(structure, i, j)
-                worst = max(worst, abs(poisson.bracket_eval(structure, obs, mom, point)))
+                grad = poisson.g_constraint_gradient(point, n, i, j)
+                worst = max(worst, abs(poisson.bracket_eval(structure, grad, mom, point)))
     return worst, 1e-10
 
 
@@ -445,15 +444,12 @@ def _vector_transform(rng):
         chart = reduction.canonical_transform(q, p)
         for i in range(n):
             for j in range(i + 1, n):
-                gobs = poisson.g_constraint_observable(structure, i, j)
+                grad = poisson.g_constraint_gradient(point, n, i, j)
                 for k in range(n):
-                    got_q = poisson.bracket_eval(
-                        structure, gobs, poisson.reduced_coordinate_observable(structure, k), point
-                    )
+                    dq, dp = poisson.reduced_chart_gradients(point, n, k)
+                    got_q = poisson.bracket_eval(structure, grad, dq, point)
                     want_q = (i == k) * chart.Q[j] - (j == k) * chart.Q[i]
-                    got_p = poisson.bracket_eval(
-                        structure, gobs, poisson.reduced_momentum_observable(structure, k), point
-                    )
+                    got_p = poisson.bracket_eval(structure, grad, dp, point)
                     want_p = (i == k) * chart.P[j] - (j == k) * chart.P[i]
                     worst = max(worst, abs(got_q - want_q), abs(got_p - want_p))
     return worst, 1e-8

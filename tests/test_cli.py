@@ -276,6 +276,29 @@ def test_output_in_a_missing_directory_exits_two_as_a_process(tmp_path, command)
     assert out in proc.stderr and proc.stdout == ""
 
 
+@pytest.mark.parametrize("target", ["missing/out.csv", "is_a_directory"], ids=["missing", "directory"])
+@pytest.mark.parametrize("command", ["simulate", "compare", "verify"])
+def test_unwritable_output_exits_two_before_any_work(tmp_path, monkeypatch, capsys, command, target):
+    from goldfishlab import verify
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started although its output cannot be written")
+
+    monkeypatch.setattr(cli, "_integrate", no_work)
+    monkeypatch.setattr(dynamics, "goldfish_exact_trajectory", no_work)
+    monkeypatch.setattr(verify, "run_checks", no_work)
+    (tmp_path / "is_a_directory").mkdir()
+    out = str(tmp_path / target)
+    cfg = write_config(tmp_path / "cfg.json", GOLDFISH)
+    argv = {"simulate": ["--config", cfg], "compare": ["--config", cfg, "--solvers", "flat_exact"],
+            "verify": ["all", "--seed", "1"]}[command]
+    assert cli.main([command, *argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output: ") and captured.err.count("\n") == 1
+    assert out in captured.err and captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 class TestCompareCommand:
     def test_goldfish_solver_pair(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {**GOLDFISH, "t_end": 0.3})

@@ -55,13 +55,13 @@ class TestEcmRhs:
     def test_matches_bracket_flow(self):
         rng = np.random.default_rng(0)
         structure = poisson.ecm_structure(3)
-        ham = poisson.ecm_hamiltonian_observable(structure)
         for _ in range(5):
             q = np.sort(rng.uniform(-2, 2, 3))
             p = rng.uniform(0.5, 1.5, 3)
             fu = rng.uniform(-1, 1, 3)
             qdot, pdot, fdot = dynamics.ecm_rhs(dynamics.ECMState(q, p, fu))
-            flow = poisson.hamiltonian_flow(structure, ham, poisson.ecm_point(q, p, fu))
+            point = poisson.ecm_point(q, p, fu)
+            flow = poisson.hamiltonian_flow(structure, poisson.ecm_hamiltonian_gradient(point, 3), point)
             mine = np.concatenate([qdot, pdot, fdot[np.triu_indices(3, 1)]])
             assert np.abs(mine - flow).max() < 1e-9
 

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from goldfishlab import dynamics, geometry, poisson, reduction, symfun
 from goldfishlab.errors import GradientUnavailable, NegativeMomentum
+from goldfishlab.utils import upper_indices
 
 
 def random_ecm_point(rng, n):
@@ -15,30 +16,36 @@ def random_ecm_point(rng, n):
     return poisson.ecm_point(q, rng.uniform(0.5, 1.5, n), rng.uniform(-1, 1, n * (n - 1) // 2))
 
 
+def f_index(n, i, j):
+    """Chart index of f_{i+1, j+1} on the ecm chart (0-based i < j)."""
+    iu, ju = upper_indices(n)
+    return 2 * n + int(np.flatnonzero((iu == i) & (ju == j))[0])
+
+
 class TestEcmStructure:
     def test_canonical_pair(self):
         s = poisson.ecm_structure(2)
         point = poisson.ecm_point([0.0, 1.0], [1.0, 1.0], [0.3])
-        assert s.bracket(s.index("q1"), s.index("p1"), point) == 1.0
-        assert s.bracket(s.index("q1"), s.index("p2"), point) == 0.0
+        assert s.matrix(point)[0, 2] == 1.0  # {q1, p1}
+        assert s.matrix(point)[0, 3] == 0.0  # {q1, p2}
 
     def test_spin_bracket_value(self):
         s = poisson.ecm_structure(3)
         f = np.array([[0.0, 1.0, 0.5], [-1.0, 0.0, 2.0], [-0.5, -2.0, 0.0]])
         point = poisson.ecm_point([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], f)
         # {f12, f23} = -1/2 f13
-        assert s.bracket(s.index("f_1_2"), s.index("f_2_3"), point) == -0.25
+        assert s.matrix(point)[f_index(3, 0, 1), f_index(3, 1, 2)] == -0.25
 
     def test_disjoint_spins_commute(self):
         s = poisson.ecm_structure(4)
         point = poisson.ecm_point([0.0, 1.0, 2.0, 3.0], np.ones(4), np.zeros(6))
-        assert s.bracket(s.index("f_1_2"), s.index("f_3_4"), point) == 0.0
+        assert s.matrix(point)[f_index(4, 0, 1), f_index(4, 2, 3)] == 0.0
 
     def test_antisymmetry_random(self):
         rng = np.random.default_rng(0)
         s = poisson.ecm_structure(4)
         for _ in range(50):
-            mat = s.structure_matrix(random_ecm_point(rng, 4))
+            mat = s.matrix(random_ecm_point(rng, 4))
             assert np.array_equal(mat, -mat.T)
 
     def test_jacobi_all_triples(self):
@@ -49,21 +56,18 @@ class TestEcmStructure:
 
     def test_jacobi_operation_matches_vectorized(self):
         # the nested operation {z_a, {z_b, z_c}} + cyclic through bracket_eval,
-        # with the inner bracket as an observable, over every triple
+        # with the inner bracket as the observable whose gradient is
+        # d Pi_bc / dz, over every triple
         rng = np.random.default_rng(2)
         s = poisson.ecm_structure(3)
         point = random_ecm_point(rng, 3)
-
-        def inner(b, c):
-            return poisson.PhaseObservable(
-                evaluate=lambda z: s.bracket(b, c, z),
-                gradient=lambda z: s.structure_gradient(z)[:, b, c],
-            )
+        units = np.eye(point.size)
+        dpi = s.matrix_gradient(point)
 
         nested = 0.0
-        for a, b, c in itertools.product(range(s.dim), repeat=3):
+        for a, b, c in itertools.product(range(point.size), repeat=3):
             cyclic = sum(
-                poisson.bracket_eval(s, s.coordinate_observable(x), inner(y, z), point)
+                poisson.bracket_eval(s, units[x], dpi[:, y, z], point)
                 for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
             )
             nested = max(nested, abs(cyclic))
@@ -82,13 +86,13 @@ class TestGoldfishStructure:
     def test_diagonal_rule(self):
         s = poisson.goldfish_structure(2)
         point = poisson.goldfish_point([0.0, 1.0], [3.0, 0.5])
-        assert s.bracket(s.index("q1"), s.index("pi1"), point) == 3.0
-        assert s.bracket(s.index("q1"), s.index("q2"), point) == 0.0
+        assert s.matrix(point)[0, 2] == 3.0  # {q1, pi1}
+        assert s.matrix(point)[0, 1] == 0.0  # {q1, q2}
 
     def test_momentum_bracket_value(self):
         s = poisson.goldfish_structure(2)
         point = poisson.goldfish_point([0.0, 1.0], [1.0, 1.0])
-        assert s.bracket(s.index("pi1"), s.index("pi2"), point) == -2.0
+        assert s.matrix(point)[2, 3] == -2.0  # {pi1, pi2}
 
     def test_momentum_bracket_against_canonical_chart(self):
         """Brute-force the bracket of the exponential substitution.
@@ -130,7 +134,7 @@ class TestGoldfishStructure:
                 brute = canonical_bracket(
                     lambda a, b, i=i: pi_of(a, b)[i], lambda a, b, j=j: pi_of(a, b)[j], q, pt
                 )
-                structure = s.bracket(s.index(f"pi{i + 1}"), s.index(f"pi{j + 1}"), point)
+                structure = s.matrix(point)[3 + i, 3 + j]
                 assert abs(brute - structure) < 1e-8
                 assert abs(structure - 2 * pi[i] * pi[j] / (q[i] - q[j])) < 1e-14
 
@@ -149,77 +153,94 @@ class TestBracketEval:
     def test_canonical_value(self):
         s = poisson.ecm_structure(2)
         point = poisson.ecm_point([0.0, 1.0], [1.0, 1.0], [0.2])
-        val = poisson.bracket_eval(
-            s, s.coordinate_observable("q1"), s.coordinate_observable("p1"), point
-        )
-        assert val == 1.0
+        units = np.eye(point.size)
+        assert poisson.bracket_eval(s, units[0], units[2], point) == 1.0  # {q1, p1}
 
     def test_self_bracket_vanishes(self):
         s = poisson.ecm_structure(2)
         point = poisson.ecm_point([0.0, 1.0], [1.2, 0.7], [0.2])
-        ham = poisson.ecm_hamiltonian_observable(s)
+        ham = poisson.ecm_hamiltonian_gradient(point, 2)
         assert abs(poisson.bracket_eval(s, ham, ham, point)) < 1e-14
 
     def test_hamiltonian_commutes_with_momentum(self):
         rng = np.random.default_rng(4)
         s = poisson.ecm_structure(3)
-        ham = poisson.ecm_hamiltonian_observable(s)
-        mom = poisson.total_momentum_observable(s)
         for _ in range(10):
-            assert abs(poisson.bracket_eval(s, ham, mom, random_ecm_point(rng, 3))) < 1e-9
+            point = random_ecm_point(rng, 3)
+            ham = poisson.ecm_hamiltonian_gradient(point, 3)
+            mom = poisson.momentum_gradient(point, 3)
+            assert abs(poisson.bracket_eval(s, ham, mom, point)) < 1e-9
 
     def test_gradient_unavailable(self):
         s = poisson.ecm_structure(2)
-        bad = poisson.PhaseObservable(
-            evaluate=lambda z: float("nan"), gradient=lambda z: np.full_like(z, np.nan)
-        )
+        point = poisson.ecm_point([0.0, 1.0], [1, 1], [0.0])
+        bad = np.full(point.size, np.nan)
         with pytest.raises(GradientUnavailable):
-            poisson.bracket_eval(
-                s, bad, s.coordinate_observable("q1"), poisson.ecm_point([0.0, 1.0], [1, 1], [0.0])
-            )
+            poisson.bracket_eval(s, bad, np.eye(point.size)[0], point)
+        with pytest.raises(GradientUnavailable):
+            poisson.hamiltonian_flow(s, bad, point)
 
     def test_observable_gradients_match_finite_differences(self):
+        # each closed-form gradient against central differences of the shipped
+        # value function it belongs to
         rng = np.random.default_rng(5)
-        s = poisson.ecm_structure(3)
         point = random_ecm_point(rng, 3)
-        for obs in (
-            poisson.ecm_hamiltonian_observable(s),
-            poisson.total_momentum_observable(s),
-            poisson.g_constraint_observable(s, 0, 2),
-            poisson.reduced_coordinate_observable(s, 1),
-            poisson.reduced_momentum_observable(s, 1),
+        dq, dp = poisson.reduced_chart_gradients(point, 3, 1)
+        for value, gradient in (
+            (lambda q, p, f: dynamics.ecm_hamiltonian(dynamics.ECMState(q, p, f)),
+             poisson.ecm_hamiltonian_gradient(point, 3)),
+            (lambda q, p, f: np.sum(p), poisson.momentum_gradient(point, 3)),
+            (lambda q, p, f: poisson.g_constraints(q, p, f)[0, 2],
+             poisson.g_constraint_gradient(point, 3, 0, 2)),
+            (lambda q, p, f: reduction.canonical_transform(q, p).Q[1], dq),
+            (lambda q, p, f: reduction.canonical_transform(q, p).P[1], dp),
         ):
             numeric = np.empty(point.size)
             for a in range(point.size):
                 h = 1e-6 * max(1.0, abs(point[a]))
                 step = h * np.eye(point.size)[a]
-                numeric[a] = (obs.evaluate(point + step) - obs.evaluate(point - step)) / (2.0 * h)
-            assert np.abs(obs.gradient_at(point) - numeric).max() < 1e-8
+                up = value(*poisson.ecm_parts(point + step, 3))
+                down = value(*poisson.ecm_parts(point - step, 3))
+                numeric[a] = (up - down) / (2.0 * h)
+            assert np.abs(gradient - numeric).max() < 1e-8
+
+    @pytest.mark.parametrize("zero", [0, 2])
+    def test_gradients_unavailable_at_zero_momentum(self, zero):
+        # G_ij = 2 (f_ij + (q_i - q_j) sqrt(p_i p_j)), Q_k = 2 q_k sqrt(p_k)
+        # and P_k = sqrt(p_k) are not differentiable where a p they use vanishes
+        p = np.array([1.0, 0.5, 1.5])
+        p[zero] = 0.0
+        point = poisson.ecm_point([0.0, 1.0, 2.0], p, [0.1, 0.2, 0.3])
+        with pytest.raises(GradientUnavailable):
+            poisson.g_constraint_gradient(point, 3, 0, 2)
+        with pytest.raises(GradientUnavailable):
+            poisson.reduced_chart_gradients(point, 3, zero)
+        assert np.isfinite(poisson.g_constraint_gradient(point, 3, *sorted({0, 1, 2} - {zero}))).all()
+        assert np.isfinite(poisson.reduced_chart_gradients(point, 3, 1)).all()
 
 
 class TestHamiltonianFlow:
     def test_ecm_flow_hand_value(self):
         s = poisson.ecm_structure(2)
         point = poisson.ecm_point([0.0, 1.0], [1.0, 1.0], [2.0])
-        flow = poisson.hamiltonian_flow(s, poisson.ecm_hamiltonian_observable(s), point)
+        flow = poisson.hamiltonian_flow(s, poisson.ecm_hamiltonian_gradient(point, 2), point)
         assert_allclose(flow, [1.0, 1.0, -8.0, 8.0, 0.0], atol=1e-13)
 
     def test_goldfish_flow_hand_value(self):
         s = poisson.goldfish_structure(2)
         point = poisson.goldfish_point([0.0, 1.0], [1.0, 1.0])
-        flow = poisson.hamiltonian_flow(s, poisson.goldfish_hamiltonian_observable(s), point)
+        flow = poisson.hamiltonian_flow(s, poisson.goldfish_hamiltonian_gradient(point, 2), point)
         assert_allclose(flow, [2.0, 2.0, -4.0, 4.0], atol=1e-14)
 
     def test_constant_observable_generates_no_flow(self):
         s = poisson.ecm_structure(2)
         point = poisson.ecm_point([0.0, 1.0], [1.0, 1.0], [0.5])
-        constant = poisson.PhaseObservable(evaluate=lambda z: 3.0, gradient=np.zeros_like)
-        assert np.all(poisson.hamiltonian_flow(s, constant, point) == 0.0)
+        assert np.all(poisson.hamiltonian_flow(s, np.zeros_like(point), point) == 0.0)
 
     def test_printed_coefficient_fails_to_reproduce_goldfish(self):
         s1 = poisson.goldfish_structure(2, coefficient=1.0)
         point = poisson.goldfish_point([0.0, 1.0], [1.0, 1.0])
-        flow = poisson.hamiltonian_flow(s1, poisson.goldfish_hamiltonian_observable(s1), point)
+        flow = poisson.hamiltonian_flow(s1, poisson.goldfish_hamiltonian_gradient(point, 2), point)
         qdot, pidot = flow[:2], flow[2:]
         acc = np.sum(pidot) * point[2:] + np.sum(point[2:]) * pidot
         target = dynamics.goldfish_rhs(dynamics.GoldfishState([0.0, 1.0], qdot))
@@ -248,8 +269,8 @@ class TestConstraints:
             for k, l in pairs:
                 got = poisson.bracket_eval(
                     s,
-                    poisson.g_constraint_observable(s, i, j),
-                    poisson.g_constraint_observable(s, k, l),
+                    poisson.g_constraint_gradient(point, 3, i, j),
+                    poisson.g_constraint_gradient(point, 3, k, l),
                     point,
                 )
                 want = (
@@ -263,28 +284,28 @@ class TestConstraints:
     def test_weakly_conserved(self):
         rng = np.random.default_rng(7)
         s = poisson.ecm_structure(3)
-        ham = poisson.ecm_hamiltonian_observable(s)
         q = np.sort(rng.uniform(-2, 2, 3))
         p = rng.uniform(0.5, 1.5, 3)
         on_surface = poisson.ecm_point(q, p, dynamics.f_from_velocities(q, p))
         off_surface = random_ecm_point(rng, 3)
+
+        def bracket_with_h(point, i, j):
+            grad = poisson.g_constraint_gradient(point, 3, i, j)
+            return poisson.bracket_eval(s, grad, poisson.ecm_hamiltonian_gradient(point, 3), point)
+
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            obs = poisson.g_constraint_observable(s, i, j)
-            assert abs(poisson.bracket_eval(s, obs, ham, on_surface)) < 1e-9
-        off = max(
-            abs(poisson.bracket_eval(s, poisson.g_constraint_observable(s, i, j), ham, off_surface))
-            for i, j in ((0, 1), (0, 2), (1, 2))
-        )
+            assert abs(bracket_with_h(on_surface, i, j)) < 1e-9
+        off = max(abs(bracket_with_h(off_surface, i, j)) for i, j in ((0, 1), (0, 2), (1, 2)))
         assert off > 1e-3
 
     def test_commutes_with_total_momentum(self):
         rng = np.random.default_rng(8)
         s = poisson.ecm_structure(4)
-        mom = poisson.total_momentum_observable(s)
         point = random_ecm_point(rng, 4)
+        mom = poisson.momentum_gradient(point, 4)
         for i, j in ((0, 1), (1, 3), (0, 3)):
-            obs = poisson.g_constraint_observable(s, i, j)
-            assert abs(poisson.bracket_eval(s, obs, mom, point)) < 1e-12
+            grad = poisson.g_constraint_gradient(point, 4, i, j)
+            assert abs(poisson.bracket_eval(s, grad, mom, point)) < 1e-12
 
     def test_reduced_chart_transforms_as_vector(self):
         rng = np.random.default_rng(9)
@@ -293,16 +314,13 @@ class TestConstraints:
         q, p, _ = poisson.ecm_parts(point, 3)
         chart = reduction.canonical_transform(q, p)
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            gobs = poisson.g_constraint_observable(s, i, j)
+            grad = poisson.g_constraint_gradient(point, 3, i, j)
             for k in range(3):
-                got_q = poisson.bracket_eval(
-                    s, gobs, poisson.reduced_coordinate_observable(s, k), point
-                )
+                dq, dp = poisson.reduced_chart_gradients(point, 3, k)
+                got_q = poisson.bracket_eval(s, grad, dq, point)
                 want_q = (i == k) * chart.Q[j] - (j == k) * chart.Q[i]
                 assert abs(got_q - want_q) < 1e-9
-                got_p = poisson.bracket_eval(
-                    s, gobs, poisson.reduced_momentum_observable(s, k), point
-                )
+                got_p = poisson.bracket_eval(s, grad, dp, point)
                 want_p = (i == k) * chart.P[j] - (j == k) * chart.P[i]
                 assert abs(got_p - want_p) < 1e-9
 
