@@ -22,19 +22,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-from goldfishlab import cli
+from goldfishlab import cli, verify
 
 
 def tightest_below(report: list[dict]) -> tuple[str, float]:
-    """(name, residual / tolerance) of the report's "below" check closest to its tolerance.
-
-    The report holds no check modes, but a check is a "below" check exactly
-    when its pass flag equals residual <= tolerance: a negative control passes
-    above its tolerance and fails at or below it.
-    """
+    """(name, residual / tolerance) of the report's "below" check closest to its tolerance."""
     ratio, name = max((entry["max_residual"] / entry["tolerance"], entry["name"]) for entry in report
-                      if entry["tolerance"] > 0
-                      and (entry["max_residual"] <= entry["tolerance"]) == entry["pass"])
+                      if entry["tolerance"] > 0 and verify.lookup(entry["name"]).mode == "below")
     return name, ratio
 
 

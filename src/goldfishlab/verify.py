@@ -1,21 +1,32 @@
 """Property-check harness cross-validating every solver against its oracles.
 
-Each check draws seeded random data, evaluates one residual and compares it
-against a fixed tolerance.  Checks are grouped into suites named after the
-modules they exercise; ``run_checks("all", seed)`` runs everything and returns
-results sorted by check name, so reports are reproducible for a fixed seed.
+A check is a generator over its cases: from seeded random draws it yields one
+``(label, residual)`` pair per case, where the label names the case's N and
+its drawn inputs, every float in full precision.  Each check is registered
+with a fixed tolerance and a mode, and one reduction judges them all: the
+worst case is the first case with the largest residual, in draw order, and
+its residual is the check's ``max_residual``.
 
-Negative controls (mode "above") pass when the residual *exceeds* the
-threshold; they pin down that a wrong variant is actually detected.
+- A "below" check passes iff its worst residual is <= its tolerance.
+- A negative control (mode "above") passes iff its worst residual exceeds
+  its threshold, that is iff the wrong variant is detected at some case.
+- A NaN residual is the worst case, and it fails its check in either mode.
+
+Checks are grouped into suites named after the modules they exercise;
+``run_checks("all", seed)`` runs everything and returns results sorted by
+check name, so reports are reproducible for a fixed seed.  Each result names
+its worst case (index and label); ``scripts/verify_case.py`` lists every case
+of one check at one seed.
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -26,6 +37,9 @@ SUITES = ("symfun", "geometry", "poisson", "dynamics", "reduction", "hyperbolic"
 #: Integration settings used by verification runs.
 TIGHT = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
 
+#: One case of a check: its label (its text is str(label)) and its residual.
+Case = tuple[object, float]
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -34,6 +48,7 @@ class CheckResult:
     tolerance: float
     passed: bool
     seconds: float
+    worst_case: tuple[int, str]  # (index, label); not part of the report
 
     def to_dict(self) -> dict:
         return {
@@ -49,19 +64,41 @@ class CheckResult:
 class CheckSpec:
     name: str
     suite: str
-    mode: str  # "below": pass iff value <= tolerance; "above": pass iff value > tolerance
-    fn: Callable[[np.random.Generator], tuple[float, float]]
+    tolerance: float
+    mode: str  # "below": pass iff worst <= tolerance; "above": pass iff worst > tolerance
+    fn: Callable[[np.random.Generator], Iterator[Case]]
+
+    def cases(self, seed: int) -> Iterator[Case]:
+        """The check's cases in draw order; its generator depends on (seed, name) only."""
+        return self.fn(np.random.default_rng([seed, zlib.crc32(self.name.encode())]))
+
+    def passes(self, worst: float) -> bool:
+        """The verdict on the worst residual; a NaN fails in either mode."""
+        return worst <= self.tolerance if self.mode == "below" else worst > self.tolerance
 
 
 _REGISTRY: list[CheckSpec] = []
 
 
-def _check(name: str, suite: str, mode: str = "below"):
+def _check(name: str, suite: str, tolerance: float, mode: str = "below"):
     def wrap(fn):
-        _REGISTRY.append(CheckSpec(name=name, suite=suite, mode=mode, fn=fn))
+        _REGISTRY.append(CheckSpec(name, suite, float(tolerance), mode, fn))
         return fn
 
     return wrap
+
+
+class _Label:
+    """'n=3 q=[...] ...': a case's N and drawn inputs, each float in full precision.
+
+    Formatted only when read with str(), so a check leaves its inputs as they are after the yield.
+    """
+
+    def __init__(self, n: int, **inputs):
+        self.inputs = {"n": n, **inputs}
+
+    def __str__(self) -> str:
+        return " ".join(f"{key}={np.asarray(value).tolist()}" for key, value in self.inputs.items())
 
 
 #: Exact rational value of each entry of a float or Fraction array, as an object array.
@@ -72,41 +109,35 @@ _fractions = np.frompyfunc(Fraction, 1, 1)
 # symfun
 # ---------------------------------------------------------------------------
 
-@_check("symfun_roundtrip", "symfun")
+@_check("symfun_roundtrip", "symfun", 1e-10)
 def _symfun_roundtrip(rng):
-    worst = 0.0
     for _ in range(40):
         n = int(rng.integers(1, 9))
         q = sampling.random_configuration(rng, n, low=-3.0, high=3.0)
         back = symfun.roots_from_coords(symfun.elem_sym_coords(q))
-        worst = max(worst, float(np.abs(back - q).max() / max(1.0, np.abs(q).max())))
-    return worst, 1e-10
+        yield _Label(n, q=q), float(np.abs(back - q).max() / max(1.0, np.abs(q).max()))
 
 
-@_check("symfun_jacobian_det_agreement", "symfun")
+@_check("symfun_jacobian_det_agreement", "symfun", 1e-9)
 def _symfun_det(rng):
-    worst = 0.0
     for _ in range(40):
         n = int(rng.integers(1, 7))
         q = sampling.random_configuration(rng, n, low=-3.0, high=3.0)
         closed = symfun.jacobian_det(q)
         lu = float(np.linalg.det(symfun.jacobian(q)))
-        worst = max(worst, abs(closed - lu) / max(1.0, abs(closed)))
-    return worst, 1e-9
+        yield _Label(n, q=q), abs(closed - lu) / max(1.0, abs(closed))
 
 
-@_check("symfun_jacobian_inverse_identity", "symfun")
+@_check("symfun_jacobian_inverse_identity", "symfun", 1e-10)
 def _symfun_inverse(rng):
-    worst = 0.0
     for _ in range(40):
         n = int(rng.integers(1, 7))
         q = sampling.random_configuration(rng, n, low=-3.0, high=3.0)
         prod = symfun.jacobian(q) @ symfun.jacobian_inverse(q)
-        worst = max(worst, float(np.abs(prod - np.eye(n)).max()))
-    return worst, 1e-10
+        yield _Label(n, q=q), float(np.abs(prod - np.eye(n)).max())
 
 
-@_check("symfun_jacobian_finite_difference", "symfun")
+@_check("symfun_jacobian_finite_difference", "symfun", 1e-8)
 def _symfun_jacobian_columns(rng):
     """Each column of J against an exact difference of the coordinates x = e(q).
 
@@ -115,7 +146,6 @@ def _symfun_jacobian_columns(rng):
     of the same float draws, so the residual is the rounding of ``jacobian``
     alone.
     """
-    worst = Fraction(0)
     for _ in range(10):
         n = int(rng.integers(2, 7))
         q = sampling.random_configuration(rng, n)
@@ -125,70 +155,62 @@ def _symfun_jacobian_columns(rng):
         corners[0, range(n), range(n)] = 1
         corners[1, range(n), range(n)] = 0
         x = symfun.flat_line(corners, np.zeros_like(corners))[0]
-        worst = max(worst, np.abs((x[0] - x[1]).T - _fractions(jac)).max())
-    return float(worst), 1e-8
+        yield _Label(n, q=q), float(np.abs((x[0] - x[1]).T - _fractions(jac)).max())
 
 
 # ---------------------------------------------------------------------------
 # geometry
 # ---------------------------------------------------------------------------
 
-@_check("geometry_curvature_flat", "geometry")
+@_check("geometry_curvature_flat", "geometry", 1e-9)
 def _curvature_flat(rng):
-    worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 7))
         q = sampling.random_configuration(rng, n)
-        worst = max(worst, float(np.abs(geometry.curvature(q)).max()))
-    return worst, 1e-9
+        yield _Label(n, q=q), float(np.abs(geometry.curvature(q)).max())
 
 
-@_check("geometry_curvature_nonflat_control", "geometry", mode="above")
+@_check("geometry_curvature_nonflat_control", "geometry", 0.1, mode="above")
 def _curvature_nonflat(rng):
+    q = np.array([0.0, 1.0, 3.0])
     w = geometry.WFunction.scaled_rational(1.0)
-    return float(np.abs(geometry.curvature(np.array([0.0, 1.0, 3.0]), w)).max()), 0.1
+    yield _Label(3, q=q), float(np.abs(geometry.curvature(q, w)).max())
 
 
-@_check("geometry_curvature_crosscheck", "geometry")
+@_check("geometry_curvature_crosscheck", "geometry", 1e-6)
 def _curvature_crosscheck(rng):
-    worst = 0.0
     w = geometry.WFunction.scaled_rational(1.0)
     for _ in range(20):
         n = int(rng.integers(2, 6))
         q = sampling.random_configuration(rng, n)
         diff = geometry.curvature(q, w) - geometry.curvature_from_connection(q, w)
-        worst = max(worst, float(np.abs(diff).max()))
-    return worst, 1e-6
+        yield _Label(n, q=q), float(np.abs(diff).max())
 
 
-@_check("geometry_christoffel_structure", "geometry")
+@_check("geometry_christoffel_structure", "geometry", 0.0)
 def _christoffel_structure(rng):
-    worst = 0.0
+    """Gamma^i_jk is symmetric in (j, k) and vanishes unless i is j or k."""
     for _ in range(20):
         n = int(rng.integers(1, 7))
         q = sampling.random_configuration(rng, n)
         gam = geometry.christoffel(q)
-        worst = max(worst, float(np.abs(gam - gam.transpose(0, 2, 1)).max()))
+        yield _Label(n, q=q, part="symmetry"), float(np.abs(gam - gam.transpose(0, 2, 1)).max())
         mask = np.ones((n, n, n), dtype=bool)
-        for i in range(n):
-            mask[i, i, :] = False
-            mask[i, :, i] = False
-        worst = max(worst, float(np.abs(gam[mask]).max()) if mask.any() else 0.0)
-    return worst, 0.0
+        mask[range(n), range(n), :] = False
+        mask[range(n), :, range(n)] = False
+        yield _Label(n, q=q, part="sparsity"), float(np.abs(gam[mask]).max(initial=0.0))
 
 
-@_check("geometry_metric_factorization", "geometry")
+@_check("geometry_metric_factorization", "geometry", 1e-12)
 def _metric_factorization(rng):
-    worst = 0.0
     for _ in range(20):
         n = int(rng.integers(1, 7))
         q = sampling.random_configuration(rng, n)
         jac = symfun.jacobian(q)
-        worst = max(worst, float(np.abs(geometry.metric(q) - jac.T @ jac).max()))
-    return worst, 1e-12
+        yield _Label(n, q=q), float(np.abs(geometry.metric(q) - jac.T @ jac).max())
 
 
-@_check("geometry_inverse_metric_identity", "geometry")
+@_check("geometry_inverse_metric_identity", "geometry", 1e-10)
 def _inverse_metric_identity(rng):
     """g g^{-1} = I in doubles, on a well-conditioned family.
 
@@ -198,16 +220,14 @@ def _inverse_metric_identity(rng):
     companion check ``geometry_inverse_metric_closed_form`` covers the full
     harsh domain in exact arithmetic.
     """
-    worst = 0.0
     for _ in range(40):
         n = int(rng.integers(1, 7))
         q = sampling.random_configuration(rng, n, low=-1.1, high=1.1, min_gap=0.25)
         prod = geometry.metric(q) @ geometry.inverse_metric(q)
-        worst = max(worst, float(np.abs(prod - np.eye(n)).max()))
-    return worst, 1e-10
+        yield _Label(n, q=q), float(np.abs(prod - np.eye(n)).max())
 
 
-@_check("geometry_inverse_metric_closed_form", "geometry")
+@_check("geometry_inverse_metric_closed_form", "geometry", 0.0)
 def _inverse_metric_closed_form(rng):
     """Exact rational arithmetic: the closed-form inverse is exactly g^{-1}.
 
@@ -217,7 +237,6 @@ def _inverse_metric_closed_form(rng):
     product g g^{-1} must equal the identity with zero residual, for N up to 6
     including poorly conditioned corners.
     """
-    worst = Fraction(0)
     grid = [Fraction(k, 8) for k in range(-24, 25)]
     for _ in range(10):
         n = int(rng.integers(2, 7))
@@ -225,40 +244,34 @@ def _inverse_metric_closed_form(rng):
         q = np.array([grid[k] for k in picks], dtype=object)
         jac = symfun.jacobian_stack(q[None, :])[0]
         prod = jac.T @ jac @ geometry._closed_form_inverse_metric(q)
-        worst = max(worst, np.abs(prod - np.eye(n, dtype=object)).max())
-    return float(worst), 0.0
+        yield _Label(n, q=q.astype(float)), float(np.abs(prod - np.eye(n, dtype=object)).max())
 
 
-@_check("geometry_hamiltonian_conservation", "geometry")
+@_check("geometry_hamiltonian_conservation", "geometry", 1e-9)
 def _geodesic_energy(rng):
-    worst = 0.0
     for _ in range(3):
         n = int(rng.integers(2, 5))
         q = sampling.random_configuration(rng, n)
         qdot = sampling.random_velocities(rng, n)
         state = geometry.GeodesicState(q, geometry.metric(q) @ qdot)
         traj = dynamics.integrate(dynamics.GeodesicSystem(n), state, 0.3, TIGHT, output_points=16)
-        worst = max(worst, float(traj.diagnostics["energy_drift"].max()))
-    return worst, 1e-9
+        yield _Label(n, q=q, qdot=qdot), float(traj.diagnostics["energy_drift"].max())
 
 
-@_check("geometry_goldfish_equivalence", "geometry")
+@_check("geometry_goldfish_equivalence", "geometry", 1e-8)
 def _geodesic_goldfish(rng):
     # gap floor 0.3: the metric-gradient contraction loses ~cond(g) digits to
     # cancellation, which eats the 1e-8 budget for tightly clustered draws
-    worst = 0.0
     for _ in range(20):
         n = int(rng.integers(2, 6))
         q = sampling.random_configuration(rng, n, min_gap=0.3)
         pi = sampling.random_velocities(rng, n)
-        state = geometry.GeodesicState(q, pi)
-        qdot, pidot = geometry.geodesic_rhs(state)
+        qdot, pidot = geometry.geodesic_rhs(geometry.GeodesicState(q, pi))
         dg = geometry.inverse_metric_gradient(q)
         ginv = geometry.inverse_metric(q)
         acc = np.einsum("kij,k,j->i", dg, qdot, pi) + ginv @ pidot
         target = dynamics.goldfish_rhs(dynamics.GoldfishState(q, qdot))
-        worst = max(worst, float(np.abs(acc - target).max()))
-    return worst, 1e-8
+        yield _Label(n, q=q, pi=pi), float(np.abs(acc - target).max())
 
 
 # ---------------------------------------------------------------------------
@@ -278,43 +291,44 @@ def _goldfish_random_point(rng, n):
     return poisson.goldfish_point(q, pi)
 
 
-@_check("poisson_antisymmetry", "poisson")
+def _pairs(n):
+    return [(int(i), int(j)) for i, j in zip(*np.triu_indices(n, 1))]
+
+
+@_check("poisson_antisymmetry", "poisson", 0.0)
 def _antisymmetry(rng):
-    worst = 0.0
     for n in (2, 3, 4):
         ecm = poisson.ecm_structure(n)
         gold = poisson.goldfish_structure(n)
         for _ in range(334):
-            mat = ecm.matrix(_ecm_random_point(rng, n))
-            worst = max(worst, float(np.abs(mat + mat.T).max()))
-            mat = gold.matrix(_goldfish_random_point(rng, n))
-            worst = max(worst, float(np.abs(mat + mat.T).max()))
-    return worst, 0.0
+            point = _ecm_random_point(rng, n)
+            mat = ecm.matrix(point)
+            yield _Label(n, ecm=point), float(np.abs(mat + mat.T).max())
+            point = _goldfish_random_point(rng, n)
+            mat = gold.matrix(point)
+            yield _Label(n, goldfish=point), float(np.abs(mat + mat.T).max())
 
 
-@_check("poisson_jacobi_ecm", "poisson")
+@_check("poisson_jacobi_ecm", "poisson", 1e-8)
 def _jacobi_ecm(rng):
-    worst = 0.0
     for n, count in ((2, 34), (3, 33), (4, 33)):
         structure = poisson.ecm_structure(n)
         for _ in range(count):
-            worst = max(worst, poisson.jacobi_residual_all(structure, _ecm_random_point(rng, n)))
-    return worst, 1e-8
+            point = _ecm_random_point(rng, n)
+            yield _Label(n, point=point), poisson.jacobi_residual_all(structure, point)
 
 
-@_check("poisson_jacobi_goldfish", "poisson")
+@_check("poisson_jacobi_goldfish", "poisson", 1e-8)
 def _jacobi_goldfish(rng):
-    worst = 0.0
     for n, count in ((2, 34), (3, 33), (4, 33)):
         structure = poisson.goldfish_structure(n)
         for _ in range(count):
-            worst = max(worst, poisson.jacobi_residual_all(structure, _goldfish_random_point(rng, n)))
-    return worst, 1e-8
+            point = _goldfish_random_point(rng, n)
+            yield _Label(n, point=point), poisson.jacobi_residual_all(structure, point)
 
 
-@_check("poisson_flow_matches_rhs", "poisson")
+@_check("poisson_flow_matches_rhs", "poisson", 1e-9)
 def _flow_matches_rhs(rng):
-    worst = 0.0
     for _ in range(20):
         n = int(rng.integers(2, 5))
         structure = poisson.ecm_structure(n)
@@ -323,42 +337,37 @@ def _flow_matches_rhs(rng):
         flow = poisson.hamiltonian_flow(structure, poisson.ecm_hamiltonian_gradient(point, n), point)
         qdot, pdot, fdot = dynamics.ecm_rhs(dynamics.ECMState(q, p, f))
         direct = np.concatenate([qdot, pdot, fdot[np.triu_indices(n, 1)]])
-        worst = max(worst, float(np.abs(flow - direct).max()))
-    return worst, 1e-9
+        yield _Label(n, point=point), float(np.abs(flow - direct).max())
 
 
-def _induced_goldfish_residual(rng, coefficient: float) -> float:
-    """Residual between qddot induced by H = P^2/2 and the goldfish RHS."""
-    worst = 0.0
+def _induced_goldfish_residual(rng, coefficient: float) -> Iterator[Case]:
+    """Per draw, the residual between qddot induced by H = P^2/2 and the goldfish RHS."""
     for _ in range(100):
         n = int(rng.integers(2, 5))
         structure = poisson.goldfish_structure(n, coefficient=coefficient)
         point = _goldfish_random_point(rng, n)
         q, pi = point[:n], point[n:]
         flow = poisson.hamiltonian_flow(structure, poisson.goldfish_hamiltonian_gradient(point, n), point)
-        qdot = flow[:n]
-        pidot = flow[n:]
+        qdot, pidot = flow[:n], flow[n:]
         momentum = float(np.sum(pi))
         # qdot_i = P pi_i, so qddot = Pdot pi + P pidot with Pdot = sum pidot
         acc = float(np.sum(pidot)) * pi + momentum * pidot
         target = dynamics.goldfish_rhs(dynamics.GoldfishState(q, qdot))
-        worst = max(worst, float(np.abs(acc - target).max()))
-    return worst
+        yield _Label(n, point=point), float(np.abs(acc - target).max())
 
 
-@_check("poisson_goldfish_flow_factor2", "poisson")
+@_check("poisson_goldfish_flow_factor2", "poisson", 1e-9)
 def _goldfish_factor2(rng):
-    return _induced_goldfish_residual(rng, poisson.GOLDFISH_COEFFICIENT), 1e-9
+    return _induced_goldfish_residual(rng, poisson.GOLDFISH_COEFFICIENT)
 
 
-@_check("poisson_goldfish_flow_factor1_control", "poisson", mode="above")
+@_check("poisson_goldfish_flow_factor1_control", "poisson", 0.1, mode="above")
 def _goldfish_factor1(rng):
-    return _induced_goldfish_residual(rng, 1.0), 0.1
+    return _induced_goldfish_residual(rng, 1.0)
 
 
-@_check("poisson_constraint_weak_zero", "poisson")
+@_check("poisson_constraint_weak_zero", "poisson", 1e-9)
 def _constraint_weak_zero(rng):
-    worst = 0.0
     for _ in range(10):
         n = int(rng.integers(2, 5))
         structure = poisson.ecm_structure(n)
@@ -366,106 +375,113 @@ def _constraint_weak_zero(rng):
         p = sampling.random_velocities(rng, n)
         point = poisson.ecm_point(q, p, dynamics.f_from_velocities(q, p))
         ham = poisson.ecm_hamiltonian_gradient(point, n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                grad = poisson.g_constraint_gradient(point, n, i, j)
-                worst = max(worst, abs(poisson.bracket_eval(structure, grad, ham, point)))
-    return worst, 1e-9
+        for i, j in _pairs(n):
+            grad = poisson.g_constraint_gradient(point, n, i, j)
+            yield _Label(n, q=q, p=p, pair=(i, j)), abs(poisson.bracket_eval(structure, grad, ham, point))
 
 
-@_check("poisson_constraint_offsurface_control", "poisson", mode="above")
+@_check("poisson_constraint_offsurface_control", "poisson", 1e-3, mode="above")
 def _constraint_offsurface(rng):
-    smallest = np.inf
+    """{G_ij, H} is not identically zero off the constraint surface.
+
+    A case is one draw's largest |{G_ij, H}|.  The bracket vanishes at some
+    off-surface points (``poisson_constraint_offsurface_closed_form``), so
+    only some case need exceed the threshold.
+    """
     for _ in range(10):
         n = int(rng.integers(2, 5))
         structure = poisson.ecm_structure(n)
         point = _ecm_random_point(rng, n)
         ham = poisson.ecm_hamiltonian_gradient(point, n)
-        largest = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                grad = poisson.g_constraint_gradient(point, n, i, j)
-                largest = max(largest, abs(poisson.bracket_eval(structure, grad, ham, point)))
-        smallest = min(smallest, largest)
-    return float(smallest), 1e-3
+        brackets = [poisson.bracket_eval(structure, poisson.g_constraint_gradient(point, n, i, j), ham, point)
+                    for i, j in _pairs(n)]
+        yield _Label(n, point=point), max(map(abs, brackets))
 
 
-@_check("poisson_constraint_algebra", "poisson")
+@_check("poisson_constraint_offsurface_closed_form", "poisson", 1e-9)
+def _constraint_offsurface_closed_form(rng):
+    """{G_01, H} at N = 2, off the constraint surface, against its closed form.
+
+    With s = sqrt(p_0 p_1), d = q_0 - q_1 and G = G_01 = 2 (f_01 + d s),
+    {G_01, H} = G (p_0 - p_1) (4 d s - G) / (2 s d^2).  It vanishes on three
+    zero sets, not one: the constraint surface G = 0, equal momenta
+    p_0 = p_1, and f_01 = d s.  The residual is relative to max(1, |closed|).
+    """
+    structure = poisson.ecm_structure(2)
+    for _ in range(20):
+        point = _ecm_random_point(rng, 2)
+        q0, q1, p0, p1, f01 = point
+        grads = poisson.g_constraint_gradient(point, 2, 0, 1), poisson.ecm_hamiltonian_gradient(point, 2)
+        got = poisson.bracket_eval(structure, *grads, point)
+        s, d = np.sqrt(p0 * p1), q0 - q1
+        g = 2.0 * (f01 + d * s)
+        closed = g * (p0 - p1) * (4.0 * d * s - g) / (2.0 * s * d**2)
+        yield _Label(2, point=point), float(abs(got - closed) / max(1.0, abs(closed)))
+
+
+@_check("poisson_constraint_algebra", "poisson", 1e-9)
 def _constraint_algebra(rng):
-    worst = 0.0
     for _ in range(5):
         n = int(rng.integers(3, 5))
         structure = poisson.ecm_structure(n)
         point = _ecm_random_point(rng, n)
         q, p, f = poisson.ecm_parts(point, n)
         gmat = poisson.g_constraints(q, p, f)
-        pairs = [(int(i), int(j)) for i, j in zip(*np.triu_indices(n, 1))]
+        pairs = _pairs(n)
         for i, j in pairs:
             for k, l in pairs:
-                got = poisson.bracket_eval(
-                    structure,
-                    poisson.g_constraint_gradient(point, n, i, j),
-                    poisson.g_constraint_gradient(point, n, k, l),
-                    point,
-                )
+                grads = [poisson.g_constraint_gradient(point, n, *pair) for pair in ((i, j), (k, l))]
+                got = poisson.bracket_eval(structure, *grads, point)
                 want = (
                     -(j == k) * gmat[i, l]
                     + (i == k) * gmat[j, l]
                     + (j == l) * gmat[i, k]
                     - (i == l) * gmat[j, k]
                 )
-                worst = max(worst, abs(got - want))
-    return worst, 1e-9
+                yield _Label(n, point=point, pairs=((i, j), (k, l))), abs(got - want)
 
 
-@_check("poisson_constraint_momentum", "poisson")
+@_check("poisson_constraint_momentum", "poisson", 1e-10)
 def _constraint_momentum(rng):
-    worst = 0.0
     for _ in range(10):
         n = int(rng.integers(2, 5))
         structure = poisson.ecm_structure(n)
         point = _ecm_random_point(rng, n)
         mom = poisson.momentum_gradient(point, n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                grad = poisson.g_constraint_gradient(point, n, i, j)
-                worst = max(worst, abs(poisson.bracket_eval(structure, grad, mom, point)))
-    return worst, 1e-10
+        for i, j in _pairs(n):
+            grad = poisson.g_constraint_gradient(point, n, i, j)
+            yield _Label(n, point=point, pair=(i, j)), abs(poisson.bracket_eval(structure, grad, mom, point))
 
 
-@_check("poisson_vector_transform", "poisson")
+@_check("poisson_vector_transform", "poisson", 1e-8)
 def _vector_transform(rng):
-    worst = 0.0
     for _ in range(5):
         n = int(rng.integers(2, 5))
         structure = poisson.ecm_structure(n)
         point = _ecm_random_point(rng, n)
         q, p, _ = poisson.ecm_parts(point, n)
         chart = reduction.canonical_transform(q, p)
-        for i in range(n):
-            for j in range(i + 1, n):
-                grad = poisson.g_constraint_gradient(point, n, i, j)
-                for k in range(n):
-                    dq, dp = poisson.reduced_chart_gradients(point, n, k)
-                    got_q = poisson.bracket_eval(structure, grad, dq, point)
-                    want_q = (i == k) * chart.Q[j] - (j == k) * chart.Q[i]
-                    got_p = poisson.bracket_eval(structure, grad, dp, point)
-                    want_p = (i == k) * chart.P[j] - (j == k) * chart.P[i]
-                    worst = max(worst, abs(got_q - want_q), abs(got_p - want_p))
-    return worst, 1e-8
+        for i, j in _pairs(n):
+            grad = poisson.g_constraint_gradient(point, n, i, j)
+            for k in range(n):
+                dq, dp = poisson.reduced_chart_gradients(point, n, k)
+                got_q = poisson.bracket_eval(structure, grad, dq, point)
+                want_q = (i == k) * chart.Q[j] - (j == k) * chart.Q[i]
+                got_p = poisson.bracket_eval(structure, grad, dp, point)
+                want_p = (i == k) * chart.P[j] - (j == k) * chart.P[i]
+                yield _Label(n, point=point, pair=(i, j), k=k, part="Q"), abs(got_q - want_q)
+                yield _Label(n, point=point, pair=(i, j), k=k, part="P"), abs(got_p - want_p)
 
 
-@_check("poisson_b_commutation", "poisson")
+@_check("poisson_b_commutation", "poisson", 1e-6)
 def _b_commutation(rng):
     # gap floor 0.3: the derivatives cancel to rounding, which grows with cond(g)
-    worst = 0.0
     for n in (2, 3, 4, 5):
         for _ in range(5):
             q = sampling.random_configuration(rng, n, min_gap=0.3)
             pi = sampling.random_velocities(rng, n)
             # antisymmetric with a zero diagonal: its largest entry is that of a pair m < n
-            worst = max(worst, float(np.abs(poisson.commutation_matrix(q, pi)).max()))
-    return worst, 1e-6
+            yield _Label(n, q=q, pi=pi), float(np.abs(poisson.commutation_matrix(q, pi)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -480,29 +496,24 @@ def _goldfish_cases(rng, per_n=4):
             yield dynamics.GoldfishState(q, qdot)
 
 
-@_check("dynamics_exact_vs_rk", "dynamics")
+@_check("dynamics_exact_vs_rk", "dynamics", 1e-8)
 def _exact_vs_rk(rng):
-    worst = 0.0
     for state in _goldfish_cases(rng):
         traj = dynamics.integrate(dynamics.GoldfishSystem(state.n), state, 0.3, TIGHT, output_points=16)
         exact = np.vstack([dynamics.goldfish_exact(state, t) for t in traj.times])
         numeric = traj.rows[:, : state.n]
-        worst = max(worst, float(np.abs(numeric - exact).max()))
-    return worst, 1e-8
+        yield _Label(state.n, q=state.q, qdot=state.qdot), float(np.abs(numeric - exact).max())
 
 
-@_check("dynamics_bn_conservation", "dynamics")
+@_check("dynamics_bn_conservation", "dynamics", 1e-9)
 def _bn_conservation(rng):
-    worst = 0.0
     for state in _goldfish_cases(rng):
         traj = dynamics.integrate(dynamics.GoldfishSystem(state.n), state, 0.3, TIGHT, output_points=16)
-        worst = max(worst, float(traj.diagnostics["bn_drift"].max()))
-    return worst, 1e-9
+        yield _Label(state.n, q=state.q, qdot=state.qdot), float(traj.diagnostics["bn_drift"].max())
 
 
-@_check("dynamics_energy_conservation", "dynamics")
+@_check("dynamics_energy_conservation", "dynamics", 1e-9)
 def _energy_conservation(rng):
-    worst = 0.0
     for _ in range(6):
         n = int(rng.integers(2, 5))
         q = sampling.random_configuration(rng, n, min_gap=0.3)
@@ -510,13 +521,11 @@ def _energy_conservation(rng):
         fu = sampling.random_spin_upper(rng, n)
         state = dynamics.ECMState(q, p, fu)
         traj = dynamics.integrate(dynamics.EcmSystem(n), state, 0.3, TIGHT, output_points=16)
-        worst = max(worst, float(traj.diagnostics["energy_drift"].max()))
-    return worst, 1e-9
+        yield _Label(n, q=q, p=p, f=fu), float(traj.diagnostics["energy_drift"].max())
 
 
-@_check("dynamics_reduction_tracking", "dynamics")
+@_check("dynamics_reduction_tracking", "dynamics", 1e-8)
 def _reduction_tracking(rng):
-    worst = 0.0
     for _ in range(5):
         n = int(rng.integers(2, 6))
         q = sampling.random_configuration(rng, n, min_gap=0.5)
@@ -525,26 +534,22 @@ def _reduction_tracking(rng):
         estate = dynamics.ECMState(q, qdot, dynamics.f_from_velocities(q, qdot))
         gtraj = dynamics.integrate(dynamics.GoldfishSystem(n), gstate, 0.3, TIGHT, output_points=16)
         etraj = dynamics.integrate(dynamics.EcmSystem(n), estate, 0.3, TIGHT, output_points=16)
-        worst = max(worst, float(np.abs(gtraj.rows[:, :n] - etraj.rows[:, :n]).max()))
-    return worst, 1e-8
+        yield _Label(n, q=q, qdot=qdot), float(np.abs(gtraj.rows[:, :n] - etraj.rows[:, :n]).max())
 
 
-@_check("dynamics_constraint_norm", "dynamics")
+@_check("dynamics_constraint_norm", "dynamics", 1e-8)
 def _constraint_norm(rng):
-    worst = 0.0
     for _ in range(5):
         n = int(rng.integers(2, 6))
         q = sampling.random_configuration(rng, n, min_gap=0.5)
         qdot = sampling.random_velocities(rng, n)
         state = dynamics.ECMState(q, qdot, dynamics.f_from_velocities(q, qdot))
         traj = dynamics.integrate(dynamics.EcmSystem(n), state, 0.3, TIGHT, output_points=16)
-        worst = max(worst, float(np.nanmax(traj.diagnostics["constraint_norm"])))
-    return worst, 1e-8
+        yield _Label(n, q=q, qdot=qdot), float(traj.diagnostics["constraint_norm"].max())
 
 
-@_check("dynamics_hamiltonian_forms", "dynamics")
+@_check("dynamics_hamiltonian_forms", "dynamics", 1e-12)
 def _hamiltonian_forms(rng):
-    worst = 0.0
     for _ in range(50):
         n = int(rng.integers(2, 6))
         q = sampling.random_configuration(rng, n)
@@ -552,39 +557,33 @@ def _hamiltonian_forms(rng):
         fu = sampling.random_spin_upper(rng, n)
         state = dynamics.ECMState(q, p, fu)
         h = dynamics.ecm_hamiltonian(state)
-        worst = max(worst, abs(h - dynamics.ecm_hamiltonian_g(state)) / max(1.0, abs(h)))
-    return worst, 1e-12
+        yield _Label(n, q=q, p=p, f=fu), abs(h - dynamics.ecm_hamiltonian_g(state)) / max(1.0, abs(h))
 
 
-@_check("dynamics_momentum_conservation", "dynamics")
+@_check("dynamics_momentum_conservation", "dynamics", 1e-10)
 def _momentum_conservation(rng):
-    worst = 0.0
     for _ in range(4):
         n = int(rng.integers(2, 5))
         q = sampling.random_configuration(rng, n, min_gap=0.5)
         qdot = sampling.random_velocities(rng, n)
-        traj = dynamics.integrate(
-            dynamics.GoldfishSystem(n), dynamics.GoldfishState(q, qdot), 0.3, TIGHT, output_points=16
-        )
-        worst = max(worst, float(traj.diagnostics["momentum_drift"].max()))
+        gstate = dynamics.GoldfishState(q, qdot)
+        traj = dynamics.integrate(dynamics.GoldfishSystem(n), gstate, 0.3, TIGHT, output_points=16)
+        yield _Label(n, q=q, qdot=qdot, system="goldfish"), float(traj.diagnostics["momentum_drift"].max())
         fu = sampling.random_spin_upper(rng, n)
-        etraj = dynamics.integrate(
-            dynamics.EcmSystem(n), dynamics.ECMState(q, qdot, fu), 0.3, TIGHT, output_points=16
-        )
+        estate = dynamics.ECMState(q, qdot, fu)
+        etraj = dynamics.integrate(dynamics.EcmSystem(n), estate, 0.3, TIGHT, output_points=16)
         p0 = float(np.sum(qdot))
         # summed along contiguous rows, each sum is np.sum of that row's momenta
         momenta = np.ascontiguousarray(etraj.rows[:, n : 2 * n])
-        worst = max(worst, float(np.abs(momenta.sum(axis=1) - p0).max()))
-    return worst, 1e-10
+        yield _Label(n, q=q, qdot=qdot, f=fu, system="ecm"), float(np.abs(momenta.sum(axis=1) - p0).max())
 
 
 # ---------------------------------------------------------------------------
 # reduction
 # ---------------------------------------------------------------------------
 
-@_check("reduction_eigenvalue_goldfish", "reduction")
+@_check("reduction_eigenvalue_goldfish", "reduction", 1e-9)
 def _eigenvalue_goldfish(rng):
-    worst = 0.0
     times = np.linspace(0.0, 0.3, 16)
     for n in (2, 3, 4, 5, 6):
         q = sampling.random_configuration(rng, n, min_gap=0.5)
@@ -593,25 +592,24 @@ def _eigenvalue_goldfish(rng):
         state = dynamics.GoldfishState(q, qdot)
         for t in times:
             eigs = np.linalg.eigvalsh(reduction.free_flow(flow, t))
-            worst = max(worst, float(np.abs(np.sort(eigs) - dynamics.goldfish_exact(state, t)).max()))
-    return worst, 1e-9
+            residual = float(np.abs(np.sort(eigs) - dynamics.goldfish_exact(state, t)).max())
+            yield _Label(n, q=q, qdot=qdot, t=t), residual
 
 
-@_check("reduction_rank_one", "reduction")
+@_check("reduction_rank_one", "reduction", 1e-12)
 def _rank_one(rng):
-    worst = 0.0
+    """V(0) has N - 1 zero eigenvalues and one equal to the total momentum."""
     for _ in range(10):
         n = int(rng.integers(2, 7))
         q = sampling.random_configuration(rng, n)
         qdot = sampling.random_velocities(rng, n)
         eigs = np.sort(np.linalg.eigvalsh(reduction.rank1_velocity(q, qdot).v0))
-        worst = max(worst, float(np.abs(eigs[:-1]).max()), abs(eigs[-1] - float(np.sum(qdot))))
-    return worst, 1e-12
+        yield _Label(n, q=q, qdot=qdot, part="zero"), float(np.abs(eigs[:-1]).max())
+        yield _Label(n, q=q, qdot=qdot, part="momentum"), abs(eigs[-1] - float(np.sum(qdot)))
 
 
-@_check("reduction_frame_consistency", "reduction")
+@_check("reduction_frame_consistency", "reduction", 1e-10)
 def _frame_consistency(rng):
-    worst = 0.0
     for _ in range(10):
         n = int(rng.integers(2, 6))
         q = sampling.random_configuration(rng, n)
@@ -620,13 +618,12 @@ def _frame_consistency(rng):
         m = reduction.m_matrix(q, qdot)
         d = np.diag(q)
         xdot0 = np.diag(qdot) + m @ d - d @ m
-        worst = max(worst, float(np.abs(xdot0 - flow.v0).max()))
-    return worst, 1e-10
+        yield _Label(n, q=q, qdot=qdot), float(np.abs(xdot0 - flow.v0).max())
 
 
-@_check("reduction_invariant_vectors", "reduction")
+@_check("reduction_invariant_vectors", "reduction", 1e-7)
 def _invariant_vectors(rng):
-    worst = 0.0
+    """v(t) is constant and u(t) = u(0) + 2 t |v|^2 v(0) along the frame flow."""
     grid = np.linspace(0.0, 0.3, 31)
     for _ in range(3):
         n = int(rng.integers(2, 5))
@@ -634,16 +631,14 @@ def _invariant_vectors(rng):
         qdot = sampling.random_velocities(rng, n)
         ft = reduction.frame_flow(q, qdot, grid, TIGHT)
         u, v = reduction.invariant_vectors(ft)
-        worst = max(worst, float(np.abs(v - v[0]).max()))
+        yield _Label(n, q=q, qdot=qdot, part="v"), float(np.abs(v - v[0]).max())
         vv = float(v[0] @ v[0])
         linear = u[0][None, :] + 2.0 * grid[:, None] * v[0][None, :] * vv
-        worst = max(worst, float(np.abs(u - linear).max()))
-    return worst, 1e-7
+        yield _Label(n, q=q, qdot=qdot, part="u"), float(np.abs(u - linear).max())
 
 
-@_check("reduction_qp_identity", "reduction")
+@_check("reduction_qp_identity", "reduction", 1e-10)
 def _qp_identity(rng):
-    worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 6))
         q = sampling.random_configuration(rng, n)
@@ -651,13 +646,11 @@ def _qp_identity(rng):
         chart = reduction.canonical_transform(q, p)
         qdot, pdot = reduction.qp_rhs(chart)
         lhs = qdot * chart.P - chart.Q * pdot
-        worst = max(worst, float(np.abs(lhs - 2.0 * chart.P**4).max()))
-    return worst, 1e-10
+        yield _Label(n, q=q, p=p), float(np.abs(lhs - 2.0 * chart.P**4).max())
 
 
-@_check("reduction_frame_vs_eigen", "reduction")
+@_check("reduction_frame_vs_eigen", "reduction", 1e-6)
 def _frame_vs_eigen(rng):
-    worst = 0.0
     grid = np.linspace(0.0, 0.3, 31)
     for _ in range(2):
         n = int(rng.integers(2, 5))
@@ -665,20 +658,18 @@ def _frame_vs_eigen(rng):
         qdot = sampling.random_velocities(rng, n)
         ft = reduction.frame_flow(q, qdot, grid, TIGHT)
         et, _ = reduction.eigen_track(reduction.rank1_velocity(q, qdot), grid)
-        for a, b in zip(ft.frames, et.frames):
+        for t, a, b in zip(grid, ft.frames, et.frames):
             signs = np.sign(np.sum(a * b, axis=0))
             signs[signs == 0] = 1.0
-            worst = max(worst, float(np.abs(a - b * signs).max()))
-    return worst, 1e-6
+            yield _Label(n, q=q, qdot=qdot, t=t), float(np.abs(a - b * signs).max())
 
 
 # ---------------------------------------------------------------------------
 # hyperbolic
 # ---------------------------------------------------------------------------
 
-@_check("hyperbolic_rational_limit", "hyperbolic")
+@_check("hyperbolic_rational_limit", "hyperbolic", 20.0)
 def _rational_limit(rng):
-    worst = 0.0
     for _ in range(5):
         n = int(rng.integers(2, 5))
         q = sampling.random_configuration(rng, n)
@@ -687,8 +678,7 @@ def _rational_limit(rng):
         state = hyperbolic.HyperbolicState(q, qdot)
         r_coarse = float(np.abs(hyperbolic.hyperbolic_rhs(state, 1e-2) - target).max())
         r_fine = float(np.abs(hyperbolic.hyperbolic_rhs(state, 1e-3) - target).max())
-        worst = max(worst, abs(r_coarse / r_fine - 100.0))
-    return worst, 20.0
+        yield _Label(n, q=q, qdot=qdot), abs(r_coarse / r_fine - 100.0)
 
 
 def _hyperbolic_case(rng, n):
@@ -697,23 +687,19 @@ def _hyperbolic_case(rng, n):
     return a_vec, c_vec
 
 
-@_check("hyperbolic_isospectral", "hyperbolic")
+@_check("hyperbolic_isospectral", "hyperbolic", 1e-8)
 def _isospectral(rng):
-    worst = 0.0
     a = 0.5
     for _ in range(3):
         n = int(rng.integers(2, 5))
         a_vec, c_vec = _hyperbolic_case(rng, n)
         state = hyperbolic.HyperbolicState(a_vec, c_vec)
-        system = hyperbolic.SinhSystem(n, a)
-        traj = dynamics.integrate(system, state, 0.3, TIGHT, output_points=16)
-        worst = max(worst, float(traj.diagnostics["spectrum_drift"].max()))
-    return worst, 1e-8
+        traj = dynamics.integrate(hyperbolic.SinhSystem(n, a), state, 0.3, TIGHT, output_points=16)
+        yield _Label(n, a_vec=a_vec, c_vec=c_vec), float(traj.diagnostics["spectrum_drift"].max())
 
 
-@_check("hyperbolic_matrix_vs_ode", "hyperbolic")
+@_check("hyperbolic_matrix_vs_ode", "hyperbolic", 1e-7)
 def _matrix_vs_ode(rng):
-    worst = 0.0
     a = 0.7
     for _ in range(3):
         n = int(rng.integers(2, 5))
@@ -723,13 +709,11 @@ def _matrix_vs_ode(rng):
         traj = dynamics.integrate(hyperbolic.SinhSystem(n, a), state, 0.3, TIGHT, output_points=16)
         for t, y in zip(traj.times, traj.rows):
             lam = hyperbolic.matrix_positions(data, t)
-            worst = max(worst, float(np.abs(lam - y[:n]).max()))
-    return worst, 1e-7
+            yield _Label(n, a_vec=a_vec, c_vec=c_vec, t=t), float(np.abs(lam - y[:n]).max())
 
 
-@_check("hyperbolic_exact_agreement", "hyperbolic")
+@_check("hyperbolic_exact_agreement", "hyperbolic", 1e-9)
 def _exact_agreement(rng):
-    worst = 0.0
     for _ in range(5):
         n = int(rng.integers(2, 6))
         a_vec, c_vec = _hyperbolic_case(rng, n)
@@ -737,11 +721,10 @@ def _exact_agreement(rng):
         for t in np.linspace(0.0, 0.4, 9):
             _, q_s = hyperbolic.s_exact(data, t)
             q_z = hyperbolic.z_eigen_solution(data, t)
-            worst = max(worst, float(np.abs(q_s - q_z).max()))
-    return worst, 1e-9
+            yield _Label(n, a_vec=a_vec, c_vec=c_vec, t=t), float(np.abs(q_s - q_z).max())
 
 
-@_check("hyperbolic_coth_residual", "hyperbolic")
+@_check("hyperbolic_coth_residual", "hyperbolic", 1e-5)
 def _coth_residual(rng):
     """Exact solutions satisfy the coth equation, by implicit differentiation.
 
@@ -749,7 +732,6 @@ def _coth_residual(rng):
     J zddot = sddot - sum_{k,j} d_k J[:, j] zdot_k zdot_j; then qdot = zdot/(2z)
     and qddot = (zddot/z - 4 qdot^2)/2, with no step in t.
     """
-    worst = 0.0
     for _ in range(3):
         n = int(rng.integers(2, 5))
         a_vec, c_vec = _hyperbolic_case(rng, n)
@@ -765,75 +747,90 @@ def _coth_residual(rng):
             vel = zdot / (2.0 * z)
             acc = 0.5 * (zddot / z - 4.0 * vel**2)
             target = hyperbolic.coth_rhs(hyperbolic.HyperbolicState(q, vel))
-            worst = max(worst, float(np.abs(acc - target).max()))
-    return worst, 1e-5
+            yield _Label(n, a_vec=a_vec, c_vec=c_vec, t=t), float(np.abs(acc - target).max())
 
 
-@_check("hyperbolic_sn_ode", "hyperbolic")
+@_check("hyperbolic_sn_ode", "hyperbolic", 1e-8)
 def _sn_ode(rng):
-    worst = 0.0
     for _ in range(5):
         n = int(rng.integers(2, 6))
         a_vec, c_vec = _hyperbolic_case(rng, n)
         data = hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=c_vec)
         p = data.momentum
         for t in np.linspace(0.0, 0.4, 5):
-            s, sdot, sddot = hyperbolic.s_derivatives(data, t)
-            worst = max(worst, float(np.abs(sddot - 2.0 * p * sdot).max()))
-    return worst, 1e-8
+            _, sdot, sddot = hyperbolic.s_derivatives(data, t)
+            yield _Label(n, a_vec=a_vec, c_vec=c_vec, t=t), float(np.abs(sddot - 2.0 * p * sdot).max())
 
 
-@_check("hyperbolic_conserved_combination", "hyperbolic")
+@_check("hyperbolic_conserved_combination", "hyperbolic", 1e-9)
 def _conserved_combination(rng):
-    worst = 0.0
     for _ in range(3):
         n = int(rng.integers(2, 5))
         a_vec, c_vec = _hyperbolic_case(rng, n)
         data = hyperbolic.HyperbolicData(a=0.8, a_vec=a_vec, c_vec=c_vec)
         k0 = hyperbolic.conserved_combination(data, 0.0)
         for t in np.linspace(0.0, 0.5, 11):
-            worst = max(worst, float(np.abs(hyperbolic.conserved_combination(data, t) - k0).max()))
-    return worst, 1e-9
+            residual = float(np.abs(hyperbolic.conserved_combination(data, t) - k0).max())
+            yield _Label(n, a_vec=a_vec, c_vec=c_vec, t=t), residual
 
 
-@_check("hyperbolic_root_function", "hyperbolic")
+@_check("hyperbolic_root_function", "hyperbolic", 1e-8)
 def _root_function(rng):
-    worst = 0.0
     for _ in range(5):
         n = int(rng.integers(2, 5))
         a_vec, c_vec = _hyperbolic_case(rng, n)
         data = hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=c_vec)
         for t in (0.2, 0.5):
             for qi in hyperbolic.z_eigen_solution(data, t):
-                worst = max(worst, abs(hyperbolic.root_function_f(data, t, float(qi))))
-    return worst, 1e-8
+                label = _Label(n, a_vec=a_vec, c_vec=c_vec, t=t, root=qi)
+                yield label, abs(hyperbolic.root_function_f(data, t, float(qi)))
 
 
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
 
+def worst_case(cases: Iterable[Case]) -> tuple[int, str, float]:
+    """(index, label, residual) of the first case with the largest residual, in draw order.
+
+    A NaN residual ranks above every number, so the first NaN case is the
+    worst.  A check that yields no case raises ValueError.
+    """
+    worst = None
+    for index, (label, residual) in enumerate(cases):
+        residual = float(residual)
+        if worst is None or (not math.isnan(worst[2]) and (math.isnan(residual) or residual > worst[2])):
+            worst = (index, label, residual)
+    if worst is None:
+        raise ValueError("the check yielded no case")
+    return worst[0], str(worst[1]), worst[2]
+
+
 def _run_spec(spec: CheckSpec, seed: int) -> CheckResult:
-    rng = np.random.default_rng([seed, zlib.crc32(spec.name.encode())])
     started = time.perf_counter()
-    value, tolerance = spec.fn(rng)
+    index, label, value = worst_case(spec.cases(seed))
     elapsed = time.perf_counter() - started
-    passed = value <= tolerance if spec.mode == "below" else value > tolerance
     return CheckResult(
         name=spec.name,
-        max_residual=float(value),
-        tolerance=float(tolerance),
-        passed=bool(passed),
+        max_residual=value,
+        tolerance=spec.tolerance,
+        passed=spec.passes(value),
         seconds=elapsed,
+        worst_case=(index, label),
     )
+
+
+def lookup(name: str) -> CheckSpec:
+    """The registered check called ``name``."""
+    for spec in _REGISTRY:
+        if spec.name == name:
+            return spec
+    raise ValueError(f"unknown check {name!r}")
 
 
 def run_single(name: str, seed: int = 42) -> CheckResult:
     """Run one named check; the generator depends on (seed, name) only."""
-    for spec in _REGISTRY:
-        if spec.name == name:
-            return _run_spec(spec, seed)
-    raise ValueError(f"unknown check {name!r}")
+    return _run_spec(lookup(name), seed)
 
 
 def run_checks(selector: str = "all", seed: int = 42) -> list[CheckResult]:

@@ -98,6 +98,7 @@ def test_criterion_08_weak_constraint_conservation():
         run("dynamics_constraint_norm"),
         run("poisson_constraint_weak_zero"),
         run("poisson_constraint_offsurface_control"),
+        run("poisson_constraint_offsurface_closed_form"),
     ]
     report(
         "criterion-08 constraints weakly conserved on the surface",
