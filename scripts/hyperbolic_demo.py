@@ -43,7 +43,7 @@ def main():
     print(f"  max |z_eigen - s_exact| over grid: {worst:.3e}")
 
     config = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
-    state0 = hyperbolic.HyperbolicState(a_vec, c_vec)
+    state0 = dynamics.GoldfishState(a_vec, c_vec)
     traj = dynamics.integrate(hyperbolic.SinhSystem(args.n, args.a), state0, args.t_end, config, 9)
     print("\nsinh flow, isospectral deformation:")
     print(f"  Lax spectrum drift:          {traj.diagnostics['spectrum_drift'].max():.3e}")
@@ -51,7 +51,7 @@ def main():
 
     worst = 0.0
     for t, s in zip(traj.times, traj.states):
-        worst = max(worst, np.abs(hyperbolic.matrix_positions(data, t) - s.lam).max())
+        worst = max(worst, np.abs(hyperbolic.matrix_positions(data, t) - s.q).max())
     print(f"  matrix-geodesic eigenvalues: {worst:.3e} from integrated flow")
 
     k0 = hyperbolic.conserved_combination(data, 0.0)

@@ -132,11 +132,11 @@ class RunConfig:
                 if key in ("q0", "a_vec") and n > 1:
                     gaps = np.diff(value)
                     _require(np.all(gaps > 0), f"{key} must be strictly increasing")
-                    _require(
-                        gaps.min() > symfun.COLLISION_TOL,
-                        f"{key} adjacent gaps must be > {symfun.COLLISION_TOL:g}, "
-                        f"got {gaps.min():.3e}",
-                    )
+                    # at a gap <= collision_gap the gap event would start
+                    # negative and never fire
+                    floor = max(symfun.COLLISION_TOL, gap)
+                    _require(gaps.min() > floor,
+                             f"{key} adjacent gaps must be > {floor:g}, got {gaps.min():.3e}")
 
         return cls(system, n, t_end, points, rel_tol, abs_tol, gap, **fields)
 
@@ -317,9 +317,9 @@ def _goldfish_initial(cfg: RunConfig) -> dynamics.GoldfishState:
 
 def _geodesic_velocities(cfg: RunConfig) -> dynamics.GoldfishState:
     """The goldfish data of a geodesic config: the qdot of Hamilton's equations."""
-    from .geometry import GeodesicState, geodesic_rhs
+    from .geometry import geodesic_rhs
 
-    return dynamics.GoldfishState(cfg.q0, geodesic_rhs(GeodesicState(cfg.q0, cfg.p0))[0])
+    return dynamics.GoldfishState(cfg.q0, geodesic_rhs(cfg.q0, cfg.p0)[0])
 
 
 def _flat_exact(initial) -> Callable[[RunConfig], np.ndarray]:
@@ -330,7 +330,8 @@ def _positions_eigen_track(cfg: RunConfig) -> np.ndarray:
     from . import reduction
 
     state0 = _goldfish_initial(cfg)
-    return reduction.eigen_track(reduction.rank1_velocity(state0.q, state0.qdot), cfg.times)[1]
+    flow = reduction.rank1_velocity(state0.q, state0.qdot)
+    return reduction.eigen_track(flow, cfg.times, gap_tol=cfg.collision_gap)[1]
 
 
 def _positions_sinh_matrix(cfg: RunConfig) -> np.ndarray:
@@ -391,13 +392,13 @@ def _build_geodesic(cfg: RunConfig) -> tuple:
 def _build_sinh(cfg: RunConfig) -> tuple:
     from . import hyperbolic
 
-    return hyperbolic.SinhSystem(cfg.n, cfg.a), hyperbolic.HyperbolicState(cfg.a_vec, cfg.c_vec)
+    return hyperbolic.SinhSystem(cfg.n, cfg.a), dynamics.GoldfishState(cfg.a_vec, cfg.c_vec)
 
 
 def _build_coth(cfg: RunConfig) -> tuple:
     from . import hyperbolic
 
-    return hyperbolic.CothSystem(cfg.n), hyperbolic.HyperbolicState(cfg.a_vec, cfg.c_vec)
+    return hyperbolic.CothSystem(cfg.n), dynamics.GoldfishState(cfg.a_vec, cfg.c_vec)
 
 
 SPECS: dict[str, SystemSpec] = {

@@ -38,6 +38,9 @@ from .utils import (
 
 @dataclass(frozen=True)
 class GoldfishState:
+    """Positions q with velocities qdot: the state of every pair flow
+    (``PairFlowSystem``: goldfish, sinh and coth)."""
+
     q: np.ndarray
     qdot: np.ndarray
 
@@ -307,8 +310,12 @@ class OdeSystem:
         return {key: float(values[0]) for key, values in grid.items()}
 
 
-class GoldfishSystem(OdeSystem):
-    name = "goldfish"
+class PairFlowSystem(OdeSystem):
+    """qddot_i = 2 qdot_i sum_{j != i} coupling(q_i - q_j) qdot_j as a first-order system.
+
+    Subclasses supply ``coupling``, the pair function of the gaps
+    (``pair_acceleration``), and the diagnostics.
+    """
 
     def pack(self, state: GoldfishState) -> np.ndarray:
         return np.concatenate([state.q, state.qdot])
@@ -318,7 +325,12 @@ class GoldfishSystem(OdeSystem):
 
     def rhs(self, t, y):
         q, qdot = y[: self.n], y[self.n :]
-        return np.concatenate([qdot, pair_acceleration(q, qdot, np.reciprocal)])
+        return np.concatenate([qdot, pair_acceleration(q, qdot, self.coupling)])
+
+
+class GoldfishSystem(PairFlowSystem):
+    name = "goldfish"
+    coupling = staticmethod(np.reciprocal)
 
     def reference(self, state0: GoldfishState):
         return symfun.flat_line(state0.q, state0.qdot)[1]
@@ -341,13 +353,8 @@ class EcmSystem(OdeSystem):
     def rhs(self, t, y):
         n = self.n
         upper = upper_indices(n)
-        fu = y[2 * n :]
-        # antisymmetric_from_upper without its argument checks: only the
-        # finiteness test can fail on a stage vector, with the same message
-        if not np.isfinite(fu).all():
-            raise ValueError("upper-triangle vector must be finite")
         f = np.zeros((n, n))
-        f[upper] = fu
+        f[upper] = y[2 * n :]
         pdot, fdot = ecm_forces(y[:n], f - f.T)
         return np.concatenate([y[n : 2 * n], pdot, fdot[upper]])
 
@@ -382,7 +389,7 @@ class GeodesicSystem(OdeSystem):
     def rhs(self, t, y):
         from .geometry import geodesic_rhs
 
-        qdot, pidot = geodesic_rhs(self.unpack(y))
+        qdot, pidot = geodesic_rhs(y[: self.n], y[self.n :])
         return np.concatenate([qdot, pidot])
 
     def reference(self, state0):
@@ -410,15 +417,21 @@ def integrate(
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) run (``rk45.solve_ivp``) with dense output on a uniform grid.
 
-    ``system`` packs ``state0`` and supplies the right-hand side.  The
-    smallest signed gap between neighbours of the monitored positions, in
-    their initial order, is watched continuously;
-    crossing ``config.collision_gap`` aborts with CollisionDetected carrying
-    the partial trajectory.  A trial stage whose positions fail the state
-    check of the system's RHS (unordered or collided) also raises
-    CollisionDetected, without a partial trajectory or time.  The output grid
-    is checked once; the trajectory's states and diagnostics are evaluated at
-    its points on first access.
+    ``system`` packs ``state0`` and supplies the right-hand side, which runs
+    unchecked on every trial stage.  A collision is decided from accepted
+    steps only, and raises CollisionDetected:
+
+    - the smallest signed gap between neighbours of the monitored positions,
+      in their initial order, is watched continuously, and its crossing of
+      ``config.collision_gap`` stops the run (the gap event);
+    - the step size underflows while the closest neighbouring pair is
+      closing, by one right-hand-side call at the last accepted state.
+
+    Any other underflow raises StepSizeUnderflow.  Both errors carry the
+    grid rows reached, up to the first row that fails the system's state
+    check (``partial``, None without rows), and the solver's last accepted
+    t (``time``).  The output grid is checked once; the trajectory's states
+    and diagnostics are evaluated at its points on first access.
     """
     config = config or IntegratorConfig()
     if output_points < 2:
@@ -446,50 +459,53 @@ def integrate(
         gap_event.direction = -1.0
         events.append(gap_event)
 
-    try:
-        sol = solve_ivp(
-            system.rhs,
-            (t0, t1),
-            y0,
-            rtol=config.rel_tol,
-            atol=config.abs_tol,
-            t_eval=grid,
-            events=events,
-        )
-    except ValueError as exc:
-        # an RK stage point can leave the ordered, collision-free sector
-        # between two gap-event evaluations; the state check then rejects it
+    sol = solve_ivp(
+        system.rhs,
+        (t0, t1),
+        y0,
+        rtol=config.rel_tol,
+        atol=config.abs_tol,
+        t_eval=grid,
+        events=events,
+    )
+
+    # one packed state per row; each row stays a strided view of the
+    # solver's column, since a BLAS product in a diagnostic (the geodesic
+    # J^-T pi) can round differently on a contiguous copy
+    times, rows = sol.t, sol.y.T
+    rejected = system.rejected_row(rows)
+    if sol.status == 0:
+        if rejected is not None:
+            system.unpack(rows[rejected])  # raises the state check's ValueError
+        return Trajectory(system, state0, times, rows)
+
+    # near-failure states may violate state invariants; a partial trajectory
+    # keeps the rows before the first one that does
+    times, rows = times[:rejected], rows[:rejected]
+    partial = Trajectory(system, state0, times, rows) if times.size else None
+    if sol.status == 1:
         raise CollisionDetected(
-            f"an RK stage state was rejected: {exc}", partial=None, time=None
-        ) from exc
-
-    def build(times, ys, partial: bool):
-        # one packed state per row; each row stays a strided view of the
-        # solver's column, since a BLAS product in a diagnostic (the geodesic
-        # J^-T pi) can round differently on a contiguous copy
-        rows = ys.T
-        rejected = system.rejected_row(rows)
-        if not partial:
-            if rejected is not None:
-                system.unpack(rows[rejected])  # raises the state check's ValueError
-            return Trajectory(system, state0, times, rows)
-        # near-failure states may violate state invariants; a partial
-        # trajectory keeps the rows before the first one that does
-        times, rows = times[:rejected], rows[:rejected]
-        return Trajectory(system, state0, times, rows) if times.size else None
-
-    if sol.status == 1:  # terminal event: collision
-        t_hit = float(sol.t_events[0][0])
+            f"pairwise gap fell below {config.collision_gap:g} at t = {sol.t_last:.6g}",
+            partial=partial,
+            time=sol.t_last,
+        )
+    gap = _closing_gap(system, sol.t_last, sol.y_last)
+    if gap is not None:
         raise CollisionDetected(
-            f"pairwise gap fell below {config.collision_gap:g} at t = {t_hit:.6g}",
-            partial=build(sol.t, sol.y, partial=True),
-            time=t_hit,
+            f"step size underflow at t = {sol.t_last:.6g} with the closest pair closing "
+            f"at gap {gap:.3e}",
+            partial=partial,
+            time=sol.t_last,
         )
-    if sol.status != 0:
-        raise StepSizeUnderflow(
-            sol.message,
-            partial=build(sol.t, sol.y, partial=True),
-            time=float(sol.t[-1]) if sol.t.size else t0,
-        )
+    raise StepSizeUnderflow(sol.message, partial=partial, time=sol.t_last)
 
-    return build(sol.t, sol.y, partial=False)
+
+def _closing_gap(system: OdeSystem, t: float, y: np.ndarray) -> float | None:
+    """The smallest adjacent gap of the monitored positions at y if that pair is closing, else None."""
+    if system.n < 2:
+        return None
+    q = system.positions(y)
+    gaps = q[1:] - q[:-1]
+    k = int(gaps.argmin())
+    rates = system.positions(system.rhs(t, y))
+    return float(gaps[k]) if rates[k + 1] - rates[k] < 0 else None

@@ -218,8 +218,8 @@ def geodesic_hamiltonian(state: GeodesicState) -> float:
     return 0.5 * float(p @ p)
 
 
-def geodesic_rhs(state: GeodesicState) -> tuple[np.ndarray, np.ndarray]:
-    """Hamilton equations of H = 1/2 |P|^2, P = J^{-T} pi, in O(N^2).
+def geodesic_rhs(q: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hamilton equations of H = 1/2 |P|^2, P = J^{-T} pi, in O(N^2), on plain arrays.
 
     qdot = J^{-1} P.  With (J^{-1})[i, m] = (-1)^m q_i^(N-1-m) / D_i
     (0-based m, D_i = prod_{k != i} (q_i - q_k)), pidot_k = -sum_m P_m
@@ -229,11 +229,10 @@ def geodesic_rhs(state: GeodesicState) -> tuple[np.ndarray, np.ndarray]:
 
         pidot = pi * (J^{-1}[:, 1:] ((N-1-m) P_m)_{m<N-1}) + w * rowsum(C) + C w,
 
-    with w = pi * qdot.
+    with w = pi * qdot.  Nothing is validated.
     """
-    q, pi = state.q, state.pi
     n = q.size
-    jinv = symfun.jacobian_inverse(q)
+    jinv = symfun.jacobian_inverse_unchecked(q)
     p = jinv.T @ pi
     qdot = jinv @ p
     inv_gaps = 1.0 / (pairwise_differences(q) + np.eye(n)) - np.eye(n)  # C, zero diagonal

@@ -29,20 +29,8 @@ from .utils import finite_vector, pairwise_differences
 POLE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class HyperbolicState:
-    """Positions lam with velocities lamdot."""
-
-    lam: np.ndarray
-    lamdot: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", symfun.as_configuration(self.lam))
-        object.__setattr__(self, "lamdot", finite_vector(self.lamdot, self.lam.size, "lamdot"))
-
-    @property
-    def n(self) -> int:
-        return self.lam.size
+# The pair-flow state under its former name: perfbench/layers.py builds it.
+HyperbolicState = dynamics.GoldfishState
 
 
 @dataclass(frozen=True)
@@ -67,48 +55,48 @@ class HyperbolicData:
         return float(np.sum(self.c_vec))
 
 
-def hyperbolic_rhs(state: HyperbolicState, a: float) -> np.ndarray:
-    """lamddot_i = 2 sum_{j != i} 2 a lamdot_i lamdot_j / sinh(2 a (lam_i - lam_j))."""
+def hyperbolic_rhs(state: dynamics.GoldfishState, a: float) -> np.ndarray:
+    """qddot_i = 2 sum_{j != i} 2 a qdot_i qdot_j / sinh(2 a (q_i - q_j))."""
     if a == 0:
         raise ValueError("a must be nonzero; the a -> 0 limit is the rational flow")
-    return dynamics.pair_acceleration(state.lam, state.lamdot, SinhSystem(state.n, a).coupling)
+    return dynamics.pair_acceleration(state.q, state.qdot, SinhSystem(state.n, a).coupling)
 
 
-def coth_rhs(state: HyperbolicState) -> np.ndarray:
+def coth_rhs(state: dynamics.GoldfishState) -> np.ndarray:
     """qddot_i = 2 sum_{j != i} qdot_i qdot_j coth(q_i - q_j)."""
-    return dynamics.pair_acceleration(state.lam, state.lamdot, CothSystem.coupling)
+    return dynamics.pair_acceleration(state.q, state.qdot, CothSystem.coupling)
 
 
-def lax_pair(state: HyperbolicState, a: float) -> tuple[np.ndarray, np.ndarray]:
+def lax_pair(state: dynamics.GoldfishState, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Lax matrices (L, M) of the sinh flow with the square-root substitution.
 
-    M_ij = -2a sqrt(lamdot_i lamdot_j) / sinh(2a (lam_i - lam_j)) off the
-    diagonal; L_ij = delta_ij lamdot_i - sinh(2a (lam_i - lam_j))/(2a) M_ij,
-    which collapses to the rank-one form sqrt(lamdot_i lamdot_j).  Along the
-    flow Ldot = [L, M], so the spectrum of L is conserved.
+    M_ij = -2a sqrt(qdot_i qdot_j) / sinh(2a (q_i - q_j)) off the diagonal;
+    L_ij = delta_ij qdot_i - sinh(2a (q_i - q_j))/(2a) M_ij, which collapses
+    to the rank-one form sqrt(qdot_i qdot_j).  Along the flow Ldot = [L, M],
+    so the spectrum of L is conserved.
     """
     if a == 0:
         raise ValueError("a must be nonzero")
-    if np.any(state.lamdot <= 0):
-        raise NonPositiveVelocity("lax substitution needs lamdot_i > 0")
-    return _lax_matrices(state.lam, state.lamdot, a)
+    if np.any(state.qdot <= 0):
+        raise NonPositiveVelocity("lax substitution needs qdot_i > 0")
+    return _lax_matrices(state.q, state.qdot, a)
 
 
-def _lax_matrices(lam: np.ndarray, lamdot: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """``lax_pair`` on plain arrays, for a != 0 and lamdot > 0."""
-    n = lam.size
-    gaps = pairwise_differences(lam)
+def _lax_matrices(q: np.ndarray, qdot: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """``lax_pair`` on plain arrays, for a != 0 and qdot > 0."""
+    n = q.size
+    gaps = pairwise_differences(q)
     off = ~np.eye(n, dtype=bool)
-    roots = np.sqrt(np.outer(lamdot, lamdot))
+    roots = np.sqrt(np.outer(qdot, qdot))
     m = np.zeros((n, n))
     sinh_fac = np.zeros((n, n))
     # sinh overflows once 2a |gap| > 710: M_ij is 0 there and sinh_fac * m
-    # is inf * 0, so those entries of L take their value sqrt(lamdot_i lamdot_j)
+    # is inf * 0, so those entries of L take their value sqrt(qdot_i qdot_j)
     with np.errstate(over="ignore", invalid="ignore"):
         sinh = np.sinh(2.0 * a * gaps[off])
         m[off] = -2.0 * a * roots[off] / sinh
         sinh_fac[off] = sinh / (2.0 * a)
-        lax = np.diag(lamdot) - sinh_fac * m
+        lax = np.diag(qdot) - sinh_fac * m
     overflow = np.isinf(sinh_fac)
     lax[overflow] = roots[overflow]
     return lax, m
@@ -317,34 +305,14 @@ def s_derivatives(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarra
     return alpha + beta * growth, 2.0 * p * beta * growth, 4.0 * p * p * beta * growth
 
 
-class _PairFlowSystem(dynamics.OdeSystem):
-    """Second-order pair-coupled flow as a first-order system for the integrator.
-
-    Subclasses supply ``coupling``, the pair function of the gaps.  Every RHS
-    call makes the checks of ``HyperbolicState`` on the stage arrays, so an RK
-    stage whose positions lose their order is rejected with its message.
-    """
-
-    def pack(self, state: HyperbolicState) -> np.ndarray:
-        return np.concatenate([state.lam, state.lamdot])
-
-    def unpack(self, y: np.ndarray) -> HyperbolicState:
-        return HyperbolicState(y[: self.n], y[self.n :])
-
-    def rhs(self, t, y):
-        lam, lamdot = y[: self.n], y[self.n :]
-        if not np.isfinite(y).all():
-            HyperbolicState(lam, lamdot)  # raises the state check's error, in its order
-        symfun.check_gaps(lam)
-        return np.concatenate([lamdot, dynamics.pair_acceleration(lam, lamdot, self.coupling)])
-
-    def _momentum_drift(self, reference: float, rows: np.ndarray) -> np.ndarray:
-        # summed along contiguous rows, each sum is np.sum of that row's velocities
-        velocities = np.ascontiguousarray(rows[:, self.n :])
-        return np.abs(velocities.sum(axis=1) - reference)
+def _momentum_drift(n: int, reference: float, rows: np.ndarray) -> np.ndarray:
+    """|sum qdot - reference| per row of packed (q, qdot) states."""
+    # summed along contiguous rows, each sum is np.sum of that row's velocities
+    velocities = np.ascontiguousarray(rows[:, n:])
+    return np.abs(velocities.sum(axis=1) - reference)
 
 
-class SinhSystem(_PairFlowSystem):
+class SinhSystem(dynamics.PairFlowSystem):
     """The sinh flow of deformation parameter a."""
 
     name = "hyperbolic-sinh"
@@ -360,14 +328,14 @@ class SinhSystem(_PairFlowSystem):
         with np.errstate(over="ignore"):
             return 2.0 * self.a / np.sinh(2.0 * self.a * gaps)
 
-    def _spectrum(self, lam: np.ndarray, lamdot: np.ndarray) -> np.ndarray | None:
-        """Ascending spectrum of the Lax matrix L; None unless every lamdot_i > 0."""
-        if not np.all(lamdot > 0):
+    def _spectrum(self, q: np.ndarray, qdot: np.ndarray) -> np.ndarray | None:
+        """Ascending spectrum of the Lax matrix L; None unless every qdot_i > 0."""
+        if not np.all(qdot > 0):
             return None
-        return np.sort(np.linalg.eigvalsh(_lax_matrices(lam, lamdot, self.a)[0]))
+        return np.sort(np.linalg.eigvalsh(_lax_matrices(q, qdot, self.a)[0]))
 
-    def reference(self, state0: HyperbolicState):
-        return float(np.sum(state0.lamdot)), self._spectrum(state0.lam, state0.lamdot)
+    def reference(self, state0: dynamics.GoldfishState):
+        return float(np.sum(state0.qdot)), self._spectrum(state0.q, state0.qdot)
 
     def grid_diagnostics(self, reference, rows):
         momentum0, spectrum0 = reference
@@ -377,11 +345,11 @@ class SinhSystem(_PairFlowSystem):
                 spectrum = self._spectrum(y[: self.n], y[self.n :])
                 if spectrum is not None:
                     spectrum_drift[k] = np.abs(spectrum - spectrum0).max()
-        return {"momentum_drift": self._momentum_drift(momentum0, rows),
+        return {"momentum_drift": _momentum_drift(self.n, momentum0, rows),
                 "spectrum_drift": spectrum_drift}
 
 
-class CothSystem(_PairFlowSystem):
+class CothSystem(dynamics.PairFlowSystem):
     """The coth flow."""
 
     name = "hyperbolic-coth"
@@ -390,11 +358,11 @@ class CothSystem(_PairFlowSystem):
     def coupling(gaps: np.ndarray) -> np.ndarray:
         return 1.0 / np.tanh(gaps)
 
-    def reference(self, state0: HyperbolicState):
-        return float(np.sum(state0.lamdot))
+    def reference(self, state0: dynamics.GoldfishState):
+        return float(np.sum(state0.qdot))
 
     def grid_diagnostics(self, reference, rows):
-        return {"momentum_drift": self._momentum_drift(reference, rows)}
+        return {"momentum_drift": _momentum_drift(self.n, reference, rows)}
 
 
 def root_function_f(data: HyperbolicData, t: float, q: float) -> float:

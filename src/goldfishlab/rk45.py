@@ -72,7 +72,9 @@ class Solution:
 
     ``status`` is 0 when ``t_span`` was reached, 1 when a terminal event
     fired (its time is in ``t_events``, one array per event) and -1 when the
-    step size underflowed.
+    step size underflowed.  ``t_last`` and ``y_last`` are where the run
+    stopped: the end of the last accepted step, or the event time and the
+    dense-output state there.
     """
 
     t: np.ndarray
@@ -81,6 +83,8 @@ class Solution:
     message: str
     t_events: list[np.ndarray]
     nfev: int
+    t_last: float
+    y_last: np.ndarray
 
 
 def _rms(x: np.ndarray) -> float:
@@ -228,6 +232,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, events=None) -> Solution:
                 t_events[active[first]].append(roots[first])
                 status = 1
                 t = roots[first]
+                y = sol(t)
             g = g_new
         # grid points up to and including t
         t_eval_i_new = bisect.bisect_right(grid, t)
@@ -246,6 +251,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, events=None) -> Solution:
         message=MESSAGES[status],
         t_events=[np.asarray(te) for te in t_events],
         nfev=nfev,
+        t_last=t,
+        y_last=y,
     )
 
 

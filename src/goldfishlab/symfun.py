@@ -32,16 +32,6 @@ def as_configuration(q) -> np.ndarray:
     q = finite_vector(q, name="q")
     if q.size < 1:
         raise ValueError("configuration needs at least one particle")
-    check_gaps(q)
-    return q
-
-
-def check_gaps(q: np.ndarray) -> None:
-    """The order check of ``as_configuration`` on a finite 1-d float array.
-
-    Raises ValueError unless q is strictly increasing with every adjacent gap
-    above ``COLLISION_TOL``.
-    """
     if q.size > 1:
         smallest = (q[1:] - q[:-1]).min()
         if smallest <= 0:
@@ -50,6 +40,7 @@ def check_gaps(q: np.ndarray) -> None:
             raise ValueError(
                 f"minimal gap {smallest:.3e} at or below collision tolerance {COLLISION_TOL:.3e}"
             )
+    return q
 
 
 def flat_line(values: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +126,11 @@ def jacobian_det(q) -> float:
 
 def jacobian_inverse(q) -> np.ndarray:
     """Closed-form inverse: (J^-1)[i, m] = (-1)^(m-1) q_i^(N-m) / prod_{j!=i}(q_i - q_j)."""
-    q = as_configuration(q)
+    return jacobian_inverse_unchecked(as_configuration(q))
+
+
+def jacobian_inverse_unchecked(q: np.ndarray) -> np.ndarray:
+    """``jacobian_inverse`` of a 1-d float array; q is not validated."""
     n = q.size
     diffs = pairwise_differences(q) + np.eye(n)  # self-factor neutralized
     denom = np.prod(diffs, axis=1)

@@ -266,7 +266,7 @@ def _geodesic_goldfish(rng):
         n = int(rng.integers(2, 6))
         q = sampling.random_configuration(rng, n, min_gap=0.3)
         pi = sampling.random_velocities(rng, n)
-        qdot, pidot = geometry.geodesic_rhs(geometry.GeodesicState(q, pi))
+        qdot, pidot = geometry.geodesic_rhs(q, pi)
         dg = geometry.inverse_metric_gradient(q)
         ginv = geometry.inverse_metric(q)
         acc = np.einsum("kij,k,j->i", dg, qdot, pi) + ginv @ pidot
@@ -675,7 +675,7 @@ def _rational_limit(rng):
         q = sampling.random_configuration(rng, n)
         qdot = sampling.random_velocities(rng, n)
         target = dynamics.goldfish_rhs(dynamics.GoldfishState(q, qdot))
-        state = hyperbolic.HyperbolicState(q, qdot)
+        state = dynamics.GoldfishState(q, qdot)
         r_coarse = float(np.abs(hyperbolic.hyperbolic_rhs(state, 1e-2) - target).max())
         r_fine = float(np.abs(hyperbolic.hyperbolic_rhs(state, 1e-3) - target).max())
         yield _Label(n, q=q, qdot=qdot), abs(r_coarse / r_fine - 100.0)
@@ -693,7 +693,7 @@ def _isospectral(rng):
     for _ in range(3):
         n = int(rng.integers(2, 5))
         a_vec, c_vec = _hyperbolic_case(rng, n)
-        state = hyperbolic.HyperbolicState(a_vec, c_vec)
+        state = dynamics.GoldfishState(a_vec, c_vec)
         traj = dynamics.integrate(hyperbolic.SinhSystem(n, a), state, 0.3, TIGHT, output_points=16)
         yield _Label(n, a_vec=a_vec, c_vec=c_vec), float(traj.diagnostics["spectrum_drift"].max())
 
@@ -705,7 +705,7 @@ def _matrix_vs_ode(rng):
         n = int(rng.integers(2, 5))
         a_vec, c_vec = _hyperbolic_case(rng, n)
         data = hyperbolic.HyperbolicData(a=a, a_vec=a_vec, c_vec=c_vec)
-        state = hyperbolic.HyperbolicState(a_vec, c_vec)
+        state = dynamics.GoldfishState(a_vec, c_vec)
         traj = dynamics.integrate(hyperbolic.SinhSystem(n, a), state, 0.3, TIGHT, output_points=16)
         for t, y in zip(traj.times, traj.rows):
             lam = hyperbolic.matrix_positions(data, t)
@@ -746,7 +746,7 @@ def _coth_residual(rng):
             zddot = jac_inv @ (sddot - quadratic)
             vel = zdot / (2.0 * z)
             acc = 0.5 * (zddot / z - 4.0 * vel**2)
-            target = hyperbolic.coth_rhs(hyperbolic.HyperbolicState(q, vel))
+            target = hyperbolic.coth_rhs(dynamics.GoldfishState(q, vel))
             yield _Label(n, a_vec=a_vec, c_vec=c_vec, t=t), float(np.abs(acc - target).max())
 
 

@@ -33,6 +33,30 @@ COTH_ZERO_P = {"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 1], "c_vec": [1
                "t_end": 1, "output_points": 3}
 
 
+# runs that end in a collision, with the meeting time t_c from the flat
+# coordinates and the tolerance on the reported stop time.  Pairs that meet
+# with unbounded speed (goldfish, coth at P = 0, geodesic) end in a step-size
+# underflow with the pair closing; pairs in free motion (a particle at rest
+# passed by one at speed 3 in the sinh and coth flows, and the spin system
+# with f = 0) end at the gap event, 1e-8 / (closing speed) before t_c
+COLLISIONS = {
+    "goldfish": ({"system": "goldfish", "N": 2, "q0": [0, 1], "qdot0": [1, -1], "t_end": 1},
+                 0.25, 1e-9),
+    # z = e^{2q}: s_1 = 1 + e^2 + (2 - 2 e^2) t and s_2 = e^2 meet s_1^2 = 4 s_2
+    "coth": ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 1], "c_vec": [1, -1], "t_end": 1},
+             (np.e - 1) / (2 * (np.e + 1)), 1e-9),
+    "sinh-crossing": ({"system": "hyperbolic-sinh", "N": 2, "a": 0.5, "a_vec": [0.4, 1.11],
+                       "c_vec": [0, -3], "t_end": 2, "output_points": 11}, 0.71 / 3, 1e-8),
+    "coth-crossing": ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0.4, 1.11], "c_vec": [0, -3],
+                       "t_end": 2, "output_points": 11}, 0.71 / 3, 1e-8),
+    # P = J^{-T} pi = (-3, 12): x = (0.5 - 3t, 12t) meets x_1^2 = 4 x_2
+    "geodesic": ({"system": "geodesic", "N": 2, "q0": [0, 0.5], "p0": [3, -3], "t_end": 2},
+                 (51 - np.sqrt(2592)) / 18, 1e-9),
+    "ecm-free": ({"system": "ecm", "N": 2, "q0": [0, 1], "p0": [1, -1], "f0": [[0, 0], [0, 0]],
+                  "t_end": 2, "output_points": 21}, 0.5, 1e-8),
+}
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -163,41 +187,25 @@ class TestSimulate:
         _, rows = read_csv(out)
         assert 0 < rows.shape[0] < 21 and rows[:, 0].max() < 0.495
 
-    def test_geodesic_stage_point_out_of_order_exits_three(self, tmp_path, capsys):
-        # an RK stage point of this run swaps the two positions before the gap
-        # event can stop the integration
-        cfg = write_config(
-            tmp_path / "cfg.json",
-            {"system": "geodesic", "N": 2, "t_end": 2, "q0": [0, 0.5], "p0": [3, -3]},
-        )
+    @pytest.mark.parametrize("raw, t_c, tol", COLLISIONS.values(), ids=COLLISIONS.keys())
+    def test_collision_keeps_its_rows_and_stop_time(self, tmp_path, raw, t_c, tol):
+        cfg = write_config(tmp_path / "cfg.json", raw)
         out = tmp_path / "traj.csv"
-        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("error: CollisionDetected: ")
-        sidecar = json.loads(cli.sidecar_path(out).read_text())
-        assert sidecar["truncated"] is True
-        assert sidecar["truncation"]["error"] == "CollisionDetected"
-        assert sidecar["rows_written"] == 0
-        assert out.read_text() == "t,q1,q2,pi1,pi2\n"
-
-
-    @pytest.mark.parametrize("system, a", [("hyperbolic-sinh", 0.5), ("hyperbolic-coth", None)])
-    def test_pair_flow_stage_out_of_order_exits_three(self, tmp_path, capsys, system, a):
-        # the moving particle passes the one at rest inside one RK step
-        raw = {"system": system, "N": 2, "a_vec": [0.4, 1.11], "c_vec": [0, -3], "t_end": 2,
-               "output_points": 11}
-        cfg = write_config(tmp_path / "cfg.json", raw if a is None else {**raw, "a": a})
-        out = tmp_path / "traj.csv"
-        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            "error: CollisionDetected: an RK stage state was rejected: "
-            "positions must be strictly increasing\n")
-        sidecar = json.loads(cli.sidecar_path(out).read_text())
-        assert sidecar["rows_written"] == 0 and sidecar["truncation"]["time"] is None
-        assert out.read_text() == "t,q1,q2,qdot1,qdot2\n"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "goldfishlab", "simulate",
+                               "--config", cfg, "--out", str(out)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 3
+        assert re.fullmatch(r"error: CollisionDetected: [^\n]*\n", proc.stderr)
+        truncation = json.loads(cli.sidecar_path(out).read_text())["truncation"]
+        assert truncation["error"] == "CollisionDetected"
+        _, rows = read_csv(out)
+        assert rows.shape[0] >= 1 and rows[:, 0].max() <= truncation["time"]
+        assert abs(truncation["time"] - t_c) <= tol
 
     def test_sinh_overflow_keeps_diagnostics_finite_and_stderr_empty(self, tmp_path):
         # 2a |gap| = 800: sinh overflows in the coupling and in the Lax pair,
-        # where the coupling and M are 0 and L is sqrt(lamdot_i lamdot_j)
+        # where the coupling and M are 0 and L is sqrt(qdot_i qdot_j)
         cfg = write_config(tmp_path / "cfg.json",
                            {"system": "hyperbolic-sinh", "N": 2, "a": 100, "a_vec": [0, 4],
                             "c_vec": [1, 1], "t_end": 0.1, "output_points": 3})
@@ -471,6 +479,30 @@ class TestCompareCommand:
             ["compare", "--config", cfg, "--solvers", "z_eigen", "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("system, solvers", [("matrix", None), ("matrix", "eigen_track,flat_exact"),
+                                                 ("goldfish", "matrix_eigen,rk_integration")])
+    def test_initial_gap_at_or_below_collision_gap_exits_two(self, tmp_path, capsys, system, solvers):
+        # the RK gap event would start negative and never fire
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"system": system, "N": 2, "t_end": 0.1, "q0": [0, 0.3], "qdot0": [1, 1],
+                            "collision_gap": 0.5, "output_points": 3})
+        out = str(tmp_path / "x.csv")
+        argv = ["simulate"] if solvers is None else ["compare", "--solvers", solvers]
+        assert cli.main(argv + ["--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: q0 adjacent gaps must be > 0.5, got 3.000e-01\n"
+
+    @pytest.mark.parametrize("system, solvers", [("matrix", "eigen_track,flat_exact"),
+                                                 ("goldfish", "matrix_eigen")])
+    def test_eigen_track_stops_at_the_collision_gap(self, tmp_path, capsys, system, solvers):
+        # the pair closes from gap 1 to 0.575 at t = 0.074, below collision_gap 0.6
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"system": system, "N": 2, "t_end": 0.2, "q0": [0, 1], "qdot0": [10, 1],
+                            "collision_gap": 0.6, "output_points": 21})
+        argv = ["compare", "--solvers", solvers, "--config", cfg, "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: EigenvalueCollision: eigenvalue gap 5.963e-01 below 6.000e-01 at t = 0.06\n")
 
 
 @pytest.mark.parametrize("system", cli.SYSTEMS)

@@ -21,66 +21,66 @@ PAIR = hyperbolic.HyperbolicData(a=1.0, a_vec=np.array([0.0, 1.0]), c_vec=np.arr
 
 class TestRightHandSides:
     def test_sinh_hand_value(self):
-        state = hyperbolic.HyperbolicState([0.0, 1.0], [1.0, 1.0])
+        state = dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])
         expected = 2.0 / np.sinh(1.0)
         assert_allclose(hyperbolic.hyperbolic_rhs(state, 0.5), [-expected, expected])
 
     def test_coth_hand_value(self):
-        state = hyperbolic.HyperbolicState([0.0, 1.0], [1.0, 1.0])
+        state = dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])
         expected = 2.0 / np.tanh(1.0)
         assert_allclose(hyperbolic.coth_rhs(state), [-expected, expected])
 
     def test_static_states(self):
-        state = hyperbolic.HyperbolicState([0.0, 1.0], [0.0, 0.0])
+        state = dynamics.GoldfishState([0.0, 1.0], [0.0, 0.0])
         assert np.all(hyperbolic.hyperbolic_rhs(state, 0.5) == 0.0)
         assert np.all(hyperbolic.coth_rhs(state) == 0.0)
-        single = hyperbolic.HyperbolicState([0.3], [1.2])
+        single = dynamics.GoldfishState([0.3], [1.2])
         assert np.all(hyperbolic.coth_rhs(single) == 0.0)
 
     def test_rational_limit_quadratic_in_a(self):
-        state = hyperbolic.HyperbolicState([-0.4, 0.5, 1.3], [0.9, 1.2, 0.7])
-        target = dynamics.goldfish_rhs(dynamics.GoldfishState(state.lam, state.lamdot))
+        state = dynamics.GoldfishState([-0.4, 0.5, 1.3], [0.9, 1.2, 0.7])
+        target = dynamics.goldfish_rhs(dynamics.GoldfishState(state.q, state.qdot))
         coarse = np.abs(hyperbolic.hyperbolic_rhs(state, 1e-2) - target).max()
         fine = np.abs(hyperbolic.hyperbolic_rhs(state, 1e-3) - target).max()
         assert 80.0 < coarse / fine < 120.0
 
     def test_zero_deformation_rejected(self):
-        state = hyperbolic.HyperbolicState([0.0, 1.0], [1.0, 1.0])
+        state = dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             hyperbolic.hyperbolic_rhs(state, 0.0)
 
 
 class TestLaxPair:
     def test_pair_values(self):
-        state = hyperbolic.HyperbolicState([0.0, 1.0], [1.0, 1.0])
+        state = dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])
         lax, m = hyperbolic.lax_pair(state, 0.5)
         assert_allclose(m[0, 1], 1.0 / np.sinh(1.0))
         assert_allclose(lax, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_single_particle(self):
-        lax, m = hyperbolic.lax_pair(hyperbolic.HyperbolicState([0.3], [2.0]), 0.5)
+        lax, m = hyperbolic.lax_pair(dynamics.GoldfishState([0.3], [2.0]), 0.5)
         assert_allclose(lax, [[2.0]])
         assert_allclose(m, [[0.0]])
 
     def test_overflowing_sinh_leaves_the_pair_finite(self):
         # 2a |gap| is 800 or more except between the last two particles (100):
-        # the overflowed entries of L are sqrt(lamdot_i lamdot_j), M's are 0
-        lamdot = np.array([1.0, 2.0, 0.5])
-        state = hyperbolic.HyperbolicState([0.0, 4.0, 4.5], lamdot)
+        # the overflowed entries of L are sqrt(qdot_i qdot_j), M's are 0
+        qdot = np.array([1.0, 2.0, 0.5])
+        state = dynamics.GoldfishState([0.0, 4.0, 4.5], qdot)
         with np.errstate(all="raise"):
             lax, m = hyperbolic.lax_pair(state, 100.0)
-        roots = np.sqrt(np.outer(lamdot, lamdot))
+        roots = np.sqrt(np.outer(qdot, qdot))
         assert np.array_equal(lax[0], roots[0]) and np.array_equal(lax[:, 0], roots[:, 0])
         assert np.all(m[0, 1:] == 0.0) and np.all(m[1:, 0] == 0.0)
         assert_allclose(lax, roots, rtol=1e-15)
 
     def test_requires_positive_velocities(self):
         with pytest.raises(NonPositiveVelocity):
-            hyperbolic.lax_pair(hyperbolic.HyperbolicState([0.0, 1.0], [1.0, -1.0]), 0.5)
+            hyperbolic.lax_pair(dynamics.GoldfishState([0.0, 1.0], [1.0, -1.0]), 0.5)
 
     def test_spectrum_conserved_along_flow(self):
         a = 0.5
-        state = hyperbolic.HyperbolicState([-0.4, 0.3, 1.1], [0.9, 1.2, 0.7])
+        state = dynamics.GoldfishState([-0.4, 0.3, 1.1], [0.9, 1.2, 0.7])
         traj = dynamics.integrate(hyperbolic.SinhSystem(3, a), state, 0.3, TIGHT, 16)
         assert traj.diagnostics["spectrum_drift"].max() < 1e-8
         assert traj.diagnostics["momentum_drift"].max() < 1e-11
@@ -88,7 +88,7 @@ class TestLaxPair:
     def test_lax_equation_residual(self):
         # central difference of L along the flow should match [L, M]
         a = 0.5
-        state = hyperbolic.HyperbolicState([-0.4, 0.3, 1.1], [0.9, 1.2, 0.7])
+        state = dynamics.GoldfishState([-0.4, 0.3, 1.1], [0.9, 1.2, 0.7])
         h = 1e-4
         traj = dynamics.integrate(hyperbolic.SinhSystem(3, a), state, (0.2 - h, 0.2 + h), TIGHT, 3)
         lm, _ = hyperbolic.lax_pair(traj.states[0], a)
@@ -126,7 +126,7 @@ class TestMatrixGeodesic:
         data = hyperbolic.HyperbolicData(
             a=0.7, a_vec=np.array([-0.4, 0.3, 1.1]), c_vec=np.array([0.9, 1.2, 0.7])
         )
-        state0 = hyperbolic.HyperbolicState(data.a_vec, data.c_vec)
+        state0 = dynamics.GoldfishState(data.a_vec, data.c_vec)
         lax0, _ = hyperbolic.lax_pair(state0, data.a)
         for t in (0.0, 0.2, 0.4):
             conjugated = hyperbolic.conserved_combination(data, t) / (4.0 * data.a)
@@ -141,11 +141,11 @@ class TestMatrixGeodesic:
         data = hyperbolic.HyperbolicData(
             a=a, a_vec=np.array([-0.4, 0.3, 1.1]), c_vec=np.array([0.9, 1.2, 0.7])
         )
-        state = hyperbolic.HyperbolicState(data.a_vec, data.c_vec)
+        state = dynamics.GoldfishState(data.a_vec, data.c_vec)
         traj = dynamics.integrate(hyperbolic.SinhSystem(3, a), state, 0.3, TIGHT, 11)
         for t, s in zip(traj.times, traj.states):
             eigs = np.sort(np.linalg.eigvalsh(hyperbolic.matrix_geodesic(data, t)))
-            assert np.abs(np.log(eigs) / (2.0 * a) - s.lam).max() < 1e-7
+            assert np.abs(np.log(eigs) / (2.0 * a) - s.q).max() < 1e-7
 
     def test_requires_positive_c(self):
         bad = hyperbolic.HyperbolicData(a=1.0, a_vec=np.array([0.0, 1.0]), c_vec=np.array([1.0, -1.0]))
@@ -234,7 +234,7 @@ class TestExactSolvers:
         z = np.exp(2.0 * samples[2])
         _, sdot, _ = hyperbolic.s_derivatives(PAIR, 0.5)
         vel = (symfun.jacobian_inverse(z) @ sdot) / (2.0 * z)
-        acc = hyperbolic.coth_rhs(hyperbolic.HyperbolicState(samples[2], vel))
+        acc = hyperbolic.coth_rhs(dynamics.GoldfishState(samples[2], vel))
         assert np.abs(acc_fd - acc).max() < 1e-7
 
     def test_non_real_spectrum_raises(self):
@@ -327,9 +327,9 @@ class TestValidation:
             hyperbolic.HyperbolicData(a=1.0, a_vec=np.array([1.0, 0.0]), c_vec=np.array([1.0, 1.0]))
 
     def test_coth_system_diagnostics(self):
-        state = hyperbolic.HyperbolicState([0.0, 1.0], [1.0, 1.0])
+        state = dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])
         traj = dynamics.integrate(hyperbolic.CothSystem(2), state, 0.5, TIGHT, 11)
         assert traj.diagnostics["momentum_drift"].max() < 1e-11
         exact = np.vstack([hyperbolic.z_eigen_solution(PAIR, t) for t in traj.times])
-        numeric = np.vstack([s.lam for s in traj.states])
+        numeric = np.vstack([s.q for s in traj.states])
         assert np.abs(exact - numeric).max() < 1e-9
