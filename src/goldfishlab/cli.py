@@ -216,10 +216,7 @@ def sidecar_path(out_path) -> Path:
 
 def _simulate_matrix(cfg: RunConfig):
     """Eigenvalue curves of the exact straight-line matrix flow."""
-    from . import reduction
-
-    flow = reduction.rank1_velocity(cfg.q0, cfg.qdot0)
-    _, eigenvalues = reduction.eigen_track(flow, cfg.times, gap_tol=cfg.collision_gap)
+    eigenvalues = _positions_eigen_track(cfg)
     x0, b = symfun.flat_line(cfg.q0, cfg.qdot0)
     x = symfun.flat_line(eigenvalues, np.zeros_like(eigenvalues))[0]
     drift = np.abs(x - (x0 + cfg.times[:, None] * b)).max(axis=1)

@@ -245,17 +245,15 @@ def goldfish_exact_trajectory(state0: GoldfishState, times) -> np.ndarray:
     (Calogero), that is the roots of 1/t + sum_i qdot_i/(q_i - mu) = 0.
     Inside the kernel's domain (``secular.domain_error``: every velocity
     positive, every t >= 0 and finite) they are solved for the whole grid by
-    ``secular.secular_roots``.  Other inputs take ``goldfish_exact``'s
-    arithmetic per point, with x(0) and b computed once for the whole grid,
-    and its typed errors.
+    ``secular.secular_roots``.  Other inputs run ``goldfish_exact`` per
+    point, with its typed errors.
     """
     from . import secular
 
     times = np.asarray(times, dtype=float)
     if secular.domain_error(state0.q, state0.qdot, times) is None:
         return secular.secular_roots(state0.q, state0.qdot, times)
-    x0, b = symfun.flat_line(state0.q, state0.qdot)
-    return np.vstack([symfun.roots_from_coords(x0 + t * b) for t in times])
+    return np.vstack([goldfish_exact(state0, t) for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +312,16 @@ class PairFlowSystem(OdeSystem):
     """qddot_i = 2 qdot_i sum_{j != i} coupling(q_i - q_j) qdot_j as a first-order system.
 
     Subclasses supply ``coupling``, the pair function of the gaps
-    (``pair_acceleration``), and the diagnostics.
+    (``pair_acceleration``), and the diagnostics.  ``unpack`` reads the
+    first 2n entries, so a subclass may pack more after them
+    (``reduction.FrameSystem``).
     """
 
     def pack(self, state: GoldfishState) -> np.ndarray:
         return np.concatenate([state.q, state.qdot])
 
     def unpack(self, y: np.ndarray) -> GoldfishState:
-        return GoldfishState(y[: self.n], y[self.n :])
+        return GoldfishState(y[: self.n], y[self.n : 2 * self.n])
 
     def rhs(self, t, y):
         q, qdot = y[: self.n], y[self.n :]
@@ -329,20 +329,18 @@ class PairFlowSystem(OdeSystem):
 
 
 class GoldfishSystem(PairFlowSystem):
-    name = "goldfish"
     coupling = staticmethod(np.reciprocal)
 
     def reference(self, state0: GoldfishState):
         return symfun.flat_line(state0.q, state0.qdot)[1]
 
     def grid_diagnostics(self, reference, rows):
-        drift = np.abs(symfun.flat_line(rows[:, : self.n], rows[:, self.n :])[1] - reference)
+        n = self.n
+        drift = np.abs(symfun.flat_line(rows[:, :n], rows[:, n : 2 * n])[1] - reference)
         return {"bn_drift": drift.max(axis=1), "momentum_drift": drift[:, 0]}
 
 
 class EcmSystem(OdeSystem):
-    name = "ecm"
-
     def pack(self, state: ECMState) -> np.ndarray:
         return np.concatenate([state.q, state.p, state.f_upper])
 
@@ -376,8 +374,6 @@ class EcmSystem(OdeSystem):
 
 
 class GeodesicSystem(OdeSystem):
-    name = "geodesic"
-
     def pack(self, state) -> np.ndarray:
         return np.concatenate([state.q, state.pi])
 
@@ -427,11 +423,15 @@ def integrate(
     - the step size underflows while the closest neighbouring pair is
       closing, by one right-hand-side call at the last accepted state.
 
-    Any other underflow raises StepSizeUnderflow.  Both errors carry the
-    grid rows reached, up to the first row that fails the system's state
-    check (``partial``, None without rows), and the solver's last accepted
-    t (``time``).  The output grid is checked once; the trajectory's states
-    and diagnostics are evaluated at its points on first access.
+    A run that reaches the end of ``t_span`` with a grid row that fails the
+    system's state check (``rejected_row``: a gap at or below
+    ``symfun.COLLISION_TOL`` in a dense-output row, where no step end fired
+    the gap event) raises CollisionDetected too, naming that row's time.
+    Any other underflow raises StepSizeUnderflow.  Every error carries the grid rows reached, up to the
+    first row that fails the state check (``partial``, None without rows),
+    and the solver's last accepted t (``time``).  The output grid is checked
+    once; the trajectory's states and diagnostics are evaluated at its
+    points on first access.
     """
     config = config or IntegratorConfig()
     if output_points < 2:
@@ -446,7 +446,7 @@ def integrate(
     y0 = system.pack(state0)
     grid = np.linspace(t0, t1, output_points)
 
-    events = []
+    gap_event = None
     if system.n > 1:
 
         def gap_event(t, y):
@@ -455,10 +455,6 @@ def integrate(
             q = system.positions(y)
             return float((q[1:] - q[:-1]).min()) - config.collision_gap
 
-        gap_event.terminal = True
-        gap_event.direction = -1.0
-        events.append(gap_event)
-
     sol = solve_ivp(
         system.rhs,
         (t0, t1),
@@ -466,7 +462,7 @@ def integrate(
         rtol=config.rel_tol,
         atol=config.abs_tol,
         t_eval=grid,
-        events=events,
+        event=gap_event,
     )
 
     # one packed state per row; each row stays a strided view of the
@@ -474,15 +470,21 @@ def integrate(
     # J^-T pi) can round differently on a contiguous copy
     times, rows = sol.t, sol.y.T
     rejected = system.rejected_row(rows)
-    if sol.status == 0:
-        if rejected is not None:
-            system.unpack(rows[rejected])  # raises the state check's ValueError
+    if sol.status == 0 and rejected is None:
         return Trajectory(system, state0, times, rows)
 
     # near-failure states may violate state invariants; a partial trajectory
     # keeps the rows before the first one that does
     times, rows = times[:rejected], rows[:rejected]
     partial = Trajectory(system, state0, times, rows) if times.size else None
+    if sol.status == 0:
+        # a dense-output row between two step ends can fail the state check
+        # while no step end fired the gap event
+        raise CollisionDetected(
+            f"pairwise gap at or below {symfun.COLLISION_TOL:g} at grid time {sol.t[rejected]:.6g}",
+            partial=partial,
+            time=sol.t_last,
+        )
     if sol.status == 1:
         raise CollisionDetected(
             f"pairwise gap fell below {config.collision_gap:g} at t = {sol.t_last:.6g}",

@@ -26,16 +26,11 @@ class WFunction:
 
     func: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
-    label: str = "custom"
 
     @classmethod
     def scaled_rational(cls, c: float) -> "WFunction":
         """w(x) = c/x."""
-        return cls(
-            func=lambda x: c / x,
-            deriv=lambda x: -c / x**2,
-            label=f"{c:g}/x",
-        )
+        return cls(func=lambda x: c / x, deriv=lambda x: -c / x**2)
 
     @classmethod
     def rational(cls) -> "WFunction":

@@ -226,14 +226,6 @@ def _s_line(data: HyperbolicData) -> tuple[float, np.ndarray, np.ndarray]:
     return p, s0 - beta, beta
 
 
-def _s_positions(s_t: np.ndarray) -> np.ndarray:
-    """q = half the logs of the roots of the monic polynomial with Vieta data s_t."""
-    roots = symfun.roots_from_coords(s_t)
-    if roots[0] <= 0:
-        raise NonPositiveRoot(f"smallest root {roots[0]:.3e} <= 0")
-    return 0.5 * np.log(roots)
-
-
 def s_exact(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact (s(t), q(t)) from the linear evolution sddot_n = 2 P sdot_n.
 
@@ -242,7 +234,10 @@ def s_exact(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarray]:
     """
     p, alpha, beta = _s_line(data)
     s_t = alpha + beta * np.exp(2.0 * p * t)
-    return s_t, _s_positions(s_t)
+    roots = symfun.roots_from_coords(s_t)
+    if roots[0] <= 0:
+        raise NonPositiveRoot(f"smallest root {roots[0]:.3e} <= 0")
+    return s_t, 0.5 * np.log(roots)
 
 
 def _secular_positions(data: HyperbolicData, times) -> np.ndarray | None:
@@ -286,16 +281,13 @@ def s_exact_trajectory(data: HyperbolicData, times) -> np.ndarray:
 
     Inside the secular-equation domain (``_secular_positions``) this is
     ``z_eigen_trajectory``'s solution: the roots of the polynomial with Vieta
-    data s(t) are the eigenvalues of Z(t).  Elsewhere it is ``s_exact``'s
-    arithmetic per point, with s(0) and sdot(0) computed once for the whole
-    grid, and its typed errors.
+    data s(t) are the eigenvalues of Z(t).  Elsewhere ``s_exact`` runs per
+    point, with its typed errors.
     """
     q = _secular_positions(data, times)
     if q is not None:
         return q
-    p, alpha, beta = _s_line(data)
-    times = np.asarray(times, dtype=float)
-    return np.vstack([_s_positions(alpha + beta * np.exp(2.0 * p * t)) for t in times])
+    return np.vstack([s_exact(data, t)[1] for t in np.asarray(times, dtype=float)])
 
 
 def s_derivatives(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,8 +306,6 @@ def _momentum_drift(n: int, reference: float, rows: np.ndarray) -> np.ndarray:
 
 class SinhSystem(dynamics.PairFlowSystem):
     """The sinh flow of deformation parameter a."""
-
-    name = "hyperbolic-sinh"
 
     def __init__(self, n: int, a: float):
         if a == 0:
@@ -351,8 +341,6 @@ class SinhSystem(dynamics.PairFlowSystem):
 
 class CothSystem(dynamics.PairFlowSystem):
     """The coth flow."""
-
-    name = "hyperbolic-coth"
 
     @staticmethod
     def coupling(gaps: np.ndarray) -> np.ndarray:

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, symfun
-from .errors import (
-    DegenerateRay,
-    EigenvalueCollision,
-    NonPositiveMomentum,
-    NonPositiveVelocity,
-    StepSizeUnderflow,
-)
-from .rk45 import solve_ivp
+from .errors import DegenerateRay, EigenvalueCollision, NonPositiveMomentum, NonPositiveVelocity
 from .utils import finite_vector, orthogonality_defect, pairwise_differences, polar_orthonormalize
 
 #: Frame orthogonality drift that triggers polar re-orthonormalization.
@@ -169,30 +162,27 @@ def angular_momentum(chart: ReducedChart) -> np.ndarray:
 
 
 def m_matrix(q, p) -> np.ndarray:
-    """Frame generator M_ij = f_ij / q_ij^2 on the constraint surface.
+    """Frame generator M_ij = -sqrt(p_i p_j)/(q_i - q_j) on the constraint surface.
 
-    All three closed forms (f/q^2, -sqrt(p_i p_j)/q_ij and the (Q, P) form)
-    are evaluated and must agree to 1e-12; the common value is returned.
+    On G = 0 this equals f_ij / q_ij^2 and -2 P_i^2 P_j^2 / (Q_i P_j - Q_j P_i);
+    the tests check the three forms against each other.  Needs p > 0.
     """
     q = symfun.as_configuration(q)
     p = finite_vector(p, q.size, "p")
     if np.any(p <= 0):
         raise NonPositiveMomentum("m matrix needs p_i > 0")
+    return _m_closed_form(q, p)
+
+
+def _m_closed_form(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``m_matrix`` on plain arrays, unvalidated: the frame flow's generator."""
     n = q.size
-    gaps = pairwise_differences(q) + np.eye(n)
-    off = ~np.eye(n, dtype=bool)
-    f = dynamics.f_from_velocities(q, p)
-    m_f = f / gaps**2
-    roots = np.sqrt(np.outer(p, p))
-    m_root = np.where(off, -roots / gaps, 0.0)
-    chart = canonical_transform(q, p)
-    rays = angular_momentum(chart) + np.eye(n)
-    p2 = chart.P**2
-    m_qp = np.where(off, -2.0 * np.outer(p2, p2) / rays, 0.0)
-    scale = max(1.0, np.abs(m_root).max())
-    if np.abs(m_f - m_root).max() > 1e-12 * scale or np.abs(m_qp - m_root).max() > 1e-12 * scale:
-        raise AssertionError("closed forms of M disagree beyond 1e-12")
-    return m_root
+    gaps = pairwise_differences(q)
+    # a fresh C-contiguous matrix: one strided write sets its diagonal
+    gaps.ravel()[:: n + 1] = 1.0
+    m = -np.sqrt(np.outer(p, p)) / gaps
+    m.ravel()[:: n + 1] = 0.0
+    return m
 
 
 def qp_rhs(chart: ReducedChart) -> tuple[np.ndarray, np.ndarray]:
@@ -214,70 +204,52 @@ def qp_rhs(chart: ReducedChart) -> tuple[np.ndarray, np.ndarray]:
     return qdot, pdot
 
 
+class FrameSystem(dynamics.GoldfishSystem):
+    """The goldfish flow carrying its eigenframe: packed state (q, qdot, R).
+
+    The (qdot, qddot) block of ``rhs`` is ``GoldfishSystem``'s bit for bit,
+    and R follows Rdot = R M with M = ``m_matrix(q, qdot)``; R feeds back
+    into nothing.  ``pack`` starts R at the identity.
+    """
+
+    def pack(self, state: dynamics.GoldfishState) -> np.ndarray:
+        return np.concatenate([state.q, state.qdot, np.eye(self.n).ravel()])
+
+    def rhs(self, t, y):
+        n = self.n
+        q, qdot = y[:n], y[n : 2 * n]
+        qddot = dynamics.pair_acceleration(q, qdot, self.coupling)
+        rdot = y[2 * n :].reshape(n, n) @ _m_closed_form(q, qdot)
+        return np.concatenate([qdot, qddot, rdot.ravel()])
+
+
 def frame_flow(
     q0,
     qdot0,
-    times,
-    config: dynamics.IntegratorConfig | None = None,
+    t_end: float,
+    config: dynamics.IntegratorConfig | None,
+    output_points: int,
 ) -> FrameTrajectory:
-    """Integrate the goldfish flow together with Rdot = R M from R(0) = I.
+    """The goldfish flow with Rdot = R M from R(0) = I, as one ``dynamics.integrate`` run.
 
-    The frame is checked at every grid point and polar-projected back onto the
-    orthogonal group whenever its defect exceeds FRAME_DRIFT_TOL.  Velocities
-    must stay positive (square roots inside M).
+    The frames and the (Q, P) curves are read on integrate's grid of
+    ``output_points`` times over [0, t_end]; a frame whose orthogonality
+    defect exceeds FRAME_DRIFT_TOL is polar-projected back onto the
+    orthogonal group as it is read.  Velocities must be positive (square
+    roots inside M).  Raises integrate's errors unchanged.
     """
-    config = config or dynamics.IntegratorConfig()
-    times = np.asarray(times, dtype=float)
-    if times.size < 2 or np.any(np.diff(times) <= 0):
-        raise ValueError("need a strictly increasing grid with >= 2 points")
-    q0 = symfun.as_configuration(q0)
-    n = q0.size
-    qdot0 = finite_vector(qdot0, n, "qdot0")
-    if np.any(qdot0 <= 0):
+    state0 = dynamics.GoldfishState(q0, qdot0)
+    if np.any(state0.qdot <= 0):
         raise NonPositiveVelocity("frame flow needs qdot0_i > 0")
-
-    def rhs(t, y):
-        q = y[:n]
-        qdot = y[n : 2 * n]
-        r = y[2 * n :].reshape(n, n)
-        gaps = pairwise_differences(q)
-        # fresh C-contiguous matrices: one strided write masks the diagonal
-        gaps.ravel()[:: n + 1] = 1.0
-        inv = 1.0 / gaps
-        inv.ravel()[:: n + 1] = 0.0
-        acc = 2.0 * qdot * (inv @ qdot)
-        m = -np.sqrt(np.outer(qdot, qdot)) * inv
-        return np.concatenate([qdot, acc, (r @ m).ravel()])
-
-    y = np.concatenate([q0, qdot0, np.eye(n).ravel()])
-    frames = np.empty((times.size, n, n))
-    qs = np.empty((times.size, n))
-    qds = np.empty((times.size, n))
-    frames[0] = np.eye(n)
-    qs[0], qds[0] = q0, qdot0
-    for k in range(1, times.size):
-        sol = solve_ivp(
-            rhs,
-            (times[k - 1], times[k]),
-            y,
-            rtol=config.rel_tol,
-            atol=config.abs_tol,
-            t_eval=[times[k]],
-        )
-        if sol.status != 0:
-            raise StepSizeUnderflow(sol.message, time=times[k])
-        y = sol.y[:, -1]
-        r = y[2 * n :].reshape(n, n)
+    n = state0.n
+    traj = dynamics.integrate(FrameSystem(n), state0, t_end, config, output_points)
+    frames = np.ascontiguousarray(traj.rows[:, 2 * n :]).reshape(-1, n, n)
+    for k, r in enumerate(frames):
         if orthogonality_defect(r) > FRAME_DRIFT_TOL:
-            r = polar_orthonormalize(r)
-            y = np.concatenate([y[: 2 * n], r.ravel()])
-        frames[k] = r
-        qs[k] = y[:n]
-        qds[k] = y[n : 2 * n]
-
-    charts = [canonical_transform(qs[k], qds[k]) for k in range(times.size)]
+            frames[k] = polar_orthonormalize(r)
+    charts = [canonical_transform(y[:n], y[n : 2 * n]) for y in traj.rows]
     return FrameTrajectory(
-        times=times,
+        times=traj.times,
         frames=frames,
         Q=np.vstack([c.Q for c in charts]),
         P=np.vstack([c.P for c in charts]),

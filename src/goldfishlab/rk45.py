@@ -1,12 +1,12 @@
-"""Adaptive Dormand-Prince 5(4) integration with dense output and terminal events.
+"""Adaptive Dormand-Prince 5(4) integration with dense output and a terminal event.
 
 An operation-for-operation copy of ``scipy.integrate.solve_ivp`` with
-``method="RK45"``, restricted to what this package calls: forward time, a
-real state, scalar tolerances, an increasing output grid ``t_eval`` and
-terminal events that fire on a downward zero crossing.  The callers
-guarantee these, so the arguments are not re-checked here.  It keeps scipy's
-bits, ``nfev`` and messages, so the package needs numpy only at run time;
-the tests pin it against scipy.
+``method="RK45"``, restricted to what its one caller, ``dynamics.integrate``,
+passes: forward time, a real state, scalar tolerances, an increasing output
+grid ``t_eval`` and at most one terminal event that fires on a downward zero
+crossing.  The caller guarantees these, so the arguments are not re-checked
+here.  It keeps scipy's bits, ``nfev`` and messages, so the package needs
+numpy only at run time; the tests pin it against scipy.
 
 Which operations carry scipy's bits: the stage sums ``np.dot(K[:s].T, a_s)``
 and the ``B`` and ``E`` dots stay the same BLAS calls, and the error norm is
@@ -70,18 +70,16 @@ P = np.array([
 class Solution:
     """Grid times ``t``, states ``y`` (one column per time) and how the run ended.
 
-    ``status`` is 0 when ``t_span`` was reached, 1 when a terminal event
-    fired (its time is in ``t_events``, one array per event) and -1 when the
-    step size underflowed.  ``t_last`` and ``y_last`` are where the run
-    stopped: the end of the last accepted step, or the event time and the
-    dense-output state there.
+    ``status`` is 0 when ``t_span`` was reached, 1 when the terminal event
+    fired and -1 when the step size underflowed.  ``t_last`` and ``y_last``
+    are where the run stopped: the end of the last accepted step, or the
+    event time and the dense-output state there.
     """
 
     t: np.ndarray
     y: np.ndarray
     status: int
     message: str
-    t_events: list[np.ndarray]
     nfev: int
     t_last: float
     y_last: np.ndarray
@@ -173,13 +171,14 @@ def _dense_output(t_old, t, y_old, K):
     return sol
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, events=None) -> Solution:
+def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, event=None) -> Solution:
     """Integrate y' = fun(t, y) over ``t_span`` and sample the solution at ``t_eval``.
 
-    Each event is a callable ``event(t, y)``; the run stops at the first step
-    over which an event goes from >= 0 to <= 0 (scipy's terminal event with
-    direction -1).  An ``rtol`` below 100 eps is raised to 100 eps with a
-    UserWarning.  Exceptions raised by ``fun`` propagate unchanged.
+    ``event`` is None or a callable ``event(t, y)``; the run stops at the
+    first step over which it goes from >= 0 to <= 0 (scipy's terminal event
+    with direction -1), at the root that Brent's method finds in that step.
+    An ``rtol`` below 100 eps is raised to 100 eps with a UserWarning.
+    Exceptions raised by ``fun`` propagate unchanged.
     """
     t0, tf = map(float, t_span)
     t_eval = np.asarray(t_eval)
@@ -190,8 +189,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, events=None) -> Solution:
         warnings.warn("At least one element of `rtol` is too small. "
                       f"Setting `rtol = np.maximum(rtol, {MIN_RTOL})`.", stacklevel=2)
         rtol = MIN_RTOL
-    events = list(events or ())
-
     nfev = 0
 
     def f(t, y):
@@ -205,8 +202,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, events=None) -> Solution:
     K = np.empty((7, y.size))
     stages = ([(s, K[:s].T, A[s, :s], float(C[s])) for s in range(1, 6)], K[:-1].T, K.T)
     grid = t_eval.tolist()
-    g = [event(t, y) for event in events]
-    t_events = [[] for _ in events]
+    g = None if event is None else event(t, y)
     ts, ys = [], []
     t_eval_i = 0
     status = None
@@ -221,18 +217,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, events=None) -> Solution:
             status = 0
 
         sol = None
-        if events:
-            g_new = [event(t, y) for event in events]
-            active = [e for e, (before, after) in enumerate(zip(g, g_new)) if before >= 0 and after <= 0]
-            if active:
+        if event is not None:
+            g_new = event(t, y)
+            if g >= 0 and g_new <= 0:
                 sol = _dense_output(t_old, t, y_old, K)
-                roots = [brentq(lambda tq, event=events[e]: event(tq, sol(tq)), t_old, t)
-                         for e in active]
-                first = min(range(len(roots)), key=roots.__getitem__)
-                t_events[active[first]].append(roots[first])
-                status = 1
-                t = roots[first]
+                t = brentq(lambda tq: event(tq, sol(tq)), t_old, t)
                 y = sol(t)
+                status = 1
             g = g_new
         # grid points up to and including t
         t_eval_i_new = bisect.bisect_right(grid, t)
@@ -249,7 +240,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, events=None) -> Solution:
         y=np.hstack(ys) if ys else np.empty((y.size, 0)),
         status=status,
         message=MESSAGES[status],
-        t_events=[np.asarray(te) for te in t_events],
         nfev=nfev,
         t_last=t,
         y_last=y,

@@ -624,16 +624,15 @@ def _frame_consistency(rng):
 @_check("reduction_invariant_vectors", "reduction", 1e-7)
 def _invariant_vectors(rng):
     """v(t) is constant and u(t) = u(0) + 2 t |v|^2 v(0) along the frame flow."""
-    grid = np.linspace(0.0, 0.3, 31)
     for _ in range(3):
         n = int(rng.integers(2, 5))
         q = sampling.random_configuration(rng, n, min_gap=0.5)
         qdot = sampling.random_velocities(rng, n)
-        ft = reduction.frame_flow(q, qdot, grid, TIGHT)
+        ft = reduction.frame_flow(q, qdot, 0.3, TIGHT, 31)
         u, v = reduction.invariant_vectors(ft)
         yield _Label(n, q=q, qdot=qdot, part="v"), float(np.abs(v - v[0]).max())
         vv = float(v[0] @ v[0])
-        linear = u[0][None, :] + 2.0 * grid[:, None] * v[0][None, :] * vv
+        linear = u[0][None, :] + 2.0 * ft.times[:, None] * v[0][None, :] * vv
         yield _Label(n, q=q, qdot=qdot, part="u"), float(np.abs(u - linear).max())
 
 
@@ -651,14 +650,13 @@ def _qp_identity(rng):
 
 @_check("reduction_frame_vs_eigen", "reduction", 1e-6)
 def _frame_vs_eigen(rng):
-    grid = np.linspace(0.0, 0.3, 31)
     for _ in range(2):
         n = int(rng.integers(2, 5))
         q = sampling.random_configuration(rng, n, min_gap=0.5)
         qdot = sampling.random_velocities(rng, n)
-        ft = reduction.frame_flow(q, qdot, grid, TIGHT)
-        et, _ = reduction.eigen_track(reduction.rank1_velocity(q, qdot), grid)
-        for t, a, b in zip(grid, ft.frames, et.frames):
+        ft = reduction.frame_flow(q, qdot, 0.3, TIGHT, 31)
+        et, _ = reduction.eigen_track(reduction.rank1_velocity(q, qdot), ft.times)
+        for t, a, b in zip(ft.times, ft.frames, et.frames):
             signs = np.sign(np.sum(a * b, axis=0))
             signs[signs == 0] = 1.0
             yield _Label(n, q=q, qdot=qdot, t=t), float(np.abs(a - b * signs).max())

@@ -56,6 +56,19 @@ COLLISIONS = {
                   "t_end": 2, "output_points": 21}, 0.5, 1e-8),
 }
 
+# runs that reach t_end with a dense-output grid row at or below the collision
+# tolerance, where no step end fired the gap event: the free spin pair stopped
+# where its gap is 1e-8, and crossings run with collision_gap 0
+_ECM_FREE = {"system": "ecm", "N": 2, "q0": [0, 1], "p0": [1, -1], "f0": [[0, 0], [0, 0]]}
+_CROSSING = {"N": 2, "a_vec": [0.4, 1.11], "c_vec": [0, -3], "t_end": 0.23666666666666666,
+             "collision_gap": 0}
+COMPLETED_COLLISIONS = {
+    "ecm-gap-at-tolerance": {**_ECM_FREE, "t_end": 0.4999999950000001},
+    "sinh-crossing": {"system": "hyperbolic-sinh", "a": 0.5, **_CROSSING},
+    "coth-crossing": {"system": "hyperbolic-coth", **_CROSSING},
+    "ecm-crossing": {**_ECM_FREE, "t_end": 0.5, "collision_gap": 0},
+}
+
 
 def read_csv(path):
     lines = path.read_text().splitlines()
@@ -187,8 +200,10 @@ class TestSimulate:
         _, rows = read_csv(out)
         assert 0 < rows.shape[0] < 21 and rows[:, 0].max() < 0.495
 
-    @pytest.mark.parametrize("raw, t_c, tol", COLLISIONS.values(), ids=COLLISIONS.keys())
-    def test_collision_keeps_its_rows_and_stop_time(self, tmp_path, raw, t_c, tol):
+    @staticmethod
+    def _collided_run(tmp_path, raw):
+        """A strict-warning ``simulate`` run that must end in one CollisionDetected line;
+        returns its truncation record and rows."""
         cfg = write_config(tmp_path / "cfg.json", raw)
         out = tmp_path / "traj.csv"
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -201,7 +216,20 @@ class TestSimulate:
         assert truncation["error"] == "CollisionDetected"
         _, rows = read_csv(out)
         assert rows.shape[0] >= 1 and rows[:, 0].max() <= truncation["time"]
+        return truncation, rows
+
+    @pytest.mark.parametrize("raw, t_c, tol", COLLISIONS.values(), ids=COLLISIONS.keys())
+    def test_collision_keeps_its_rows_and_stop_time(self, tmp_path, raw, t_c, tol):
+        truncation, _ = self._collided_run(tmp_path, raw)
         assert abs(truncation["time"] - t_c) <= tol
+
+    @pytest.mark.parametrize("raw", COMPLETED_COLLISIONS.values(), ids=COMPLETED_COLLISIONS.keys())
+    def test_completed_run_with_a_collided_row_exits_three(self, tmp_path, raw):
+        # the run reached t_end, so that is its stop time; the rows stop before
+        # the first collided one, here the last of the default 101
+        truncation, rows = self._collided_run(tmp_path, raw)
+        assert truncation["time"] == raw["t_end"]
+        assert rows.shape[0] == 100
 
     def test_sinh_overflow_keeps_diagnostics_finite_and_stderr_empty(self, tmp_path):
         # 2a |gap| = 800: sinh overflows in the coupling and in the Lax pair,

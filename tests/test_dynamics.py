@@ -99,14 +99,6 @@ def _parent_pair_acceleration(lam, lamdot, coupling):
     return 2.0 * lamdot * (kernel @ lamdot)
 
 
-def _parent_frame_rhs(n, y):
-    q, qdot, r = y[:n], y[n : 2 * n], y[2 * n :].reshape(n, n)
-    gaps = pairwise_differences(q) + np.eye(n)
-    inv = 1.0 / gaps - np.eye(n)
-    m = -np.sqrt(np.outer(qdot, qdot)) * inv
-    return np.concatenate([qdot, 2.0 * qdot * (inv @ qdot), (r @ m).ravel()])
-
-
 class TestStageKernels:
     """Each right-hand side equals its parent form bit for bit, on the
     contiguous stage vectors of the integrator and on strided grid rows."""
@@ -140,19 +132,15 @@ class TestStageKernels:
                 assert np.array_equal(dynamics.pair_acceleration(y[:n], y[n:], coupling), parent)
 
     @pytest.mark.parametrize("n", range(1, 17))
-    def test_frame_flow(self, monkeypatch, n):
-        real, seen = reduction.solve_ivp, []
-
-        def capture(fun, *args, **kwargs):
-            seen.append(fun)  # the frame flow's right-hand side
-            return real(fun, *args, **kwargs)
-
-        monkeypatch.setattr(reduction, "solve_ivp", capture)
-        q0 = -2.0 + 4.0 / n * (np.arange(n) + 0.5)
-        reduction.frame_flow(q0, np.ones(n), [0.0, 0.01])
+    def test_frame_system(self, n):
+        # the frame rides on the goldfish flow: (qdot, qddot) is GoldfishSystem's
+        # right-hand side, and Rdot = R M with M from reduction.m_matrix
+        frame, goldfish = reduction.FrameSystem(n), dynamics.GoldfishSystem(n)
         for y in self._states(n, 2 * n + n * n):
-            y = np.ascontiguousarray(y)
-            assert np.array_equal(seen[0](0.0, y), _parent_frame_rhs(n, y))
+            out = frame.rhs(0.0, y)
+            assert np.array_equal(out[: 2 * n], goldfish.rhs(0.0, y[: 2 * n]))
+            rdot = y[2 * n :].reshape(n, n) @ reduction.m_matrix(y[:n], y[n : 2 * n])
+            assert np.array_equal(out[2 * n :], rdot.ravel())
 
     @pytest.mark.parametrize("system, width", [
         (dynamics.GoldfishSystem(3), 6), (dynamics.EcmSystem(3), 9), (dynamics.GeodesicSystem(3), 6),

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from goldfishlab import dynamics, reduction
+from goldfishlab import dynamics, reduction, sampling
 from goldfishlab.errors import (
     DegenerateRay,
     EigenvalueCollision,
     NonPositiveMomentum,
     NonPositiveVelocity,
 )
+from goldfishlab.utils import pairwise_differences
 
 from conftest import states
 
@@ -154,6 +155,30 @@ class TestMMatrix:
         assert reduction.m_matrix([0.0, 1.0], [1.0, 4.0])[0, 1] == 2.0
         assert reduction.m_matrix([0.0, 1.0], [1.0, 1.0])[0, 1] == 1.0
 
+    def test_three_closed_forms_agree(self):
+        # -sqrt(p_i p_j)/q_ij against f_ij/q_ij^2 and -2 P_i^2 P_j^2/(Q_i P_j - Q_j P_i),
+        # on seeded draws in verify's domain
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            q = sampling.random_configuration(rng, n)
+            p = sampling.random_velocities(rng, n)
+            m = reduction.m_matrix(q, p)
+            gaps = pairwise_differences(q) + np.eye(n)
+            m_f = dynamics.f_from_velocities(q, p) / gaps**2
+            chart = reduction.canonical_transform(q, p)
+            rays = reduction.angular_momentum(chart) + np.eye(n)
+            m_qp = np.where(np.eye(n, dtype=bool), 0.0, -2.0 * np.outer(chart.P**2, chart.P**2) / rays)
+            scale = max(1.0, np.abs(m).max())
+            assert np.abs(m_f - m).max() <= 1e-12 * scale
+            assert np.abs(m_qp - m).max() <= 1e-12 * scale
+
+    def test_close_pair_far_from_the_origin(self):
+        # Q_i P_j - Q_j P_i cancels here, so only the sqrt(p p)/q form is accurate
+        m = reduction.m_matrix([1000.0, 1000.001], [1.0, 2.0])
+        assert m[0, 1] == -np.sqrt(2.0) / (1000.0 - 1000.001)
+        assert m[1, 0] == -np.sqrt(2.0) / (1000.001 - 1000.0)
+
     def test_antisymmetric(self):
         m = reduction.m_matrix([-0.4, 0.7, 1.9], [0.9, 1.2, 0.6])
         assert np.abs(m + m.T).max() < 1e-14
@@ -196,44 +221,53 @@ class TestQPMotion:
 
 class TestFrameFlow:
     def test_single_particle_frame_is_identity(self):
-        ft = reduction.frame_flow([0.5], [2.0], np.linspace(0, 1, 5), TIGHT)
+        ft = reduction.frame_flow([0.5], [2.0], 1.0, TIGHT, 5)
         assert_allclose(ft.frames, np.ones((5, 1, 1)))
 
     def test_orthogonality_preserved(self):
-        grid = np.linspace(0.0, 0.3, 31)
-        ft = reduction.frame_flow([0.0, 1.0, 2.1], [1.0, 0.7, 1.3], grid, TIGHT)
+        ft = reduction.frame_flow([0.0, 1.0, 2.1], [1.0, 0.7, 1.3], 0.3, TIGHT, 31)
         for r in ft.frames:
             assert np.abs(r.T @ r - np.eye(3)).max() < 1e-8
 
     def test_matches_eigen_frame_up_to_column_signs(self):
-        grid = np.linspace(0.0, 0.3, 31)
-        ft = reduction.frame_flow([0.0, 1.0], [1.0, 4.0], grid, TIGHT)
-        et, _ = reduction.eigen_track(reduction.rank1_velocity([0.0, 1.0], [1.0, 4.0]), grid)
+        ft = reduction.frame_flow([0.0, 1.0], [1.0, 4.0], 0.3, TIGHT, 31)
+        et, _ = reduction.eigen_track(reduction.rank1_velocity([0.0, 1.0], [1.0, 4.0]), ft.times)
         for a, b in zip(ft.frames, et.frames):
             signs = np.sign(np.sum(a * b, axis=0))
             signs[signs == 0] = 1.0
             assert np.abs(a - b * signs).max() < 1e-6
 
+    def test_drifted_frames_are_projected_as_they_are_read(self, monkeypatch):
+        # with no drift allowed, every frame but R(0) = I is polar-projected on
+        # readout; the integration and the (Q, P) curves do not change
+        q0, qdot0 = [0.0, 1.0, 2.1], [1.0, 0.7, 1.3]
+        raw = reduction.frame_flow(q0, qdot0, 0.3, TIGHT, 11)
+        monkeypatch.setattr(reduction, "FRAME_DRIFT_TOL", 0.0)
+        projected = reduction.frame_flow(q0, qdot0, 0.3, TIGHT, 11)
+        assert np.array_equal(raw.Q, projected.Q) and np.array_equal(raw.P, projected.P)
+        for a, b in zip(raw.frames[1:], projected.frames[1:]):
+            assert not np.array_equal(a, b)
+            assert np.abs(a - b).max() < 1e-10
+            assert np.abs(b.T @ b - np.eye(3)).max() < 1e-14
+
     def test_requires_positive_velocities(self):
         with pytest.raises(NonPositiveVelocity):
-            reduction.frame_flow([0.0, 1.0], [1.0, -1.0], np.linspace(0, 0.1, 3))
+            reduction.frame_flow([0.0, 1.0], [1.0, -1.0], 0.1, None, 3)
 
 
 class TestInvariantVectors:
     def test_initial_values(self):
-        grid = np.linspace(0.0, 0.3, 16)
-        ft = reduction.frame_flow([0.0, 1.0], [1.0, 4.0], grid, TIGHT)
+        ft = reduction.frame_flow([0.0, 1.0], [1.0, 4.0], 0.3, TIGHT, 16)
         u, v = reduction.invariant_vectors(ft)
         assert_allclose(v[0], [1.0, 2.0])
         assert_allclose(u[0], [0.0, 4.0])
 
     def test_free_vector_motion(self):
-        grid = np.linspace(0.0, 0.3, 31)
-        ft = reduction.frame_flow([0.0, 1.0, 2.2], [1.0, 0.8, 1.1], grid, TIGHT)
+        ft = reduction.frame_flow([0.0, 1.0, 2.2], [1.0, 0.8, 1.1], 0.3, TIGHT, 31)
         u, v = reduction.invariant_vectors(ft)
         assert np.abs(v - v[0]).max() < 1e-7
         vv = float(v[0] @ v[0])
-        linear = u[0][None, :] + 2.0 * grid[:, None] * v[0][None, :] * vv
+        linear = u[0][None, :] + 2.0 * ft.times[:, None] * v[0][None, :] * vv
         assert np.abs(u - linear).max() < 1e-7
 
     def test_requires_chart_curves(self):
