@@ -24,8 +24,7 @@ def main():
     ]
     print(f"{'c':>6}  {'max |curvature|':>16}")
     for c in (0.5, 1.0, 1.5, 1.9, 2.0, 2.1, 3.0):
-        w = geometry.WFunction.scaled_rational(c)
-        worst = max(float(np.abs(geometry.curvature(q, w)).max()) for q in configs)
+        worst = max(float(np.abs(geometry.curvature(q, c)).max()) for q in configs)
         marker = "   <- flat" if worst < 1e-9 else ""
         print(f"{c:6.2f}  {worst:16.3e}{marker}")
 

@@ -230,6 +230,20 @@ def _integrate(cfg: RunConfig, system: dynamics.OdeSystem, state0) -> dynamics.T
     )
 
 
+def _trajectory_output(traj: dynamics.Trajectory | None) -> tuple[list, dict]:
+    """CSV rows and sidecar diagnostics of a trajectory, none for None.
+
+    A diagnostic that is undefined at a row (NaN) is written as null, so the
+    sidecar stays strict JSON.
+    """
+    if traj is None:
+        return [], {}
+    rows = np.column_stack([traj.times, traj.rows]).tolist()
+    diagnostics = {key: [None if np.isnan(v) else v for v in values.tolist()]
+                   for key, values in traj.diagnostics.items()}
+    return rows, diagnostics
+
+
 def run_simulate(config_path, out_path) -> int:
     try:
         cfg = load_config(config_path)
@@ -239,27 +253,17 @@ def run_simulate(config_path, out_path) -> int:
 
     spec = SPECS[cfg.system]
     truncation = None
-    if spec.build is None:
-        try:
+    try:
+        if spec.build is None:
             rows, diagnostics = _simulate_matrix(cfg)
-        except GoldfishLabError as exc:
-            rows, diagnostics = [], {}
-            truncation = {"error": type(exc).__name__, "message": str(exc), "time": None}
-    else:
-        system, state0 = spec.build(cfg)
-        try:
-            traj = _integrate(cfg, system, state0)
-        except IntegrationError as exc:
-            traj = exc.partial
-            truncation = {"error": type(exc).__name__, "message": str(exc), "time": exc.time}
-        except GoldfishLabError as exc:
-            traj = None
-            truncation = {"error": type(exc).__name__, "message": str(exc), "time": None}
-        if traj is not None:
-            rows = np.column_stack([traj.times, traj.rows]).tolist()
-            diagnostics = {k: vals.tolist() for k, vals in traj.diagnostics.items()}
         else:
-            rows, diagnostics = [], {}
+            rows, diagnostics = _trajectory_output(_integrate(cfg, *spec.build(cfg)))
+    except IntegrationError as exc:
+        rows, diagnostics = _trajectory_output(exc.partial)
+        truncation = {"error": type(exc).__name__, "message": str(exc), "time": exc.time}
+    except GoldfishLabError as exc:
+        rows, diagnostics = [], {}
+        truncation = {"error": type(exc).__name__, "message": str(exc), "time": None}
 
     _write_csv(out_path, ["t"] + spec.columns(cfg.n), rows)
     _write_json(

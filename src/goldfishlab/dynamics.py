@@ -242,16 +242,15 @@ def goldfish_exact_trajectory(state0: GoldfishState, times) -> np.ndarray:
     """Exact positions on a time grid, shape (len(times), N).
 
     The positions are the eigenvalues of diag(q0) + t v v^T, v = sqrt(qdot0)
-    (Calogero), that is the roots of 1/t + sum_i qdot_i/(q_i - mu) = 0.
-    Inside the kernel's domain (``secular.domain_error``: every velocity
-    positive, every t >= 0 and finite) they are solved for the whole grid by
-    ``secular.secular_roots``.  Other inputs run ``goldfish_exact`` per
-    point, with its typed errors.
+    (Calogero), that is the roots of 1/t + sum_i qdot_i/(q_i - mu) = 0, for
+    t >= 0.  With every velocity positive they are solved for the whole grid
+    by ``secular.secular_roots``; mixed-sign velocities run
+    ``goldfish_exact`` per point, with its typed errors.
     """
     from . import secular
 
     times = np.asarray(times, dtype=float)
-    if secular.domain_error(state0.q, state0.qdot, times) is None:
+    if np.all(state0.qdot > 0):
         return secular.secular_roots(state0.q, state0.qdot, times)
     return np.vstack([goldfish_exact(state0, t) for t in times])
 

@@ -1,8 +1,8 @@
 """Geodesic picture of the goldfish flow.
 
-The flow is geodesic motion for a connection whose symbols are built from an
-odd pair function w; the induced metric is the pullback J^T J of the flat
-metric under the symmetric-function map, and w(x) = 2/x is the one member of
+The flow is geodesic motion for a connection whose symbols are built from the
+odd pair function w(x) = c/x; the induced metric is the pullback J^T J of the
+flat metric under the symmetric-function map, and c = 2 is the one member of
 the family whose curvature vanishes.  Hamilton's equations and the energy are
 evaluated through the flat momenta P = J^{-T} pi, the conserved velocities of
 the straight-line motion in the flat coordinates, with the closed-form J^{-1}.
@@ -12,34 +12,11 @@ about cond(g) digits and serve as the verify oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import symfun
 from .utils import finite_vector, pairwise_differences
-
-
-@dataclass(frozen=True)
-class WFunction:
-    """Odd pair function w entering the connection symbols, with ``deriv`` = d w / d x."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def scaled_rational(cls, c: float) -> "WFunction":
-        """w(x) = c/x."""
-        return cls(func=lambda x: c / x, deriv=lambda x: -c / x**2)
-
-    @classmethod
-    def rational(cls) -> "WFunction":
-        """w(x) = 2/x, the flat member of the family."""
-        return cls.scaled_rational(2.0)
-
-
-#: Flat choice w(x) = 2/x.
-W_FLAT = WFunction.rational()
 
 
 @dataclass(frozen=True)
@@ -54,53 +31,38 @@ class GeodesicState:
         object.__setattr__(self, "pi", finite_vector(self.pi, self.q.size, "pi"))
 
 
-def pair_weights(q, w: WFunction = W_FLAT) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices w_ik = -1/2 w(q_i - q_k) (zero diagonal) and their gap derivatives.
-
-    Antisymmetry of the off-diagonal weights (oddness of w) is enforced here,
-    since the curvature cancellations rely on it.
-    """
+def pair_weights(q, c: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices w_ik = -1/2 w(q_i - q_k) of w(x) = c/x (zero diagonal) and their gap derivatives."""
     q = symfun.as_configuration(q)
-    n = q.size
     gaps = pairwise_differences(q)
-    off = ~np.eye(n, dtype=bool)
-    wmat = np.zeros((n, n))
-    wmat[off] = -0.5 * np.asarray(w.func(gaps[off]), dtype=float)
-    if not np.allclose(wmat, -wmat.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(wmat).max())):
-        raise ValueError("w must be odd: w(-x) = -w(x)")
-    wprime = np.zeros((n, n))
-    wprime[off] = -0.5 * np.asarray(w.deriv(gaps[off]), dtype=float)
+    off = ~np.eye(q.size, dtype=bool)
+    wmat = np.zeros_like(gaps)
+    wmat[off] = -0.5 * (c / gaps[off])
+    wprime = np.zeros_like(gaps)
+    wprime[off] = -0.5 * (-c / gaps[off] ** 2)
     return wmat, wprime
 
 
-def connection_symbols(q, w: WFunction = W_FLAT) -> np.ndarray:
-    """Gamma^i_{jk} = delta^i_j w_ik + delta^i_k w_ij for the given w."""
-    q = symfun.as_configuration(q)
-    n = q.size
-    wmat, _ = pair_weights(q, w)
-    eye = np.eye(n)
+def christoffel(q, c: float = 2.0) -> np.ndarray:
+    """Gamma^i_{jk} = delta^i_j w_ik + delta^i_k w_ij of the w = c/x connection.
+
+    At c = 2, the goldfish flow's connection:
+    Gamma^i_{jk} = -(delta^i_j (1-delta^i_k)/(q_i-q_k) + delta^i_k (1-delta^i_j)/(q_i-q_j));
+    symmetric in (j,k), zero unless i is one of them.
+    """
+    wmat, _ = pair_weights(q, c)
+    eye = np.eye(wmat.shape[0])
     # [i, j, k]
     return eye[:, :, None] * wmat[:, None, :] + eye[:, None, :] * wmat[:, :, None]
 
 
-def christoffel(q) -> np.ndarray:
-    """Connection symbols of the goldfish flow (w = 2/x).
+def curvature(q, c: float = 2.0) -> np.ndarray:
+    """Curvature R^c_{adb} of the w = c/x connection, dense array indexed [c,a,d,b].
 
-    Gamma^i_{jk} = -(delta^i_j (1-delta^i_k)/(q_i-q_k) + delta^i_k (1-delta^i_j)/(q_i-q_j));
-    symmetric in (j,k), zero unless i is one of them.
+    Evaluates the closed form; identically zero for c = 2.
     """
-    return connection_symbols(q, W_FLAT)
-
-
-def curvature(q, w: WFunction = W_FLAT) -> np.ndarray:
-    """Curvature R^c_{adb} of the w-connection, dense array indexed [c,a,d,b].
-
-    Evaluates the closed form; identically zero for w(x) = 2/x.
-    """
-    q = symfun.as_configuration(q)
-    n = q.size
-    wm, wp = pair_weights(q, w)
-    eye = np.eye(n)
+    wm, wp = pair_weights(q, c)
+    eye = np.eye(wm.shape[0])
     i_ca = eye[:, :, None, None]
     i_cd = eye[:, None, :, None]
     i_cb = eye[:, None, None, :]
@@ -125,21 +87,19 @@ def curvature(q, w: WFunction = W_FLAT) -> np.ndarray:
     )
 
 
-def curvature_from_connection(q, w: WFunction = W_FLAT) -> np.ndarray:
+def curvature_from_connection(q, c: float = 2.0) -> np.ndarray:
     """Independent curvature assembly R = dGamma + Gamma Gamma - (b <-> d).
 
     The derivative term is exact: d_d Gamma^c_{ab} = delta_ca d_d w_cb +
     delta_cb d_d w_ca with d_d w_ik = w'_ik (delta_di - delta_dk).  Used as
     the oracle against the closed form ``curvature``.
     """
-    q = symfun.as_configuration(q)
-    n = q.size
-    _, wp = pair_weights(q, w)
-    eye = np.eye(n)
+    _, wp = pair_weights(q, c)
+    eye = np.eye(wp.shape[0])
     dw = wp[None, :, :] * (eye[:, :, None] - eye[:, None, :])  # [d, i, k]
     # [d, c, a, b]
     dgamma = eye[None, :, :, None] * dw[:, :, None, :] + eye[None, :, None, :] * dw[:, :, :, None]
-    gam = connection_symbols(q, w)
+    gam = christoffel(q, c)
     quad = np.einsum("eab,cde->cadb", gam, gam) - np.einsum("ead,cbe->cadb", gam, gam)
     return dgamma.transpose(1, 2, 0, 3) - dgamma.transpose(1, 2, 3, 0) + quad
 
@@ -148,12 +108,6 @@ def metric(q) -> np.ndarray:
     """Induced metric g = J^T J; det g is the squared Vandermonde determinant."""
     jac = symfun.jacobian(q)
     return jac.T @ jac
-
-
-def _denominators(q: np.ndarray) -> np.ndarray:
-    """D_i = prod_{k != i} (q_i - q_k), in q's dtype."""
-    n = q.size
-    return np.prod(pairwise_differences(q) + np.eye(n, dtype=q.dtype), axis=1)
 
 
 def inverse_metric(q) -> np.ndarray:
@@ -170,8 +124,14 @@ def _closed_form_inverse_metric(q: np.ndarray) -> np.ndarray:
     for _ in range(n):
         numer += term
         term = term * prod
-    denom = _denominators(q)
+    denom = symfun.vandermonde_factors(q)
     return numer / np.outer(denom, denom)
+
+
+def _inverse_gaps(q: np.ndarray) -> np.ndarray:
+    """C_ik = 1/(q_i - q_k), zero diagonal."""
+    eye = np.eye(q.size)
+    return 1.0 / (pairwise_differences(q) + eye) - eye
 
 
 def inverse_metric_gradient(q) -> np.ndarray:
@@ -183,20 +143,13 @@ def inverse_metric_gradient(q) -> np.ndarray:
     """
     q = symfun.as_configuration(q)
     n = q.size
-    prod = np.outer(q, q)
-    s = np.zeros((n, n))
     t = np.zeros((n, n))  # T[i, j] = d S_ij / d q_i
-    term = np.ones((n, n))
-    for m in range(n):
-        s += term
-        if m > 0:
-            t += m * q[:, None] ** (m - 1) * q[None, :] ** m
-        term = term * prod
-    denom = _denominators(q)
-    ginv = s / np.outer(denom, denom)
+    for m in range(1, n):
+        t += m * q[:, None] ** (m - 1) * q[None, :] ** m
+    ginv = _closed_form_inverse_metric(q)
+    denom = symfun.vandermonde_factors(q)
 
-    gaps = pairwise_differences(q) + np.eye(n)
-    inv_gaps = 1.0 / gaps - np.eye(n)  # 1/(q_i - q_k), zero diagonal
+    inv_gaps = _inverse_gaps(q)
     # d ln D_i / d q_k: -1/(q_i - q_k) for k != i, own-gap sum for k = i
     logd = -inv_gaps.T
     np.fill_diagonal(logd, inv_gaps.sum(axis=1))
@@ -230,7 +183,7 @@ def geodesic_rhs(q: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     jinv = symfun.jacobian_inverse_unchecked(q)
     p = jinv.T @ pi
     qdot = jinv @ p
-    inv_gaps = 1.0 / (pairwise_differences(q) + np.eye(n)) - np.eye(n)  # C, zero diagonal
+    inv_gaps = _inverse_gaps(q)  # C
     powers = jinv[:, 1:] @ (np.arange(n - 1, 0, -1) * p[:-1])
     w = pi * qdot
     return qdot, pi * powers + w * inv_gaps.sum(axis=1) + inv_gaps @ w

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import dynamics, secular, symfun
 from .errors import (
+    GoldfishLabError,
     NonPositiveEigenvalue,
     NonPositiveRoot,
     NonPositiveVelocity,
@@ -240,25 +241,27 @@ def s_exact(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarray]:
     return s_t, 0.5 * np.log(roots)
 
 
-def _secular_positions(data: HyperbolicData, times) -> np.ndarray | None:
-    """q(t) on a grid from the secular equation of Z(t), or None outside its domain.
+def _secular_positions(data: HyperbolicData, times, error: type[GoldfishLabError]) -> np.ndarray | None:
+    """q(t) on a grid from the secular equation of Z(t), or None unless every c_i > 0.
 
     Z(t) = diag(z) + gamma z c^T with z = e^{2 a} and gamma = expm1(2 P t)/P,
-    so mu(t) solves 1/gamma + sum_i c_i z_i/(z_i - mu) = 0.  The domain is
-    the kernel's (``secular.domain_error``: every c_i > 0, t >= 0, z and
-    gamma finite) with z_0 > 0 added, which the log map
-    q = a_o + log1p(tau/z_o)/2 from the root's offset tau to its origin pole
-    z_o needs.
+    so mu(t) solves 1/gamma + sum_i c_i z_i/(z_i - mu) = 0, for t >= 0.  With
+    every c_i > 0 that is the kernel's domain wherever z, c z and gamma are
+    finite and z and c z positive, and z strictly increasing; elsewhere the
+    route's ``error`` is raised.  The log map q = a_o + log1p(tau/z_o)/2 takes
+    the root's offset tau to its origin pole z_o.
     """
+    if np.any(data.c_vec <= 0):
+        return None
     p = data.momentum
-    # an overflow, or 0/0 at P = 0, leaves a non-finite value that the
-    # domain test rejects
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         z = np.exp(2.0 * data.a_vec)
         w = data.c_vec * z
         gamma = np.expm1(2.0 * p * np.asarray(times, dtype=float)) / p
-    if not z[0] > 0 or secular.domain_error(z, w, gamma) is not None:
-        return None
+    if not (np.isfinite(w).all() and np.isfinite(gamma).all()):
+        raise error("e^(2 a_i), c_i e^(2 a_i) or expm1(2 P t)/P is not finite in double precision")
+    if not (z[0] > 0 and np.all(w > 0) and np.all(np.diff(z) > 0)):
+        raise error("e^(2 a_i) or c_i e^(2 a_i) underflows double precision")
     origin, offset = secular.secular_offsets(z, w, gamma)
     return data.a_vec[origin] + 0.5 * np.log1p(offset / z[origin])
 
@@ -266,11 +269,12 @@ def _secular_positions(data: HyperbolicData, times) -> np.ndarray | None:
 def z_eigen_trajectory(data: HyperbolicData, times) -> np.ndarray:
     """``z_eigen_solution`` on a time grid, shape (len(times), N).
 
-    Inside the secular-equation domain (``_secular_positions``) all times are
-    solved at once; elsewhere ``z_eigen_solution`` runs per point, with its
-    typed errors.
+    With every c_i > 0 all times are solved at once (``_secular_positions``),
+    which raises NonPositiveEigenvalue where the data leave double precision;
+    mixed-sign velocities run ``z_eigen_solution`` per point, with its typed
+    errors.
     """
-    q = _secular_positions(data, times)
+    q = _secular_positions(data, times, NonPositiveEigenvalue)
     if q is not None:
         return q
     return np.vstack([z_eigen_solution(data, t) for t in np.asarray(times, dtype=float)])
@@ -279,12 +283,12 @@ def z_eigen_trajectory(data: HyperbolicData, times) -> np.ndarray:
 def s_exact_trajectory(data: HyperbolicData, times) -> np.ndarray:
     """Exact positions q(t) on a time grid, shape (len(times), N).
 
-    Inside the secular-equation domain (``_secular_positions``) this is
-    ``z_eigen_trajectory``'s solution: the roots of the polynomial with Vieta
-    data s(t) are the eigenvalues of Z(t).  Elsewhere ``s_exact`` runs per
-    point, with its typed errors.
+    With every c_i > 0 this is ``z_eigen_trajectory``'s solution (the roots
+    of the polynomial with Vieta data s(t) are the eigenvalues of Z(t)), and
+    the data leaving double precision raise NonPositiveRoot; mixed-sign
+    velocities run ``s_exact`` per point, with its typed errors.
     """
-    q = _secular_positions(data, times)
+    q = _secular_positions(data, times, NonPositiveRoot)
     if q is not None:
         return q
     return np.vstack([s_exact(data, t)[1] for t in np.asarray(times, dtype=float)])

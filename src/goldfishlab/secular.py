@@ -47,8 +47,7 @@ def domain_error(d, w, gamma) -> str | None:
 
     The domain: d and w equal-length vectors and gamma a vector; poles d
     finite and strictly increasing; weights w positive and finite; gamma
-    finite and >= 0.  Every exact route tests its data here to choose
-    between the kernel and its per-point fallback.
+    finite and >= 0.
     """
     d = np.asarray(d, dtype=float)
     w = np.asarray(w, dtype=float)

@@ -124,19 +124,22 @@ def jacobian_det(q) -> float:
     return float(np.prod(diffs[upper_indices(q.size)]))
 
 
+def vandermonde_factors(q: np.ndarray) -> np.ndarray:
+    """D_i = prod_{k != i} (q_i - q_k) of an unvalidated 1-d array, in q's dtype."""
+    return np.prod(pairwise_differences(q) + np.eye(q.size, dtype=q.dtype), axis=1)
+
+
 def jacobian_inverse(q) -> np.ndarray:
-    """Closed-form inverse: (J^-1)[i, m] = (-1)^(m-1) q_i^(N-m) / prod_{j!=i}(q_i - q_j)."""
+    """Closed-form inverse: (J^-1)[i, m] = (-1)^(m-1) q_i^(N-m) / D_i, with m = 1..N."""
     return jacobian_inverse_unchecked(as_configuration(q))
 
 
 def jacobian_inverse_unchecked(q: np.ndarray) -> np.ndarray:
-    """``jacobian_inverse`` of a 1-d float array; q is not validated."""
+    """``jacobian_inverse`` of an unvalidated 1-d array in its dtype: exact on Fractions."""
     n = q.size
-    diffs = pairwise_differences(q) + np.eye(n)  # self-factor neutralized
-    denom = np.prod(diffs, axis=1)
     powers = q[:, None] ** np.arange(n - 1, -1, -1)[None, :]
-    signs = (-1.0) ** np.arange(n)
-    return signs[None, :] * powers / denom[:, None]
+    signs = (-1) ** np.arange(n)
+    return signs[None, :] * powers / vandermonde_factors(q)[:, None]
 
 
 def roots_from_coords(x) -> np.ndarray:

@@ -105,17 +105,31 @@ class _Label:
 _fractions = np.frompyfunc(Fraction, 1, 1)
 
 
+def _relative_error(error: Fraction, exact: Fraction) -> float:
+    """error / |exact|, rounded once; 0 for no error and inf for an error on an exact zero."""
+    if not error:
+        return 0.0
+    return float(error / abs(exact)) if exact else math.inf
+
+
 # ---------------------------------------------------------------------------
 # symfun
 # ---------------------------------------------------------------------------
 
 @_check("symfun_roundtrip", "symfun", 1e-10)
 def _symfun_roundtrip(rng):
+    """Backward error of the root recovery: e(roots(x)) against x, relative to max(1, |x|).
+
+    The roots are as ill-conditioned as the polynomial: on clustered draws
+    their forward error from ``np.roots`` exceeds any fixed tolerance, so the
+    residual is how well the recovered roots reproduce the coordinates.
+    """
     for _ in range(40):
         n = int(rng.integers(1, 9))
         q = sampling.random_configuration(rng, n, low=-3.0, high=3.0)
-        back = symfun.roots_from_coords(symfun.elem_sym_coords(q))
-        yield _Label(n, q=q), float(np.abs(back - q).max() / max(1.0, np.abs(q).max()))
+        x = symfun.elem_sym_coords(q)
+        back = symfun.elem_sym_coords(symfun.roots_from_coords(x))
+        yield _Label(n, q=q), float(np.abs(back - x).max() / max(1.0, np.abs(x).max()))
 
 
 @_check("symfun_jacobian_det_agreement", "symfun", 1e-9)
@@ -130,11 +144,19 @@ def _symfun_det(rng):
 
 @_check("symfun_jacobian_inverse_identity", "symfun", 1e-10)
 def _symfun_inverse(rng):
+    """Each entry of the float J^{-1} against the closed form run on the Fractions of q.
+
+    The residual is the largest relative error of an entry; an entry that
+    is exactly zero must come out as 0.  The product J J^{-1} in doubles
+    loses about cond(J) digits and is not the closed form's error; the exact
+    identity J J^{-1} = I is a unit test of ``jacobian_inverse_unchecked``.
+    """
     for _ in range(40):
         n = int(rng.integers(1, 7))
         q = sampling.random_configuration(rng, n, low=-3.0, high=3.0)
-        prod = symfun.jacobian(q) @ symfun.jacobian_inverse(q)
-        yield _Label(n, q=q), float(np.abs(prod - np.eye(n)).max())
+        exact = symfun.jacobian_inverse_unchecked(_fractions(q))
+        error = np.abs(_fractions(symfun.jacobian_inverse(q)) - exact)
+        yield _Label(n, q=q), max(map(_relative_error, error.flat, exact.flat))
 
 
 @_check("symfun_jacobian_finite_difference", "symfun", 1e-8)
@@ -173,17 +195,15 @@ def _curvature_flat(rng):
 @_check("geometry_curvature_nonflat_control", "geometry", 0.1, mode="above")
 def _curvature_nonflat(rng):
     q = np.array([0.0, 1.0, 3.0])
-    w = geometry.WFunction.scaled_rational(1.0)
-    yield _Label(3, q=q), float(np.abs(geometry.curvature(q, w)).max())
+    yield _Label(3, q=q), float(np.abs(geometry.curvature(q, 1.0)).max())
 
 
 @_check("geometry_curvature_crosscheck", "geometry", 1e-6)
 def _curvature_crosscheck(rng):
-    w = geometry.WFunction.scaled_rational(1.0)
     for _ in range(20):
         n = int(rng.integers(2, 6))
         q = sampling.random_configuration(rng, n)
-        diff = geometry.curvature(q, w) - geometry.curvature_from_connection(q, w)
+        diff = geometry.curvature(q, 1.0) - geometry.curvature_from_connection(q, 1.0)
         yield _Label(n, q=q), float(np.abs(diff).max())
 
 
@@ -203,11 +223,14 @@ def _christoffel_structure(rng):
 
 @_check("geometry_metric_factorization", "geometry", 1e-12)
 def _metric_factorization(rng):
+    """The float metric against the exact J^T J of the Fractions of q, relative to max(1, |g|)."""
     for _ in range(20):
         n = int(rng.integers(1, 7))
         q = sampling.random_configuration(rng, n)
-        jac = symfun.jacobian(q)
-        yield _Label(n, q=q), float(np.abs(geometry.metric(q) - jac.T @ jac).max())
+        jac = symfun.jacobian_stack(_fractions(q)[None, :])[0]
+        exact = jac.T @ jac
+        error = np.abs(_fractions(geometry.metric(q)) - exact).max()
+        yield _Label(n, q=q), float(error / max(1, np.abs(exact).max()))
 
 
 @_check("geometry_inverse_metric_identity", "geometry", 1e-10)

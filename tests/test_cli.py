@@ -18,6 +18,14 @@ def write_config(path, payload):
     return str(path)
 
 
+def strict_json(path):
+    """The JSON document at ``path``; NaN and Infinity, which JSON lacks, raise ValueError."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 GOLDFISH = {
     "system": "goldfish",
     "N": 2,
@@ -31,6 +39,13 @@ GOLDFISH = {
 # velocities that sum to P = 0, where the exact coth routes are undefined
 COTH_ZERO_P = {"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 1], "c_vec": [1, -1],
                "t_end": 1, "output_points": 3}
+
+# the one stderr line of each exact coth route where positive velocities
+# carry the data out of double precision
+OVERFLOW = {
+    route: f"error: {error}: e^(2 a_i), c_i e^(2 a_i) or expm1(2 P t)/P is not finite in double precision\n"
+    for route, error in (("z_eigen", "NonPositiveEigenvalue"), ("s_exact", "NonPositiveRoot"))
+}
 
 
 # runs that end in a collision, with the meeting time t_c from the flat
@@ -243,14 +258,30 @@ class TestSimulate:
                                "--out", str(out)], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
         assert (proc.returncode, proc.stderr) == (0, "")
-
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        sidecar = json.loads(cli.sidecar_path(out).read_text(), parse_constant=reject)
-        diagnostics = sidecar["diagnostics"]
+        diagnostics = strict_json(cli.sidecar_path(out))["diagnostics"]
         assert len(diagnostics["spectrum_drift"]) == 3
         assert all(np.isfinite(diagnostics[name]).all() for name in diagnostics)
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            # p_2 < 0: the constraint norm needs every p_i >= 0
+            ({"system": "ecm", "N": 3, "q0": [0, 1, 2.5], "p0": [1, -0.5, 0.7],
+              "f0": [[0, 0.1, 0], [-0.1, 0, 0.2], [0, -0.2, 0]], "t_end": 0.2, "output_points": 5},
+             "constraint_norm"),
+            # c_2 < 0: the Lax spectrum needs every velocity positive
+            ({"system": "hyperbolic-sinh", "N": 2, "a": 0.5, "a_vec": [0, 1], "c_vec": [1, -0.5],
+              "t_end": 0.2, "output_points": 3}, "spectrum_drift"),
+        ],
+        ids=["ecm", "sinh"],
+    )
+    def test_undefined_diagnostics_are_written_as_null(self, tmp_path, raw, key):
+        cfg = write_config(tmp_path / "cfg.json", raw)
+        out = tmp_path / "traj.csv"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        diagnostics = strict_json(cli.sidecar_path(out))["diagnostics"]
+        assert diagnostics.pop(key) == [None] * raw["output_points"]
+        assert all(isinstance(v, float) for values in diagnostics.values() for v in values)
 
     def test_numbers_are_written_as_fmt_writes_them(self, tmp_path):
         values = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-310, np.float64(0.1), 1 / 3,
@@ -413,50 +444,45 @@ class TestCompareCommand:
         assert capsys.readouterr().err.startswith(f"error: {error}: ")
 
     @pytest.mark.parametrize(
-        "raw, solvers, code, stderr",
+        "raw, solvers, stderr",
         [
-            # w = c z overflows at a = 354, outside the secular kernel's domain:
-            # z_eigen answers per point instead of raising from the kernel
+            # positive velocities take the secular kernel: where c z overflows
+            # (a = 354), expm1(2 P t) (t = 200) or z itself (a = 355), both
+            # routes raise their typed error, the only line on stderr
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 354], "c_vec": [1, 10],
-              "t_end": 0.001, "output_points": 3}, "z_eigen", 0, ""),
-            # expm1(2 P t) overflows at t = 200: the typed error of the
-            # per-point route is the only line on stderr
-            ({"system": "hyperbolic-coth", "N": 3, "a_vec": [0, 1, 2], "c_vec": [1, 1, 1],
-              "t_end": 200, "output_points": 3}, "z_eigen", 3, "error: NonPositiveEigenvalue: "),
-            ({"system": "hyperbolic-coth", "N": 3, "a_vec": [0, 1, 2], "c_vec": [1, 1, 1],
-              "t_end": 200, "output_points": 3}, "s_exact", 3, "error: NonPositiveRoot: "),
-            # sdot(0) = J (2 c z) overflows at a = 354, s(0) at [353, 354] and z
-            # itself at 355: a typed error and no warning
+              "t_end": 0.001, "output_points": 3}, "z_eigen", OVERFLOW["z_eigen"]),
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 354], "c_vec": [1, 10],
-              "t_end": 0.001, "output_points": 3}, "s_exact", 3, "error: NonPositiveRoot: "),
-            ({"system": "hyperbolic-coth", "N": 2, "a_vec": [353, 354], "c_vec": [1, -0.5],
-              "t_end": 0.001, "output_points": 3}, "s_exact", 3, "error: NonPositiveRoot: "),
+              "t_end": 0.001, "output_points": 3}, "s_exact", OVERFLOW["s_exact"]),
+            ({"system": "hyperbolic-coth", "N": 3, "a_vec": [0, 1, 2], "c_vec": [1, 1, 1],
+              "t_end": 200, "output_points": 3}, "z_eigen", OVERFLOW["z_eigen"]),
+            ({"system": "hyperbolic-coth", "N": 3, "a_vec": [0, 1, 2], "c_vec": [1, 1, 1],
+              "t_end": 200, "output_points": 3}, "s_exact", OVERFLOW["s_exact"]),
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 355], "c_vec": [1, 1],
-              "t_end": 0.001, "output_points": 3}, "s_exact", 3, "error: NonPositiveRoot: "),
+              "t_end": 0.001, "output_points": 3}, "s_exact", OVERFLOW["s_exact"]),
+            # mixed signs run s_exact per point: s(0) overflows at [353, 354]
+            ({"system": "hyperbolic-coth", "N": 2, "a_vec": [353, 354], "c_vec": [1, -0.5],
+              "t_end": 0.001, "output_points": 3}, "s_exact", "error: NonPositiveRoot: "),
             # z = e^{2 a} near a = -20 has its gap far below the collision
             # tolerance: the root recovery of the s polynomial reports it
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [-20, -19.9], "c_vec": [1, -0.5],
-              "t_end": 0.1, "output_points": 3}, "s_exact", 3, "error: RootCollision: "),
+              "t_end": 0.1, "output_points": 3}, "s_exact", "error: RootCollision: "),
             # there the spectrum of Z(t > 0) is a complex pair near 5e-18 with
             # imaginary parts near 3e-19: both positions read -19.9386
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [-20, -19.9], "c_vec": [1, -0.5],
-              "t_end": 0.1, "output_points": 3}, "z_eigen", 3, "error: RootCollision: "),
+              "t_end": 0.1, "output_points": 3}, "z_eigen", "error: RootCollision: "),
         ],
     )
-    def test_coth_routes_outside_the_kernel_domain_as_a_process(self, tmp_path, raw, solvers, code, stderr):
+    def test_coth_routes_outside_the_kernel_domain_as_a_process(self, tmp_path, raw, solvers, stderr):
         cfg = write_config(tmp_path / "cfg.json", raw)
         out = tmp_path / "cmp.csv"
         src = str(Path(cli.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-m", "goldfishlab", "compare", "--config", cfg,
-                               "--solvers", solvers, "--out", str(out)], capture_output=True,
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "goldfishlab", "compare", "--config",
+                               cfg, "--solvers", solvers, "--out", str(out)], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert proc.returncode == code
-        # the error line's value comes from a dense eigensolver, so only its
+        assert proc.returncode == 3
+        # where the error line's value comes from a dense eigensolver only its
         # type is pinned; nothing else may reach stderr
-        assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == (1 if stderr else 0)
-        if code == 0:
-            table = out.read_text().partition("solver,seconds\n")[0]
-            assert table.splitlines() == ["t", "0", "0.00050000000000000001", "0.001"]
+        assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "raw",

@@ -37,12 +37,6 @@ class TestChristoffel:
                     if i != j and i != k:
                         assert gam[i, j, k] == 0.0
 
-    def test_matches_general_connection_for_flat_w(self):
-        q = np.array([-0.7, 0.4, 1.8])
-        assert_allclose(
-            geometry.christoffel(q), geometry.connection_symbols(q, geometry.W_FLAT)
-        )
-
 
 class TestCurvature:
     def test_flat_for_rational_w(self):
@@ -50,29 +44,21 @@ class TestCurvature:
         assert np.abs(geometry.curvature(q)).max() < 1e-12
 
     def test_nonflat_control(self):
-        w = geometry.WFunction.scaled_rational(1.0)
-        assert np.abs(geometry.curvature(np.array([0.0, 1.0, 3.0]), w)).max() > 0.1
+        assert np.abs(geometry.curvature(np.array([0.0, 1.0, 3.0]), 1.0)).max() > 0.1
 
     def test_two_particles_flat_only_for_coefficient_two(self):
         # per pair the only surviving component is -w'_12 + w_12^2, which
         # vanishes exactly for w = 2/x; c = 1 leaves (c/2 - c^2/4)/gap^2
         q = np.array([0.0, 1.0])
         assert np.abs(geometry.curvature(q)).max() < 1e-15
-        w1 = geometry.WFunction.scaled_rational(1.0)
-        assert_allclose(np.abs(geometry.curvature(q, w1)).max(), 0.25)
+        assert_allclose(np.abs(geometry.curvature(q, 1.0)).max(), 0.25)
 
     @settings(max_examples=15, deadline=None)
     @given(configurations(max_n=5))
     def test_closed_form_matches_connection_assembly(self, q):
-        w = geometry.WFunction.scaled_rational(1.0)
-        closed = geometry.curvature(q, w)
-        diff = closed - geometry.curvature_from_connection(q, w)
+        closed = geometry.curvature(q, 1.0)
+        diff = closed - geometry.curvature_from_connection(q, 1.0)
         assert np.abs(diff).max() <= 1e-12 * max(1.0, np.abs(closed).max())
-
-    def test_even_w_rejected(self):
-        even = geometry.WFunction(func=lambda x: x**2, deriv=lambda x: 2.0 * x)
-        with pytest.raises(ValueError, match="odd"):
-            geometry.curvature(np.array([0.0, 1.0]), even)
 
 
 class TestMetric:

@@ -274,15 +274,11 @@ BRANCH_CASES = {
     "coth": (PAIR, 0.3, True),
     "coth mixed sign": (_coth([-1.1, -0.33, 0.66], [0.1, -0.76, -0.06]), 1.0, False),
     "coth P = 0": (_coth([0.0, 1.0], [1.0, -1.0]), 1.0, False),
-    # expm1(2 P t) overflows at t = 200
-    "coth t_end 200": (_coth([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]), 200.0, False),
-    # w = c z overflows, outside the kernel's domain
-    "coth a = 354": (_coth([0.0, 354.0], [1.0, 10.0]), 0.001, False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BRANCH_CASES))
-def test_exact_routes_take_the_kernel_only_inside_its_domain(monkeypatch, case):
+def test_exact_routes_take_the_kernel_exactly_for_positive_velocities(monkeypatch, case):
     data, t_end, kernel = BRANCH_CASES[case]
     routes = ([dynamics.goldfish_exact_trajectory] if case.startswith("goldfish")
               else [hyperbolic.z_eigen_trajectory, hyperbolic.s_exact_trajectory])
@@ -297,9 +293,32 @@ def test_exact_routes_take_the_kernel_only_inside_its_domain(monkeypatch, case):
         calls.clear()
         try:
             route(data, np.linspace(0.0, t_end, 3))
-        except (GoldfishLabError, ValueError):
+        except GoldfishLabError:
             assert not kernel  # the per-point routes raise their own errors
         assert len(calls) == int(kernel)
+
+
+@pytest.mark.parametrize(
+    "data, t_end, message",
+    [
+        # expm1(2 P t) overflows at t = 200
+        (_coth([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]), 200.0, "is not finite in double precision"),
+        # c z overflows at a = 354, and z at a = 355
+        (_coth([0.0, 354.0], [1.0, 10.0]), 0.001, "is not finite in double precision"),
+        (_coth([0.0, 355.0], [1.0, 1.0]), 0.001, "is not finite in double precision"),
+        # z = e^{2 a} is 0 below a = -372.6, and subnormal poles near a = -371 tie
+        (_coth([-400.0, -399.0], [1.0, 1.0]), 0.1, "underflows double precision"),
+        (_coth([-371.0, -370.99999], [1.0, 1.0]), 0.1, "underflows double precision"),
+    ],
+    ids=["t_end 200", "a = 354", "a = 355", "z = 0", "tied z"],
+)
+def test_positive_velocities_beyond_double_precision_raise_typed_errors(data, t_end, message):
+    # the kernel's data are out of reach: no per-point route answers instead
+    times = np.linspace(0.0, t_end, 3)
+    for route, error in ((hyperbolic.z_eigen_trajectory, NonPositiveEigenvalue),
+                         (hyperbolic.s_exact_trajectory, NonPositiveRoot)):
+        with pytest.raises(error, match=f"{message}$"):
+            route(data, times)
 
 
 class TestRootFunction:

@@ -264,6 +264,16 @@ class TestJacobianInverse:
             for m in range(n):
                 assert abs(Fraction(got[i, m]) - inverse[i][m]) <= bound * abs(inverse[i][m]) + tiny
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_unchecked_is_exact_on_fractions(self, n):
+        # q includes 0 from N = 3 on, where whole entries of J^-1 are exactly 0
+        q = np.array([Fraction(k * k - 4, 3) for k in range(n)], dtype=object)
+        inverse = symfun.jacobian_inverse_unchecked(q)
+        assert all(type(v) is Fraction for v in inverse.flat)
+        jac = symfun.jacobian_stack(q[None, :])[0]
+        assert (jac @ inverse).tolist() == np.eye(n, dtype=int).tolist()
+        assert (inverse @ jac).tolist() == np.eye(n, dtype=int).tolist()
+
 
 class TestRootsFromCoords:
     def test_hand_values(self):
