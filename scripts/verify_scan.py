@@ -26,9 +26,13 @@ from goldfishlab import cli, verify
 
 
 def tightest_below(report: list[dict]) -> tuple[str, float]:
-    """(name, residual / tolerance) of the report's "below" check closest to its tolerance."""
+    """(name, residual / tolerance) of the report's "below" check closest to its tolerance.
+
+    A NaN residual, written as null, fails its check and is left out here.
+    """
     ratio, name = max((entry["max_residual"] / entry["tolerance"], entry["name"]) for entry in report
-                      if entry["tolerance"] > 0 and verify.lookup(entry["name"]).mode == "below")
+                      if entry["max_residual"] is not None and entry["tolerance"] > 0
+                      and verify.lookup(entry["name"]).mode == "below")
     return name, ratio
 
 

@@ -203,7 +203,8 @@ def _write_csv(path, header: list[str], rows, footer=()) -> None:
 
 
 def _write_json(path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinity in ``payload`` raises ValueError."""
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def sidecar_path(out_path) -> Path:
@@ -342,18 +343,14 @@ def _positions_sinh_matrix(cfg: RunConfig) -> np.ndarray:
     return np.vstack([hyperbolic.matrix_positions(data, t) for t in cfg.times])
 
 
-def _positions_z_eigen(cfg: RunConfig) -> np.ndarray:
-    from . import hyperbolic
+def _coth_exact(route: str) -> Callable[[RunConfig], np.ndarray]:
+    def positions(cfg: RunConfig) -> np.ndarray:
+        from . import hyperbolic
 
-    data = hyperbolic.HyperbolicData(a=1.0, a_vec=cfg.a_vec, c_vec=cfg.c_vec)
-    return hyperbolic.z_eigen_trajectory(data, cfg.times)
+        data = hyperbolic.HyperbolicData(a=1.0, a_vec=cfg.a_vec, c_vec=cfg.c_vec)
+        return hyperbolic.exact_trajectory(data, cfg.times, route)
 
-
-def _positions_s_exact(cfg: RunConfig) -> np.ndarray:
-    from . import hyperbolic
-
-    data = hyperbolic.HyperbolicData(a=1.0, a_vec=cfg.a_vec, c_vec=cfg.c_vec)
-    return hyperbolic.s_exact_trajectory(data, cfg.times)
+    return positions
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +441,8 @@ SPECS: dict[str, SystemSpec] = {
         columns=_vector_columns("q", "qdot"),
         solvers={
             "rk_integration": _positions_rk,
-            "z_eigen": _positions_z_eigen,
-            "s_exact": _positions_s_exact,
+            "z_eigen": _coth_exact("z_eigen"),
+            "s_exact": _coth_exact("s_exact"),
         },
     ),
 }

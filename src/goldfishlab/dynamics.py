@@ -148,11 +148,6 @@ def pair_acceleration(q: np.ndarray, qdot: np.ndarray, coupling) -> np.ndarray:
     return 2.0 * qdot * (kernel @ qdot)
 
 
-def goldfish_rhs(state: GoldfishState) -> np.ndarray:
-    """Accelerations of the goldfish flow at a validated state."""
-    return pair_acceleration(state.q, state.qdot, np.reciprocal)
-
-
 def ecm_forces(q: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(pdot, fdot) of the spin system on plain arrays, f the full antisymmetric matrix.
 
@@ -171,12 +166,6 @@ def ecm_forces(q: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # fdot_ij = -sum_k f_ik f_kj / q_ik^2 + sum_k f_ik f_kj / q_kj^2
     fdot = -(f * inv2) @ f + f @ (inv2 * f)
     return pdot, fdot
-
-
-def ecm_rhs(state: ECMState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(qdot, pdot, fdot) of the spin system at a validated state; qdot = p."""
-    pdot, fdot = ecm_forces(state.q, state.f)
-    return state.p.copy(), pdot, fdot
 
 
 def ecm_hamiltonian(state: ECMState) -> float:

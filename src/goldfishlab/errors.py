@@ -56,10 +56,6 @@ class SecularNoConvergence(GoldfishLabError):
     """A secular-equation root did not converge within the iteration limit."""
 
 
-class ZeroMomentum(GoldfishLabError):
-    """An exact coth route met a zero total velocity P = sum c_i."""
-
-
 class PoleProximity(GoldfishLabError):
     """Evaluation point too close to a pole of the root function."""
 

@@ -2,10 +2,11 @@
 
 The deformed flow lives on positive matrices.  Its eigenvalue dynamics is the
 sinh-coupled second-order system which degenerates to the rational goldfish
-flow as the deformation parameter a -> 0.  Two exact routes for the coth
-equation are provided: eigenvalues of Z(t) = e^{2 Lambda0} e^{2 t L0}, and the
-linear evolution of the symmetric functions of e^{2 q_i}, plus the one-line
-root characterization f(q) = 0 used as a residual cross-check.
+flow as the deformation parameter a -> 0.  The coth flow is the goldfish flat
+line in z = e^{2 q} on the clock gamma(t): its two exact routes are the
+eigenvalues of Z(t) = e^{2 Lambda0} e^{2 t L0} and the roots of the
+polynomial with Vieta data s(t), plus the one-line root characterization
+f(q) = 0 used as a residual cross-check.
 """
 from __future__ import annotations
 
@@ -15,14 +16,12 @@ import numpy as np
 
 from . import dynamics, secular, symfun
 from .errors import (
-    GoldfishLabError,
     NonPositiveEigenvalue,
     NonPositiveRoot,
     NonPositiveVelocity,
     NonRealSpectrum,
     PoleProximity,
     RootCollision,
-    ZeroMomentum,
 )
 from .utils import finite_vector, pairwise_differences
 
@@ -47,44 +46,34 @@ class HyperbolicData:
         object.__setattr__(self, "c_vec", finite_vector(self.c_vec, self.a_vec.size, "c_vec"))
 
     @property
-    def n(self) -> int:
-        return self.a_vec.size
-
-    @property
     def momentum(self) -> float:
         """P = sum c_i, the conserved total velocity."""
         return float(np.sum(self.c_vec))
 
 
-def hyperbolic_rhs(state: dynamics.GoldfishState, a: float) -> np.ndarray:
-    """qddot_i = 2 sum_{j != i} 2 a qdot_i qdot_j / sinh(2 a (q_i - q_j))."""
-    if a == 0:
-        raise ValueError("a must be nonzero; the a -> 0 limit is the rational flow")
-    return dynamics.pair_acceleration(state.q, state.qdot, SinhSystem(state.n, a).coupling)
+def clock(p: float, t):
+    """gamma(t) = expm1(2 P t)/P, and its limit 2t at P = 0: the coth flow's time on its flat line.
+
+    s = e(e^{2 q}) moves on s(0) + gamma(t) b (``s_initial``) as x = e(q)
+    moves on x(0) + t b in the goldfish flow.  gamma' = 2 + 2 P gamma; gamma
+    overflows to inf, without a warning, once 2 P t > 709.
+    """
+    if p == 0:
+        return 2.0 * t
+    with np.errstate(over="ignore"):
+        return np.expm1(2.0 * p * t) / p
 
 
-def coth_rhs(state: dynamics.GoldfishState) -> np.ndarray:
-    """qddot_i = 2 sum_{j != i} qdot_i qdot_j coth(q_i - q_j)."""
-    return dynamics.pair_acceleration(state.q, state.qdot, CothSystem.coupling)
-
-
-def lax_pair(state: dynamics.GoldfishState, a: float) -> tuple[np.ndarray, np.ndarray]:
+def lax_pair(q: np.ndarray, qdot: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Lax matrices (L, M) of the sinh flow with the square-root substitution.
 
     M_ij = -2a sqrt(qdot_i qdot_j) / sinh(2a (q_i - q_j)) off the diagonal;
     L_ij = delta_ij qdot_i - sinh(2a (q_i - q_j))/(2a) M_ij, which collapses
     to the rank-one form sqrt(qdot_i qdot_j).  Along the flow Ldot = [L, M],
-    so the spectrum of L is conserved.
+    so the spectrum of L is conserved.  Needs a != 0 and every qdot_i > 0.
     """
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    if np.any(state.qdot <= 0):
+    if np.any(qdot <= 0):
         raise NonPositiveVelocity("lax substitution needs qdot_i > 0")
-    return _lax_matrices(state.q, state.qdot, a)
-
-
-def _lax_matrices(q: np.ndarray, qdot: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """``lax_pair`` on plain arrays, for a != 0 and qdot > 0."""
     n = q.size
     gaps = pairwise_differences(q)
     off = ~np.eye(n, dtype=bool)
@@ -159,28 +148,22 @@ def conserved_combination(data: HyperbolicData, t: float) -> np.ndarray:
     return xdot @ xinv + xinv @ xdot
 
 
-def _rank_one_exp(c_vec: np.ndarray, p: float, s: float) -> np.ndarray:
-    """e^{s L} for the rank-one L = 1 c^T, (L)_ij = c_j, in closed form.
+def _rank_one_exp(c_vec: np.ndarray, p: float, t: float) -> np.ndarray:
+    """e^{2 t L} for the rank-one L = 1 c^T, (L)_ij = c_j, in closed form.
 
-    L^2 = P L with P = sum c_i != 0, so e^{s L} = I + gamma L with
-    gamma = (e^{s P} - 1) / P.
+    L^2 = P L with P = sum c_i, so e^{2 t L} = I + gamma(t) L (``clock``).
     """
-    return np.eye(c_vec.size) + np.expm1(s * p) / p * c_vec
+    return np.eye(c_vec.size) + clock(p, t) * c_vec
 
 
 def z_eigen_solution(data: HyperbolicData, t: float) -> np.ndarray:
-    """Positions from the eigenvalues of Z(t) = e^{2 Lambda0} e^{2 t L0}.
+    """Positions ln(mu) / 2 from the ascending eigenvalues mu of Z(t) = e^{2 Lambda0} e^{2 t L0}.
 
-    (L0)_ij = c_j row-replicated, and e^{2 t L0} = I + gamma L0 in closed form.
-    Mixed-sign velocities are allowed here, only reality and positivity of
-    the spectrum are enforced: q_i = ln(mu_i) / 2 with mu ascending.  Raises
-    RootCollision where two positions lie closer than ``symfun.COLLISION_TOL``,
-    as the root recovery of ``s_exact`` does.
+    (L0)_ij = c_j row-replicated (``_rank_one_exp``); c of any sign.  Raises
+    NonRealSpectrum, NonPositiveEigenvalue, or RootCollision where two
+    positions lie closer than ``symfun.COLLISION_TOL``, as ``s_exact`` does.
     """
-    p = data.momentum
-    if p == 0:
-        raise ZeroMomentum("z route needs P = sum c_i != 0")
-    z = np.exp(2.0 * data.a_vec)[:, None] * _rank_one_exp(data.c_vec, p, 2.0 * t)
+    z = np.exp(2.0 * data.a_vec)[:, None] * _rank_one_exp(data.c_vec, data.momentum, t)
     mu = np.linalg.eigvals(z)
     worst_imag = float(np.abs(mu.imag).max())
     if worst_imag >= symfun.IMAG_TOL:
@@ -196,109 +179,75 @@ def z_eigen_solution(data: HyperbolicData, t: float) -> np.ndarray:
 
 
 def s_initial(data: HyperbolicData) -> tuple[np.ndarray, np.ndarray]:
-    """s_n(0) and sdot_n(0): symmetric functions of z_i = e^{2 a_i} and their rates.
+    """(s(0), b) with s(t) = s(0) + gamma(t) b: the goldfish flat line of z = e^{2 a}.
 
-    z is not validated as a configuration: its order is that of a_vec, and
-    its gaps may lie below the collision tolerance (a_vec near -20), where the
-    root recovery reports the collision.  Raises NonPositiveRoot where z, s(0)
-    or sdot(0) overflows double precision (from a_i near 354 on): the roots
-    z_i of the s polynomial are then out of reach.
+    s(0) = e(z) and b = J(z) c z (``symfun.flat_line``), so sdot(0) = 2 b.
+    z is not validated: its gaps may lie below the collision tolerance
+    (a_vec near -20), where the root recovery reports the collision.  Raises
+    NonPositiveRoot where z, s(0) or b overflows (from a_i near 354 on).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         z0 = np.exp(2.0 * data.a_vec)
-        finite = np.isfinite(z0).all()
-        if finite:
-            s0, sdot0 = symfun.flat_line(z0, 2.0 * data.c_vec * z0)
-            finite = np.isfinite(s0).all() and np.isfinite(sdot0).all()
-    if not finite:
-        raise NonPositiveRoot(
-            f"s(0) or sdot(0) overflows double precision (largest a_i = {data.a_vec[-1]:g})"
-        )
-    return s0, sdot0
-
-
-def _s_line(data: HyperbolicData) -> tuple[float, np.ndarray, np.ndarray]:
-    """(P, alpha, beta) with s_n(t) = alpha_n + beta_n e^{2 P t}."""
-    p = data.momentum
-    if p == 0:
-        raise ZeroMomentum("s route needs P = sum c_i != 0")
-    s0, sdot0 = s_initial(data)
-    beta = sdot0 / (2.0 * p)
-    return p, s0 - beta, beta
+        s0, b = symfun.flat_line(z0, data.c_vec * z0)
+    if not (np.isfinite(s0).all() and np.isfinite(b).all()):
+        largest = data.a_vec[-1]
+        raise NonPositiveRoot(f"s(0) or sdot(0) overflows double precision (largest a_i = {largest:g})")
+    return s0, b
 
 
 def s_exact(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (s(t), q(t)) from the linear evolution sddot_n = 2 P sdot_n.
-
-    Each s_n(t) = alpha_n + beta_n e^{2 P t}; q(t) is recovered as half the
-    logs of the roots of the monic polynomial with Vieta coefficients s(t).
-    """
-    p, alpha, beta = _s_line(data)
-    s_t = alpha + beta * np.exp(2.0 * p * t)
+    """Exact (s(t), q(t)): s(t) = s(0) + gamma(t) b, and q(t) half the logs
+    of the roots of the monic polynomial with Vieta coefficients s(t)."""
+    s0, b = s_initial(data)
+    s_t = s0 + clock(data.momentum, t) * b
     roots = symfun.roots_from_coords(s_t)
     if roots[0] <= 0:
         raise NonPositiveRoot(f"smallest root {roots[0]:.3e} <= 0")
     return s_t, 0.5 * np.log(roots)
 
 
-def _secular_positions(data: HyperbolicData, times, error: type[GoldfishLabError]) -> np.ndarray | None:
-    """q(t) on a grid from the secular equation of Z(t), or None unless every c_i > 0.
-
-    Z(t) = diag(z) + gamma z c^T with z = e^{2 a} and gamma = expm1(2 P t)/P,
-    so mu(t) solves 1/gamma + sum_i c_i z_i/(z_i - mu) = 0, for t >= 0.  With
-    every c_i > 0 that is the kernel's domain wherever z, c z and gamma are
-    finite and z and c z positive, and z strictly increasing; elsewhere the
-    route's ``error`` is raised.  The log map q = a_o + log1p(tau/z_o)/2 takes
-    the root's offset tau to its origin pole z_o.
-    """
-    if np.any(data.c_vec <= 0):
-        return None
+def s_derivatives(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, sdot, sddot) at time t: the line s(0) + gamma b, with gamma' = 2 + 2 P gamma."""
+    s0, b = s_initial(data)
     p = data.momentum
+    gamma = clock(p, t)
+    rate = 2.0 + 2.0 * p * gamma
+    return s0 + gamma * b, rate * b, 2.0 * p * rate * b
+
+
+#: The exact coth routes by name: the typed error raised where the kernel's
+#: data leave double precision, and the positions at one time.
+_ROUTES = {
+    "z_eigen": (NonPositiveEigenvalue, z_eigen_solution),
+    "s_exact": (NonPositiveRoot, lambda data, t: s_exact(data, t)[1]),
+}
+
+
+def exact_trajectory(data: HyperbolicData, times, route: str) -> np.ndarray:
+    """Positions of the exact coth route ``route`` (``_ROUTES``) on a time grid, shape (len(times), N).
+
+    The roots of the polynomial with Vieta data s(t) are the eigenvalues of
+    Z(t) = diag(z) + gamma z c^T, z = e^{2 a}, so mu(t) solves
+    1/gamma + sum_i c_i z_i/(z_i - mu) = 0.  With every c_i > 0 both routes
+    solve it for the whole grid (``secular.secular_offsets``), and raise the
+    route's error where z, c z or gamma is not finite or z underflows; the
+    root's offset tau from its origin pole z_o maps to a_o + log1p(tau/z_o)/2.
+    With a c_i <= 0 the route's per-point form runs at each time.
+    """
+    error, pointwise = _ROUTES[route]
+    times = np.asarray(times, dtype=float)
+    if np.any(data.c_vec <= 0):
+        return np.vstack([pointwise(data, t) for t in times])
     with np.errstate(over="ignore"):
         z = np.exp(2.0 * data.a_vec)
         w = data.c_vec * z
-        gamma = np.expm1(2.0 * p * np.asarray(times, dtype=float)) / p
+    gamma = clock(data.momentum, times)
     if not (np.isfinite(w).all() and np.isfinite(gamma).all()):
         raise error("e^(2 a_i), c_i e^(2 a_i) or expm1(2 P t)/P is not finite in double precision")
     if not (z[0] > 0 and np.all(w > 0) and np.all(np.diff(z) > 0)):
         raise error("e^(2 a_i) or c_i e^(2 a_i) underflows double precision")
     origin, offset = secular.secular_offsets(z, w, gamma)
     return data.a_vec[origin] + 0.5 * np.log1p(offset / z[origin])
-
-
-def z_eigen_trajectory(data: HyperbolicData, times) -> np.ndarray:
-    """``z_eigen_solution`` on a time grid, shape (len(times), N).
-
-    With every c_i > 0 all times are solved at once (``_secular_positions``),
-    which raises NonPositiveEigenvalue where the data leave double precision;
-    mixed-sign velocities run ``z_eigen_solution`` per point, with its typed
-    errors.
-    """
-    q = _secular_positions(data, times, NonPositiveEigenvalue)
-    if q is not None:
-        return q
-    return np.vstack([z_eigen_solution(data, t) for t in np.asarray(times, dtype=float)])
-
-
-def s_exact_trajectory(data: HyperbolicData, times) -> np.ndarray:
-    """Exact positions q(t) on a time grid, shape (len(times), N).
-
-    With every c_i > 0 this is ``z_eigen_trajectory``'s solution (the roots
-    of the polynomial with Vieta data s(t) are the eigenvalues of Z(t)), and
-    the data leaving double precision raise NonPositiveRoot; mixed-sign
-    velocities run ``s_exact`` per point, with its typed errors.
-    """
-    q = _secular_positions(data, times, NonPositiveRoot)
-    if q is not None:
-        return q
-    return np.vstack([s_exact(data, t)[1] for t in np.asarray(times, dtype=float)])
-
-
-def s_derivatives(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(s, sdot, sddot) at time t from the closed form."""
-    p, alpha, beta = _s_line(data)
-    growth = np.exp(2.0 * p * t)
-    return alpha + beta * growth, 2.0 * p * beta * growth, 4.0 * p * p * beta * growth
 
 
 def _momentum_drift(n: int, reference: float, rows: np.ndarray) -> np.ndarray:
@@ -326,7 +275,7 @@ class SinhSystem(dynamics.PairFlowSystem):
         """Ascending spectrum of the Lax matrix L; None unless every qdot_i > 0."""
         if not np.all(qdot > 0):
             return None
-        return np.sort(np.linalg.eigvalsh(_lax_matrices(q, qdot, self.a)[0]))
+        return np.sort(np.linalg.eigvalsh(lax_pair(q, qdot, self.a)[0]))
 
     def reference(self, state0: dynamics.GoldfishState):
         return float(np.sum(state0.qdot)), self._spectrum(state0.q, state0.qdot)
@@ -358,7 +307,7 @@ class CothSystem(dynamics.PairFlowSystem):
 
 
 def root_function_f(data: HyperbolicData, t: float, q: float) -> float:
-    """f(q) = sum_i (c_i / P) tanh(P t) / tanh(q - a_i) - 1.
+    """f(q) = sum_i c_i (tanh(P t)/P) / tanh(q - a_i) - 1, where tanh(P t)/P is t at P = 0.
 
     The coth trajectory passes through the roots of f; used as a residual
     check only.  Raises PoleProximity within ``POLE_TOL`` of any a_i.
@@ -367,4 +316,5 @@ def root_function_f(data: HyperbolicData, t: float, q: float) -> float:
     gaps = q - data.a_vec
     if np.abs(gaps).min() < POLE_TOL:
         raise PoleProximity(f"q within {POLE_TOL:g} of a pole")
-    return float(np.sum((data.c_vec / p) * np.tanh(p * t) / np.tanh(gaps)) - 1.0)
+    scale = t if p == 0 else np.tanh(p * t) / p
+    return float(np.sum(data.c_vec * scale / np.tanh(gaps)) - 1.0)

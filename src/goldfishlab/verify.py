@@ -51,9 +51,10 @@ class CheckResult:
     worst_case: tuple[int, str]  # (index, label); not part of the report
 
     def to_dict(self) -> dict:
+        """The report entry; a NaN ``max_residual`` is written as None (JSON null)."""
         return {
             "name": self.name,
-            "max_residual": self.max_residual,
+            "max_residual": None if math.isnan(self.max_residual) else self.max_residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
             "seconds": self.seconds,
@@ -293,7 +294,7 @@ def _geodesic_goldfish(rng):
         dg = geometry.inverse_metric_gradient(q)
         ginv = geometry.inverse_metric(q)
         acc = np.einsum("kij,k,j->i", dg, qdot, pi) + ginv @ pidot
-        target = dynamics.goldfish_rhs(dynamics.GoldfishState(q, qdot))
+        target = dynamics.pair_acceleration(q, qdot, dynamics.GoldfishSystem.coupling)
         yield _Label(n, q=q, pi=pi), float(np.abs(acc - target).max())
 
 
@@ -356,10 +357,8 @@ def _flow_matches_rhs(rng):
         n = int(rng.integers(2, 5))
         structure = poisson.ecm_structure(n)
         point = _ecm_random_point(rng, n)
-        q, p, f = poisson.ecm_parts(point, n)
         flow = poisson.hamiltonian_flow(structure, poisson.ecm_hamiltonian_gradient(point, n), point)
-        qdot, pdot, fdot = dynamics.ecm_rhs(dynamics.ECMState(q, p, f))
-        direct = np.concatenate([qdot, pdot, fdot[np.triu_indices(n, 1)]])
+        direct = dynamics.EcmSystem(n).rhs(0.0, point)
         yield _Label(n, point=point), float(np.abs(flow - direct).max())
 
 
@@ -375,7 +374,7 @@ def _induced_goldfish_residual(rng, coefficient: float) -> Iterator[Case]:
         momentum = float(np.sum(pi))
         # qdot_i = P pi_i, so qddot = Pdot pi + P pidot with Pdot = sum pidot
         acc = float(np.sum(pidot)) * pi + momentum * pidot
-        target = dynamics.goldfish_rhs(dynamics.GoldfishState(q, qdot))
+        target = dynamics.pair_acceleration(q, qdot, dynamics.GoldfishSystem.coupling)
         yield _Label(n, point=point), float(np.abs(acc - target).max())
 
 
@@ -695,11 +694,11 @@ def _rational_limit(rng):
         n = int(rng.integers(2, 5))
         q = sampling.random_configuration(rng, n)
         qdot = sampling.random_velocities(rng, n)
-        target = dynamics.goldfish_rhs(dynamics.GoldfishState(q, qdot))
-        state = dynamics.GoldfishState(q, qdot)
-        r_coarse = float(np.abs(hyperbolic.hyperbolic_rhs(state, 1e-2) - target).max())
-        r_fine = float(np.abs(hyperbolic.hyperbolic_rhs(state, 1e-3) - target).max())
-        yield _Label(n, q=q, qdot=qdot), abs(r_coarse / r_fine - 100.0)
+        target = dynamics.pair_acceleration(q, qdot, dynamics.GoldfishSystem.coupling)
+        coarse, fine = (dynamics.pair_acceleration(q, qdot, hyperbolic.SinhSystem(n, a).coupling)
+                        for a in (1e-2, 1e-3))
+        ratio = float(np.abs(coarse - target).max() / np.abs(fine - target).max())
+        yield _Label(n, q=q, qdot=qdot), abs(ratio - 100.0)
 
 
 def _hyperbolic_case(rng, n):
@@ -767,20 +766,29 @@ def _coth_residual(rng):
             zddot = jac_inv @ (sddot - quadratic)
             vel = zdot / (2.0 * z)
             acc = 0.5 * (zddot / z - 4.0 * vel**2)
-            target = hyperbolic.coth_rhs(dynamics.GoldfishState(q, vel))
+            target = dynamics.pair_acceleration(q, vel, hyperbolic.CothSystem.coupling)
             yield _Label(n, a_vec=a_vec, c_vec=c_vec, t=t), float(np.abs(acc - target).max())
 
 
 @_check("hyperbolic_sn_ode", "hyperbolic", 1e-8)
 def _sn_ode(rng):
+    """sddot = 2 P sdot along the RK-integrated coth flow, so sdot(t) = sdot(0) e^{2 P t}.
+
+    sdot = J(z) zdot at z = e^{2q}, zdot = 2 z qdot (``symfun.flat_line``),
+    relative to max(1, |sdot(0) e^{2 P t}|).
+    """
     for _ in range(5):
         n = int(rng.integers(2, 6))
         a_vec, c_vec = _hyperbolic_case(rng, n)
-        data = hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=c_vec)
-        p = data.momentum
-        for t in np.linspace(0.0, 0.4, 5):
-            _, sdot, sddot = hyperbolic.s_derivatives(data, t)
-            yield _Label(n, a_vec=a_vec, c_vec=c_vec, t=t), float(np.abs(sddot - 2.0 * p * sdot).max())
+        p = float(np.sum(c_vec))
+        state = dynamics.GoldfishState(a_vec, c_vec)
+        traj = dynamics.integrate(hyperbolic.CothSystem(n), state, 0.4, TIGHT, output_points=5)
+        z = np.exp(2.0 * traj.rows[:, :n])
+        sdot = symfun.flat_line(z, 2.0 * z * traj.rows[:, n:])[1]
+        for t, rate in zip(traj.times, sdot):
+            expected = sdot[0] * np.exp(2.0 * p * t)
+            residual = np.abs(rate - expected) / np.maximum(1.0, np.abs(expected))
+            yield _Label(n, a_vec=a_vec, c_vec=c_vec, t=t), float(residual.max())
 
 
 @_check("hyperbolic_conserved_combination", "hyperbolic", 1e-9)

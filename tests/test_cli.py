@@ -36,9 +36,13 @@ GOLDFISH = {
 }
 
 
-# velocities that sum to P = 0, where the exact coth routes are undefined
-COTH_ZERO_P = {"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 1], "c_vec": [1, -1],
-               "t_end": 1, "output_points": 3}
+# velocities that sum to P = 0 (the second to -1.1e-16), where the exact coth
+# routes run on the clock gamma = 2t; the pair meets at t_c = 0.231
+COTH_ZERO_P = [
+    {"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 1], "c_vec": [1, -1], "t_end": 0.1, "rel_tol": 1e-12},
+    {"system": "hyperbolic-coth", "N": 3, "a_vec": [-0.4, 0.3, 1.2], "c_vec": [0.7, -1.1, 0.4], "t_end": 0.1,
+     "rel_tol": 1e-12},
+]
 
 # the one stderr line of each exact coth route where positive velocities
 # carry the data out of double precision
@@ -433,8 +437,8 @@ class TestCompareCommand:
              "z_eigen", "NonRealSpectrum"),
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [1.1, 1.45], "c_vec": [1.8, -1.4],
               "t_end": 2.0, "output_points": 2}, "s_exact", "NonPositiveRoot"),
-            (COTH_ZERO_P, "z_eigen", "ZeroMomentum"),
-            (COTH_ZERO_P, "s_exact", "ZeroMomentum"),
+            ({**COTH_ZERO_P[0], "t_end": 1}, "z_eigen", "NonRealSpectrum"),
+            ({**COTH_ZERO_P[0], "t_end": 1}, "s_exact", "ComplexRoots"),
         ],
     )
     def test_mixed_sign_exact_routes_keep_typed_errors(self, tmp_path, capsys, raw, solver, error):
@@ -483,6 +487,19 @@ class TestCompareCommand:
         # where the error line's value comes from a dense eigensolver only its
         # type is pinned; nothing else may reach stderr
         assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("raw", COTH_ZERO_P, ids=["N=2", "N=3"])
+    def test_coth_exact_routes_at_zero_momentum_as_a_process(self, tmp_path, raw):
+        cfg = write_config(tmp_path / "cfg.json", raw)
+        out = tmp_path / "cmp.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "goldfishlab", "compare", "--config", cfg,
+                               "--solvers", "z_eigen,s_exact,rk_integration", "--out", str(out)],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        lines = out.read_text().splitlines()
+        table = np.array([[float(x) for x in line.split(",")] for line in lines[1 : lines.index("solver,seconds")]])
+        assert table.shape == (101, 4) and table[:, 1:].max() <= 1e-10
 
     @pytest.mark.parametrize(
         "raw",

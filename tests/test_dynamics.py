@@ -19,35 +19,41 @@ from conftest import states
 TIGHT = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
 
 
+def _goldfish_acceleration(q, qdot):
+    return dynamics.pair_acceleration(np.asarray(q, float), np.asarray(qdot, float), dynamics.GoldfishSystem.coupling)
+
+
+def _ecm_rhs(q, p, fu):
+    """(qdot, pdot, fdot upper triangle) of the spin system's one right-hand side."""
+    n = len(q)
+    y = dynamics.EcmSystem(n).rhs(0.0, np.concatenate([q, p, fu]).astype(float))
+    return y[:n], y[n : 2 * n], y[2 * n :]
+
+
 class TestGoldfishRhs:
     def test_hand_values(self):
-        s = dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])
-        assert_allclose(dynamics.goldfish_rhs(s), [-2.0, 2.0])
-        s = dynamics.GoldfishState([0.0, 1.0, 3.0], [1.0, 0.0, 1.0])
-        assert_allclose(dynamics.goldfish_rhs(s), [-2.0 / 3.0, 0.0, 2.0 / 3.0])
+        assert_allclose(_goldfish_acceleration([0.0, 1.0], [1.0, 1.0]), [-2.0, 2.0])
+        assert_allclose(_goldfish_acceleration([0.0, 1.0, 3.0], [1.0, 0.0, 1.0]), [-2.0 / 3.0, 0.0, 2.0 / 3.0])
 
     def test_static(self):
-        s = dynamics.GoldfishState([0.0, 1.0], [0.0, 0.0])
-        assert np.all(dynamics.goldfish_rhs(s) == 0.0)
+        assert np.all(_goldfish_acceleration([0.0, 1.0], [0.0, 0.0]) == 0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(states())
     def test_accelerations_sum_to_zero(self, state):
         q, qdot = state
-        acc = dynamics.goldfish_rhs(dynamics.GoldfishState(q, qdot))
+        acc = _goldfish_acceleration(q, qdot)
         assert abs(acc.sum()) < 1e-10 * max(1.0, np.abs(acc).max())
 
 
 class TestEcmRhs:
     def test_two_particle_values(self):
-        s = dynamics.ECMState([0.0, 1.0], [0.0, 0.0], [2.0])
-        qdot, pdot, fdot = dynamics.ecm_rhs(s)
+        qdot, pdot, fdot = _ecm_rhs([0.0, 1.0], [0.0, 0.0], [2.0])
         assert_allclose(pdot, [-8.0, 8.0])
         assert np.all(fdot == 0.0)
 
     def test_free_streaming(self):
-        s = dynamics.ECMState([0.0, 1.0], [1.0, 2.0], [0.0])
-        qdot, pdot, fdot = dynamics.ecm_rhs(s)
+        qdot, pdot, fdot = _ecm_rhs([0.0, 1.0], [1.0, 2.0], [0.0])
         assert_allclose(qdot, [1.0, 2.0])
         assert np.all(pdot == 0.0)
 
@@ -58,11 +64,9 @@ class TestEcmRhs:
             q = np.sort(rng.uniform(-2, 2, 3))
             p = rng.uniform(0.5, 1.5, 3)
             fu = rng.uniform(-1, 1, 3)
-            qdot, pdot, fdot = dynamics.ecm_rhs(dynamics.ECMState(q, p, fu))
             point = poisson.ecm_point(q, p, fu)
             flow = poisson.hamiltonian_flow(structure, poisson.ecm_hamiltonian_gradient(point, 3), point)
-            mine = np.concatenate([qdot, pdot, fdot[np.triu_indices(3, 1)]])
-            assert np.abs(mine - flow).max() < 1e-9
+            assert np.abs(dynamics.EcmSystem(3).rhs(0.0, point) - flow).max() < 1e-9
 
 
 # The right-hand sides as they stood before their diagonals were masked with

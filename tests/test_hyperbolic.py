@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,7 +11,6 @@ from goldfishlab.errors import (
     NonPositiveVelocity,
     NonRealSpectrum,
     PoleProximity,
-    ZeroMomentum,
 )
 
 TIGHT = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
@@ -19,46 +19,48 @@ TIGHT = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
 PAIR = hyperbolic.HyperbolicData(a=1.0, a_vec=np.array([0.0, 1.0]), c_vec=np.array([1.0, 1.0]))
 
 
+def _sinh_acceleration(q, qdot, a):
+    return dynamics.pair_acceleration(np.asarray(q), np.asarray(qdot), hyperbolic.SinhSystem(len(q), a).coupling)
+
+
+def _coth_acceleration(q, qdot):
+    return dynamics.pair_acceleration(np.asarray(q), np.asarray(qdot), hyperbolic.CothSystem.coupling)
+
+
 class TestRightHandSides:
     def test_sinh_hand_value(self):
-        state = dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])
         expected = 2.0 / np.sinh(1.0)
-        assert_allclose(hyperbolic.hyperbolic_rhs(state, 0.5), [-expected, expected])
+        assert_allclose(_sinh_acceleration([0.0, 1.0], [1.0, 1.0], 0.5), [-expected, expected])
 
     def test_coth_hand_value(self):
-        state = dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])
         expected = 2.0 / np.tanh(1.0)
-        assert_allclose(hyperbolic.coth_rhs(state), [-expected, expected])
+        assert_allclose(_coth_acceleration([0.0, 1.0], [1.0, 1.0]), [-expected, expected])
 
     def test_static_states(self):
-        state = dynamics.GoldfishState([0.0, 1.0], [0.0, 0.0])
-        assert np.all(hyperbolic.hyperbolic_rhs(state, 0.5) == 0.0)
-        assert np.all(hyperbolic.coth_rhs(state) == 0.0)
-        single = dynamics.GoldfishState([0.3], [1.2])
-        assert np.all(hyperbolic.coth_rhs(single) == 0.0)
+        assert np.all(_sinh_acceleration([0.0, 1.0], [0.0, 0.0], 0.5) == 0.0)
+        assert np.all(_coth_acceleration([0.0, 1.0], [0.0, 0.0]) == 0.0)
+        assert np.all(_coth_acceleration([0.3], [1.2]) == 0.0)
 
     def test_rational_limit_quadratic_in_a(self):
-        state = dynamics.GoldfishState([-0.4, 0.5, 1.3], [0.9, 1.2, 0.7])
-        target = dynamics.goldfish_rhs(dynamics.GoldfishState(state.q, state.qdot))
-        coarse = np.abs(hyperbolic.hyperbolic_rhs(state, 1e-2) - target).max()
-        fine = np.abs(hyperbolic.hyperbolic_rhs(state, 1e-3) - target).max()
+        q, qdot = np.array([-0.4, 0.5, 1.3]), np.array([0.9, 1.2, 0.7])
+        target = dynamics.pair_acceleration(q, qdot, dynamics.GoldfishSystem.coupling)
+        coarse = np.abs(_sinh_acceleration(q, qdot, 1e-2) - target).max()
+        fine = np.abs(_sinh_acceleration(q, qdot, 1e-3) - target).max()
         assert 80.0 < coarse / fine < 120.0
 
     def test_zero_deformation_rejected(self):
-        state = dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError):
-            hyperbolic.hyperbolic_rhs(state, 0.0)
+            hyperbolic.SinhSystem(2, 0.0)
 
 
 class TestLaxPair:
     def test_pair_values(self):
-        state = dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0])
-        lax, m = hyperbolic.lax_pair(state, 0.5)
+        lax, m = hyperbolic.lax_pair(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.5)
         assert_allclose(m[0, 1], 1.0 / np.sinh(1.0))
         assert_allclose(lax, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_single_particle(self):
-        lax, m = hyperbolic.lax_pair(dynamics.GoldfishState([0.3], [2.0]), 0.5)
+        lax, m = hyperbolic.lax_pair(np.array([0.3]), np.array([2.0]), 0.5)
         assert_allclose(lax, [[2.0]])
         assert_allclose(m, [[0.0]])
 
@@ -66,9 +68,8 @@ class TestLaxPair:
         # 2a |gap| is 800 or more except between the last two particles (100):
         # the overflowed entries of L are sqrt(qdot_i qdot_j), M's are 0
         qdot = np.array([1.0, 2.0, 0.5])
-        state = dynamics.GoldfishState([0.0, 4.0, 4.5], qdot)
         with np.errstate(all="raise"):
-            lax, m = hyperbolic.lax_pair(state, 100.0)
+            lax, m = hyperbolic.lax_pair(np.array([0.0, 4.0, 4.5]), qdot, 100.0)
         roots = np.sqrt(np.outer(qdot, qdot))
         assert np.array_equal(lax[0], roots[0]) and np.array_equal(lax[:, 0], roots[:, 0])
         assert np.all(m[0, 1:] == 0.0) and np.all(m[1:, 0] == 0.0)
@@ -76,7 +77,7 @@ class TestLaxPair:
 
     def test_requires_positive_velocities(self):
         with pytest.raises(NonPositiveVelocity):
-            hyperbolic.lax_pair(dynamics.GoldfishState([0.0, 1.0], [1.0, -1.0]), 0.5)
+            hyperbolic.lax_pair(np.array([0.0, 1.0]), np.array([1.0, -1.0]), 0.5)
 
     def test_spectrum_conserved_along_flow(self):
         a = 0.5
@@ -91,9 +92,9 @@ class TestLaxPair:
         state = dynamics.GoldfishState([-0.4, 0.3, 1.1], [0.9, 1.2, 0.7])
         h = 1e-4
         traj = dynamics.integrate(hyperbolic.SinhSystem(3, a), state, (0.2 - h, 0.2 + h), TIGHT, 3)
-        lm, _ = hyperbolic.lax_pair(traj.states[0], a)
-        l0, m0 = hyperbolic.lax_pair(traj.states[1], a)
-        lp, _ = hyperbolic.lax_pair(traj.states[2], a)
+        lm, _ = hyperbolic.lax_pair(traj.states[0].q, traj.states[0].qdot, a)
+        l0, m0 = hyperbolic.lax_pair(traj.states[1].q, traj.states[1].qdot, a)
+        lp, _ = hyperbolic.lax_pair(traj.states[2].q, traj.states[2].qdot, a)
         ldot = (lp - lm) / (2.0 * h)
         assert np.abs(ldot - (l0 @ m0 - m0 @ l0)).max() < 1e-6
 
@@ -126,8 +127,7 @@ class TestMatrixGeodesic:
         data = hyperbolic.HyperbolicData(
             a=0.7, a_vec=np.array([-0.4, 0.3, 1.1]), c_vec=np.array([0.9, 1.2, 0.7])
         )
-        state0 = dynamics.GoldfishState(data.a_vec, data.c_vec)
-        lax0, _ = hyperbolic.lax_pair(state0, data.a)
+        lax0, _ = hyperbolic.lax_pair(data.a_vec, data.c_vec, data.a)
         for t in (0.0, 0.2, 0.4):
             conjugated = hyperbolic.conserved_combination(data, t) / (4.0 * data.a)
             assert_allclose(
@@ -192,9 +192,9 @@ class TestExactSolvers:
         data = hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=c_vec)
         times = np.linspace(0.0, 0.3, 21)
         pointwise = np.vstack([hyperbolic.s_exact(data, t)[1] for t in times])
-        assert np.array_equal(hyperbolic.s_exact_trajectory(data, times), pointwise)
+        assert np.array_equal(hyperbolic.exact_trajectory(data, times, "s_exact"), pointwise)
         pointwise = np.vstack([hyperbolic.z_eigen_solution(data, t) for t in times])
-        assert np.array_equal(hyperbolic.z_eigen_trajectory(data, times), pointwise)
+        assert np.array_equal(hyperbolic.exact_trajectory(data, times, "z_eigen"), pointwise)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_secular_trajectories_match_pointwise_solvers(self, n):
@@ -202,19 +202,19 @@ class TestExactSolvers:
         a_vec = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.02, 0.02, n)
         data = hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=rng.uniform(0.5, 1.5, n))
         times = np.linspace(0.0, 0.3, 21)
-        for trajectory, pointwise in (
-            (hyperbolic.s_exact_trajectory, lambda t: hyperbolic.s_exact(data, t)[1]),
-            (hyperbolic.z_eigen_trajectory, lambda t: hyperbolic.z_eigen_solution(data, t)),
+        for route, pointwise in (
+            ("s_exact", lambda t: hyperbolic.s_exact(data, t)[1]),
+            ("z_eigen", lambda t: hyperbolic.z_eigen_solution(data, t)),
         ):
             expected = np.vstack([pointwise(t) for t in times])
-            assert np.abs(trajectory(data, times) - expected).max() <= 1e-12
+            assert np.abs(hyperbolic.exact_trajectory(data, times, route) - expected).max() <= 1e-12
 
     def test_top_symmetric_function_growth(self):
-        # s_N(t) = e^{2 sum a} e^{2 P t} exactly, so alpha_N = 0
+        # s_N(t) = e^{2 sum a} e^{2 P t} exactly, so b_N = P s_N(0)
         s_t, _ = hyperbolic.s_exact(PAIR, 0.5)
         assert_allclose(s_t[-1], np.exp(4.0), rtol=1e-12)
-        s0, sdot0 = hyperbolic.s_initial(PAIR)
-        assert_allclose(sdot0[-1], 2.0 * PAIR.momentum * s0[-1], rtol=1e-12)
+        s0, b = hyperbolic.s_initial(PAIR)
+        assert_allclose(b[-1], PAIR.momentum * s0[-1], rtol=1e-12)
 
     def test_ode_residual_of_closed_form(self):
         data = hyperbolic.HyperbolicData(
@@ -234,7 +234,7 @@ class TestExactSolvers:
         z = np.exp(2.0 * samples[2])
         _, sdot, _ = hyperbolic.s_derivatives(PAIR, 0.5)
         vel = (symfun.jacobian_inverse(z) @ sdot) / (2.0 * z)
-        acc = hyperbolic.coth_rhs(dynamics.GoldfishState(samples[2], vel))
+        acc = _coth_acceleration(samples[2], vel)
         assert np.abs(acc_fd - acc).max() < 1e-7
 
     def test_non_real_spectrum_raises(self):
@@ -253,14 +253,91 @@ class TestExactSolvers:
         with pytest.raises(NonPositiveRoot):
             hyperbolic.s_exact(bad, 2.0)
 
-    def test_zero_momentum_rejected(self):
+    def test_zero_momentum_answers(self):
+        # at P = 0 the clock is gamma = 2t: both routes answer, on the
+        # integrated coth flow
         data = hyperbolic.HyperbolicData(
             a=1.0, a_vec=np.array([0.0, 1.0]), c_vec=np.array([1.0, -1.0])
         )
-        with pytest.raises(ZeroMomentum, match="z route needs P"):
-            hyperbolic.z_eigen_solution(data, 0.1)
-        with pytest.raises(ZeroMomentum, match="s route needs P"):
-            hyperbolic.s_exact(data, 0.1)
+        traj = dynamics.integrate(hyperbolic.CothSystem(2), dynamics.GoldfishState(data.a_vec, data.c_vec),
+                                  0.1, TIGHT, 5)
+        q_rk = traj.rows[:, :2]
+        for route in ("z_eigen", "s_exact"):
+            assert np.abs(hyperbolic.exact_trajectory(data, traj.times, route) - q_rk).max() < 1e-10
+        assert np.abs(hyperbolic.s_exact(data, 0.1)[1] - hyperbolic.z_eigen_solution(data, 0.1)).max() < 1e-12
+
+    @pytest.mark.parametrize("c_vec", [[1.0, -1.0], [0.7, -1.1, 0.4]])
+    def test_positions_continuous_at_zero_momentum(self, c_vec):
+        # P = +-1e-9 moves gamma by about 2 P t^2 from its P = 0 limit 2t
+        a_vec = np.array([0.0, 1.0] if len(c_vec) == 2 else [-0.4, 0.3, 1.2])
+        times = np.linspace(0.0, 0.1, 5)
+        base = np.array(c_vec)
+        base[-1] -= base.sum()
+        assert hyperbolic.HyperbolicData(1.0, a_vec, base).momentum == 0.0
+        for route in ("z_eigen", "s_exact"):
+            at_zero = hyperbolic.exact_trajectory(hyperbolic.HyperbolicData(1.0, a_vec, base), times, route)
+            for p in (1e-9, -1e-9):
+                shifted = base + p / base.size
+                q = hyperbolic.exact_trajectory(hyperbolic.HyperbolicData(1.0, a_vec, shifted), times, route)
+                assert np.abs(q - at_zero).max() < 1e-9
+
+    def test_clock_limit(self):
+        assert hyperbolic.clock(0.0, 0.25) == 0.5
+        for p in (1e-9, -1e-9):
+            assert abs(hyperbolic.clock(p, 0.25) - 0.5) < 1e-9
+        assert_allclose(hyperbolic.clock(2.0, 0.25), np.expm1(1.0) / 2.0, rtol=1e-15)
+
+
+def _exact_line(a_vec, c_vec, t):
+    """s(t) = e(z) + gamma(t) J(z) c z at z = e^{2 a}, and q(t), in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        z = [mpmath.exp(2 * mpmath.mpf(float(a))) for a in a_vec]
+        c = [mpmath.mpf(float(x)) for x in c_vec]
+        p, t = mpmath.fsum(c), mpmath.mpf(float(t))
+        gamma = 2 * t if p == 0 else mpmath.expm1(2 * p * t) / p
+
+        def elementary(values):
+            e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * len(values)
+            for v in values:
+                for k in range(len(values), 0, -1):
+                    e[k] += v * e[k - 1]
+            return e
+
+        n = len(z)
+        s = elementary(z)[1:]
+        for j in range(n):
+            rest = elementary(z[:j] + z[j + 1 :])
+            for k in range(n):
+                s[k] += gamma * c[j] * z[j] * rest[k]
+        roots = mpmath.polyroots([(-1) ** k * x for k, x in enumerate([mpmath.mpf(1)] + s)], maxsteps=200,
+                                 extraprec=200)
+        q = sorted(float(mpmath.log(mpmath.re(r)) / 2) for r in roots)
+        return s, np.array(q)
+
+
+def test_mixed_sign_s_exact_certified_by_mpmath():
+    # the line s(0) + gamma b in doubles, to a few ulps of each s_n(t) > 0
+    rng = np.random.default_rng(3)
+    points = 0
+    for _ in range(12):
+        n = int(rng.integers(2, 6))
+        a_vec = np.sort(rng.uniform(-1.5, 1.5, n))
+        if np.diff(a_vec).min() < 0.2:
+            continue
+        c_vec = rng.uniform(-1.5, 1.5, n)
+        c_vec[0] = -abs(c_vec[0])
+        data = hyperbolic.HyperbolicData(1.0, a_vec, c_vec)
+        for t in np.linspace(0.0, 0.3, 7):
+            try:
+                s_t, q = hyperbolic.s_exact(data, t)
+            except GoldfishLabError:
+                continue  # past the trajectory's real, collision-free sector
+            exact_s, exact_q = _exact_line(a_vec, c_vec, t)
+            for computed, value in zip(s_t, exact_s):
+                assert abs(mpmath.mpf(float(computed)) - value) <= 2e-15 * value
+            assert np.abs(q - exact_q).max() <= 1e-13
+            points += 1
+    assert points >= 30
 
 
 def _coth(a_vec, c_vec):
@@ -281,7 +358,8 @@ BRANCH_CASES = {
 def test_exact_routes_take_the_kernel_exactly_for_positive_velocities(monkeypatch, case):
     data, t_end, kernel = BRANCH_CASES[case]
     routes = ([dynamics.goldfish_exact_trajectory] if case.startswith("goldfish")
-              else [hyperbolic.z_eigen_trajectory, hyperbolic.s_exact_trajectory])
+              else [lambda data, times, route=route: hyperbolic.exact_trajectory(data, times, route)
+                    for route in ("z_eigen", "s_exact")])
     real, calls = secular.secular_offsets, []
 
     def counted(*args):
@@ -315,10 +393,9 @@ def test_exact_routes_take_the_kernel_exactly_for_positive_velocities(monkeypatc
 def test_positive_velocities_beyond_double_precision_raise_typed_errors(data, t_end, message):
     # the kernel's data are out of reach: no per-point route answers instead
     times = np.linspace(0.0, t_end, 3)
-    for route, error in ((hyperbolic.z_eigen_trajectory, NonPositiveEigenvalue),
-                         (hyperbolic.s_exact_trajectory, NonPositiveRoot)):
+    for route, error in (("z_eigen", NonPositiveEigenvalue), ("s_exact", NonPositiveRoot)):
         with pytest.raises(error, match=f"{message}$"):
-            route(data, times)
+            hyperbolic.exact_trajectory(data, times, route)
 
 
 class TestRootFunction:
@@ -334,6 +411,18 @@ class TestRootFunction:
         for t in (0.2, 0.5):
             for qi in hyperbolic.z_eigen_solution(PAIR, t):
                 assert abs(hyperbolic.root_function_f(PAIR, t, float(qi))) < 1e-8
+
+    @pytest.mark.parametrize("c_vec", [[1.0, -1.0], [0.7, -1.1, 0.4]])
+    def test_vanishes_at_zero_momentum(self, c_vec):
+        # tanh(P t)/P takes its limit t at P = 0
+        c_vec = np.array(c_vec)
+        c_vec[-1] -= c_vec.sum()
+        a_vec = np.array([0.0, 1.0] if c_vec.size == 2 else [-0.4, 0.3, 1.2])
+        data = hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=c_vec)
+        assert data.momentum == 0.0
+        for t in (0.05, 0.1):
+            for qi in hyperbolic.z_eigen_solution(data, t):
+                assert abs(hyperbolic.root_function_f(data, t, float(qi))) < 1e-8
 
     def test_pole_proximity(self):
         with pytest.raises(PoleProximity):

@@ -243,7 +243,7 @@ class TestHamiltonianFlow:
         flow = poisson.hamiltonian_flow(s1, poisson.goldfish_hamiltonian_gradient(point, 2), point)
         qdot, pidot = flow[:2], flow[2:]
         acc = np.sum(pidot) * point[2:] + np.sum(point[2:]) * pidot
-        target = dynamics.goldfish_rhs(dynamics.GoldfishState([0.0, 1.0], qdot))
+        target = dynamics.pair_acceleration(np.array([0.0, 1.0]), qdot, dynamics.GoldfishSystem.coupling)
         assert np.abs(acc - target).max() > 0.1
 
 

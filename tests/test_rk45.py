@@ -194,11 +194,11 @@ def test_rank_one_exp_matches_expm_and_exact_arithmetic():
             c = np.abs(c) + 0.1  # positive velocities, as on the coth routes
         # where ||s L|| <= 1, scaling and squaring in expm is accurate to a few ulps
         s = rng.uniform(0.0, 1.0) / (n * np.abs(c).max())
-        closed = _rank_one_exp(c, float(np.sum(c)), s)
+        closed = _rank_one_exp(c, float(np.sum(c)), s / 2.0)
         reference = expm(s * np.tile(c, (n, 1)))
         assert np.abs(closed - reference).max() <= 1e-14 * np.abs(reference).max()
         # large s P, where expm itself drifts to about 1e-11: exact arithmetic decides
         s = float(rng.uniform(0.0, 2.0))
-        closed = _rank_one_exp(c, float(np.sum(c)), s)
+        closed = _rank_one_exp(c, float(np.sum(c)), s / 2.0)
         exact = _exact_rank_one_exp(c, s)
         assert np.abs(closed - exact).max() <= 1e-14 * np.abs(exact).max()

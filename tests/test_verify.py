@@ -1,11 +1,12 @@
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from goldfishlab import verify
+from goldfishlab import cli, verify
 from goldfishlab.errors import CollisionDetected
 
 
@@ -69,6 +70,34 @@ def test_a_nan_case_is_the_worst_and_fails(monkeypatch, mode, tolerance):
     assert not result.passed
     assert math.isnan(result.max_residual)
     assert result.worst_case == (1, "n=3 nan")
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_nan_residual_is_null_in_the_strict_json_report(monkeypatch, tmp_path, capsys):
+    def with_nan(rng):
+        yield "n=2 nan", math.nan
+
+    spec = verify.CheckSpec(name="symfun_zz_nan", suite="symfun", tolerance=1.0, mode="below", fn=with_nan)
+    monkeypatch.setattr(verify, "_REGISTRY", [*verify._REGISTRY, spec])
+    # in this process: forked workers would not see the patched registry
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0})
+    out = tmp_path / "report.json"
+    assert cli.run_verify("symfun", 1, out) == 1
+    report = {entry["name"]: entry for entry in _strict_json(out.read_text())}
+    assert report["symfun_zz_nan"]["max_residual"] is None and not report["symfun_zz_nan"]["pass"]
+    assert "FAIL  symfun_zz_nan  residual=nan" in capsys.readouterr().out
+    assert all(entry["max_residual"] is not None for name, entry in report.items() if name != "symfun_zz_nan")
+
+
+def test_json_output_refuses_nan(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "x.json", {"value": math.nan})
 
 
 def test_the_worst_case_is_the_first_largest_residual():
