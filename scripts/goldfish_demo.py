@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Three routes to the same goldfish trajectory.
 
-Runs the adaptive integrator, the flat-coordinate exact solver, and the
-eigenvalues of the rank-one matrix flow from a common initial condition, and
-prints their pairwise discrepancies plus the drift of the conserved b_n.
+Runs the adaptive integrator, the exact solver of ``compare``'s
+``flat_exact`` route (``secular.positions``), and the eigenvalues of the
+rank-one matrix flow from a common initial condition, and prints their
+pairwise discrepancies plus the drift of the conserved b_n.
 """
 import argparse
 
 import numpy as np
 
-from goldfishlab import dynamics, reduction
+from goldfishlab import dynamics, reduction, secular
 
 
 def main():
@@ -32,7 +33,8 @@ def main():
     config = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
     traj = dynamics.integrate(dynamics.GoldfishSystem(args.n), state0, args.t_end, config, args.points)
     numeric = np.vstack([s.q for s in traj.states])
-    exact = dynamics.goldfish_exact_trajectory(state0, traj.times)
+    origin, offset = secular.positions(q0, qdot0, traj.times, "flat_exact")
+    exact = q0[origin] + offset
     flow = reduction.rank1_velocity(q0, qdot0)
     eigen = np.vstack(
         [np.sort(np.linalg.eigvalsh(reduction.free_flow(flow, t))) for t in traj.times]

@@ -325,7 +325,16 @@ def _geodesic_velocities(cfg: RunConfig) -> dynamics.GoldfishState:
 
 
 def _flat_exact(initial) -> Callable[[RunConfig], np.ndarray]:
-    return lambda cfg: dynamics.goldfish_exact_trajectory(initial(cfg), cfg.times)
+    """The exact goldfish positions of the goldfish data ``initial(cfg)``: the roots of
+    1/t + sum_i qdot_i/(q_i - mu) = 0 (``secular.positions``)."""
+    def positions(cfg: RunConfig) -> np.ndarray:
+        from . import secular
+
+        state0 = initial(cfg)
+        origin, offset = secular.positions(state0.q, state0.qdot, cfg.times, "flat_exact")
+        return state0.q[origin] + offset
+
+    return positions
 
 
 def _positions_eigen_track(cfg: RunConfig) -> np.ndarray:

@@ -227,23 +227,6 @@ def goldfish_exact(state0: GoldfishState, t: float) -> np.ndarray:
     return symfun.roots_from_coords(x0 + t * b)
 
 
-def goldfish_exact_trajectory(state0: GoldfishState, times) -> np.ndarray:
-    """Exact positions on a time grid, shape (len(times), N).
-
-    The positions are the eigenvalues of diag(q0) + t v v^T, v = sqrt(qdot0)
-    (Calogero), that is the roots of 1/t + sum_i qdot_i/(q_i - mu) = 0, for
-    t >= 0.  With every velocity positive they are solved for the whole grid
-    by ``secular.secular_roots``; mixed-sign velocities run
-    ``goldfish_exact`` per point, with its typed errors.
-    """
-    from . import secular
-
-    times = np.asarray(times, dtype=float)
-    if np.all(state0.qdot > 0):
-        return secular.secular_roots(state0.q, state0.qdot, times)
-    return np.vstack([goldfish_exact(state0, t) for t in times])
-
-
 # ---------------------------------------------------------------------------
 # systems seen by the integrator
 # ---------------------------------------------------------------------------

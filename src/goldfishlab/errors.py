@@ -56,6 +56,10 @@ class SecularNoConvergence(GoldfishLabError):
     """A secular-equation root did not converge within the iteration limit."""
 
 
+class SecularOutOfDomain(GoldfishLabError):
+    """The data of a secular exact route leave its domain in double precision."""
+
+
 class PoleProximity(GoldfishLabError):
     """Evaluation point too close to a pole of the root function."""
 

@@ -22,6 +22,7 @@ from .errors import (
     NonRealSpectrum,
     PoleProximity,
     RootCollision,
+    SecularOutOfDomain,
 )
 from .utils import finite_vector, pairwise_differences
 
@@ -171,8 +172,13 @@ def z_eigen_solution(data: HyperbolicData, t: float) -> np.ndarray:
     mu = np.sort(mu.real)
     if mu[0] <= 0:
         raise NonPositiveEigenvalue(f"smallest eigenvalue {mu[0]:.3e} <= 0")
-    q = 0.5 * np.log(mu)
-    gap = np.diff(q).min() if q.size > 1 else np.inf
+    return _separated(0.5 * np.log(mu))
+
+
+def _separated(q: np.ndarray) -> np.ndarray:
+    """``q``, whose rows are ascending positions; RootCollision where two of a row lie closer than
+    ``symfun.COLLISION_TOL``."""
+    gap = np.diff(q, axis=-1).min() if q.shape[-1] > 1 else np.inf
     if gap < symfun.COLLISION_TOL:
         raise RootCollision(f"position gap {gap:.3e} below collision tolerance {symfun.COLLISION_TOL:.3e}")
     return q
@@ -215,39 +221,34 @@ def s_derivatives(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarra
     return s0 + gamma * b, rate * b, 2.0 * p * rate * b
 
 
-#: The exact coth routes by name: the typed error raised where the kernel's
-#: data leave double precision, and the positions at one time.
-_ROUTES = {
-    "z_eigen": (NonPositiveEigenvalue, z_eigen_solution),
-    "s_exact": (NonPositiveRoot, lambda data, t: s_exact(data, t)[1]),
-}
+#: The typed error of each exact coth route, raised where its data leave the
+#: secular domain in double precision.
+_ERRORS = {"z_eigen": NonPositiveEigenvalue, "s_exact": NonPositiveRoot}
 
 
 def exact_trajectory(data: HyperbolicData, times, route: str) -> np.ndarray:
-    """Positions of the exact coth route ``route`` (``_ROUTES``) on a time grid, shape (len(times), N).
+    """Positions of the exact coth route ``route`` (``_ERRORS``) on a time grid, shape (len(times), N).
 
     The roots of the polynomial with Vieta data s(t) are the eigenvalues of
     Z(t) = diag(z) + gamma z c^T, z = e^{2 a}, so mu(t) solves
-    1/gamma + sum_i c_i z_i/(z_i - mu) = 0.  With every c_i > 0 both routes
-    solve it for the whole grid (``secular.secular_offsets``), and raise the
-    route's error where z, c z or gamma is not finite or z underflows; the
-    root's offset tau from its origin pole z_o maps to a_o + log1p(tau/z_o)/2.
-    With a c_i <= 0 the route's per-point form runs at each time.
+    1/gamma + sum_i c_i z_i/(z_i - mu) = 0: ``secular.positions`` on
+    (z, c z, ``clock``), whose domain errors become the route's.  A root's
+    offset tau from its origin pole z_o maps to a_o + log1p(tau/z_o)/2.
+    Raises RootCollision where two positions lie closer than
+    ``symfun.COLLISION_TOL``.
     """
-    error, pointwise = _ROUTES[route]
-    times = np.asarray(times, dtype=float)
-    if np.any(data.c_vec <= 0):
-        return np.vstack([pointwise(data, t) for t in times])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         z = np.exp(2.0 * data.a_vec)
         w = data.c_vec * z
-    gamma = clock(data.momentum, times)
-    if not (np.isfinite(w).all() and np.isfinite(gamma).all()):
-        raise error("e^(2 a_i), c_i e^(2 a_i) or expm1(2 P t)/P is not finite in double precision")
-    if not (z[0] > 0 and np.all(w > 0) and np.all(np.diff(z) > 0)):
-        raise error("e^(2 a_i) or c_i e^(2 a_i) underflows double precision")
-    origin, offset = secular.secular_offsets(z, w, gamma)
-    return data.a_vec[origin] + 0.5 * np.log1p(offset / z[origin])
+    try:
+        origin, offset = secular.positions(z, w, clock(data.momentum, np.asarray(times, dtype=float)), route)
+    except SecularOutOfDomain as exc:
+        raise _ERRORS[route](str(exc)) from None
+    with np.errstate(over="ignore"):
+        ratio = offset / z[origin]
+    if not ratio.min() > -1.0:
+        raise _ERRORS[route](f"a root lies below the resolution of its pole {z[0]:.3e}")
+    return _separated(data.a_vec[origin] + 0.5 * np.log1p(ratio))
 
 
 def _momentum_drift(n: int, reference: float, rows: np.ndarray) -> np.ndarray:

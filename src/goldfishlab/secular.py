@@ -1,27 +1,31 @@
 """Roots of the rank-one secular equation, batched over a time grid.
 
-Every exact route of the positive-velocity flows is one eigenvalue problem
-diag(d) + gamma w-weighted rank one: the goldfish positions at time t are the
-eigenvalues of diag(q0) + t v v^T with v = sqrt(qdot0) (Calogero), and the coth
-route's Z(t) = diag(z) + gamma z c^T with z = e^{2 a}, gamma = expm1(2 P t)/P.
-Its eigenvalues are the roots mu of
+Every exact route of the goldfish family and of the coth flow is one
+eigenvalue problem diag(d) + gamma w-weighted rank one: the goldfish
+positions at time t are the eigenvalues of diag(q0) + t v v^T with
+v = sqrt(qdot0) (Calogero), and the coth route's Z(t) = diag(z) + gamma z c^T
+with z = e^{2 a}, gamma = expm1(2 P t)/P.  Its eigenvalues are the roots mu of
 
-    f(mu) = 1/gamma + sum_i w_i / (d_i - mu) = 0,
+    f(mu) = 1/gamma + sum_i w_i / (d_i - mu) = 0.
 
-one in each interval (d_k, d_{k+1}) and the last in (d_{N-1}, d_{N-1} + gamma sum w).
+``positions`` is the one entry point of these routes.  With every weight
+positive there is one root in each interval (d_k, d_{k+1}) and the last in
+(d_{N-1}, d_{N-1} + gamma sum w), and the kernel solves the whole grid.
 Each root is iterated on its offset mu - d_o from the nearer pole d_o, so
 small gaps keep their relative accuracy where a dense eigensolver or the
 polynomial's companion matrix loses it.  The step is R.-C. Li's "middle way"
 (LAPACK Working Note 89, 1994; LAPACK ``dlaed4``), and for the last root a
 Newton step in the reciprocal offset.  Every step stays inside the bracket of
 Bunch, Nielsen & Sorensen (Numer. Math. 31 (1978) 31); a step that leaves it
-falls back to its midpoint.
+falls back to its midpoint.  With a weight <= 0 the route's per-point form
+gives the roots at each gamma.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SecularNoConvergence
+from . import symfun
+from .errors import NonRealSpectrum, SecularNoConvergence, SecularOutOfDomain
 
 #: Elements of the (roots x N) work arrays processed at once; bounds the memory
 #: of a long grid at large N.
@@ -31,53 +35,106 @@ _STEP_TOL = 4.0 * np.finfo(float).eps
 _MAX_ITER = 100
 
 
-def secular_roots(d, w, gamma) -> np.ndarray:
-    """Roots of 1/g + sum_i w_i/(d_i - mu) = 0 for each g in ``gamma``, shape (len(gamma), N).
+def _vieta_data(d, w, gamma):
+    """x(0) + gamma b at each gamma, with (x(0), b) = ``symfun.flat_line(d, w)``."""
+    x0, b = symfun.flat_line(d, w)
+    return x0 + gamma[:, None] * b
 
-    ``d`` strictly increasing, ``w > 0``, ``gamma >= 0`` and finite.  Row j
-    is ascending, root k in [d_k, d_{k+1}); at g = 0 the roots are the poles.
+
+def _eigen_roots(row, g, w):
+    """Ascending eigenvalues of diag(d) + g 1 w^T, whose diagonal is ``row``; NonRealSpectrum if complex."""
+    matrix = np.broadcast_to(g * w, (w.size, w.size)).copy()
+    np.fill_diagonal(matrix, row)
+    mu = np.linalg.eigvals(matrix)
+    worst_imag = float(np.abs(mu.imag).max())
+    if worst_imag >= symfun.IMAG_TOL:
+        raise NonRealSpectrum(f"imaginary part {worst_imag:.3e} >= {symfun.IMAG_TOL:.3e}")
+    return np.sort(mu.real)
+
+
+#: The data each branch builds at every gamma, and their name in the domain
+#: test: the upper end of the kernel's bracket of the last root, the Vieta
+#: data of the polynomial, and the diagonal of diag(d) + gamma 1 w^T.
+_DATA = {
+    "kernel": (lambda d, w, gamma: gamma * w.sum(), "gamma sum(w)"),
+    "vieta": (_vieta_data, "x(0) + gamma b"),
+    "eigen": (lambda d, w, gamma: d + gamma[:, None] * w, "d + gamma w"),
+}
+#: The roots of each per-point form at one gamma, from that gamma's row of its data.
+_ROOTS = {"vieta": lambda row, g, w: symfun.roots_from_coords(row), "eigen": _eigen_roots}
+#: The exact routes by name: their per-point form, and whether their poles
+#: and roots are exponentials e^{2 q}, which must be positive.
+_ROUTES = {
+    "flat_exact": ("vieta", False),
+    "s_exact": ("vieta", True),
+    "z_eigen": ("eigen", True),
+}
+
+
+def positions(d, w, gamma, route: str) -> tuple[np.ndarray, np.ndarray]:
+    """(origin, offset) of the positions of exact route ``route`` at each gamma, each of shape (len(gamma), N).
+
+    Root k at gamma_j is d[origin[j, k]] + offset[j, k], carried from its
+    nearer pole, so the offset holds the root's distance to it to the
+    accuracy of the solver; rows ascend, and at gamma = 0 the roots are the
+    poles.  The one sign test picks the branch: with every w > 0 the kernel
+    solves the whole grid, and otherwise the route's per-point form
+    (``_ROUTES``) takes the roots at each gamma > 0, with its typed errors
+    (ComplexRoots, RootCollision, NonRealSpectrum).  The one domain test
+    (``_domain``) runs before either, and SecularOutOfDomain names the
+    condition that fails.
     """
-    d = np.asarray(d, dtype=float)
-    origin, offset = secular_offsets(d, w, gamma)
-    return d[origin] + offset
+    d, w = np.asarray(d, dtype=float), np.asarray(w, dtype=float)
+    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+    form, positive = _ROUTES[route]
+    branch = "kernel" if np.all(w > 0) else form
+    error, data = _domain(d, w, gamma, positive, branch)
+    if error is not None:
+        raise SecularOutOfDomain(error)
+    if branch == "kernel":
+        return _kernel(d, w, gamma)
+    roots = np.broadcast_to(d, (gamma.size, d.size)).copy()
+    for j in np.flatnonzero(gamma > 0):
+        roots[j] = _ROOTS[form](data[j], gamma[j], w)
+        if positive and not roots[j, 0] > 0:
+            raise SecularOutOfDomain(f"smallest root {roots[j, 0]:.3e} <= 0")
+    upper = np.minimum(np.searchsorted(d, roots), d.size - 1)
+    lower = np.maximum(upper - 1, 0)
+    origin = np.where(roots - d[lower] <= d[upper] - roots, lower, upper)
+    return origin, roots - d[origin]
 
 
-def domain_error(d, w, gamma) -> str | None:
-    """Which condition of the kernel's domain (d, w, gamma) fails first, or None inside it.
+def _domain(d, w, gamma, positive: bool, branch: str) -> tuple[str | None, np.ndarray | None]:
+    """(the first condition of the domain that fails, or None; the data of ``branch``).
 
     The domain: d and w equal-length vectors and gamma a vector; poles d
-    finite and strictly increasing; weights w positive and finite; gamma
-    finite and >= 0.
+    finite and strictly increasing, so none underflowed to a tied value, and
+    where ``positive`` at least the smallest normal number, so none
+    underflowed to zero or lost digits as a subnormal; weights w
+    finite; gamma finite and >= 0; and the data the branch builds
+    (``_DATA``) finite at every gamma.
     """
-    d = np.asarray(d, dtype=float)
-    w = np.asarray(w, dtype=float)
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
     if d.ndim != 1 or w.shape != d.shape or gamma.ndim != 1 or d.size == 0:
-        return "d and w must be equal-length vectors and gamma a vector"
+        return "d and w must be equal-length vectors and gamma a vector", None
     if not (np.all(np.isfinite(d)) and np.all(np.diff(d) > 0)):
-        return "poles d must be finite and strictly increasing"
-    if not (np.all(w > 0) and np.all(np.isfinite(w))):
-        return "weights w must be positive and finite"
+        return "poles d must be finite and strictly increasing", None
+    if positive and not d[0] >= np.finfo(float).tiny:
+        return "poles d must be positive normal numbers", None
+    if not np.all(np.isfinite(w)):
+        return "weights w must be finite", None
     if not (np.all(gamma >= 0) and np.all(np.isfinite(gamma))):
-        return "gamma must be finite and >= 0"
-    return None
+        return "gamma must be finite and >= 0", None
+    build, name = _DATA[branch]
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = build(d, w, gamma)
+    if not np.all(np.isfinite(data)):
+        return f"{name} must be finite", None
+    return None, data
 
 
-def secular_offsets(d, w, gamma) -> tuple[np.ndarray, np.ndarray]:
-    """(origin, offset) with root = d[origin] + offset, both of shape (len(gamma), N).
-
-    The origin is the pole nearer to the root, so the offset carries the
-    root's distance to it to full relative accuracy.  Raises ValueError with
-    ``domain_error``'s message outside the domain.
-    """
-    d = np.asarray(d, dtype=float)
-    w = np.asarray(w, dtype=float)
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    error = domain_error(d, w, gamma)
-    if error is not None:
-        raise ValueError(error)
+def _kernel(d, w, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """(origin, offset) of the roots for every w > 0, by blocks of the grid."""
     n = d.size
-
     origin = np.broadcast_to(np.arange(n), (gamma.size, n)).copy()
     offset = np.zeros((gamma.size, n))
     deltas = d[None, :] - d[:, None]  # deltas[k, i] = d_i - d_k

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import SYSTEM_CONFIGS
-from goldfishlab import cli, dynamics
+from goldfishlab import cli, dynamics, secular
 
 
 def write_config(path, payload):
@@ -44,12 +44,27 @@ COTH_ZERO_P = [
      "rel_tol": 1e-12},
 ]
 
-# the one stderr line of each exact coth route where positive velocities
-# carry the data out of double precision
-OVERFLOW = {
-    route: f"error: {error}: e^(2 a_i), c_i e^(2 a_i) or expm1(2 P t)/P is not finite in double precision\n"
-    for route, error in (("z_eigen", "NonPositiveEigenvalue"), ("s_exact", "NonPositiveRoot"))
-}
+# the typed error of each exact route where its data leave the domain of
+# secular.positions in double precision
+ROUTE_ERRORS = {"z_eigen": "NonPositiveEigenvalue", "s_exact": "NonPositiveRoot", "flat_exact": "SecularOutOfDomain"}
+
+
+def overflow(route, condition):
+    """The one stderr line of exact route ``route`` whose data fail ``condition``."""
+    return f"error: {ROUTE_ERRORS[route]}: {condition}\n"
+
+
+# mixed-sign data whose secular data overflow: gamma at t = 100, z at
+# a = 355, and x(0) + t b of the goldfish pair; each exited 1 with a traceback
+# from a per-point route before the domain test covered both branches
+MIXED_SIGN_OVERFLOW = [
+    ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 1], "c_vec": [5, -0.001], "t_end": 100,
+      "output_points": 2}, ("z_eigen", "s_exact"), "gamma must be finite and >= 0"),
+    ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 355], "c_vec": [1, -0.5], "t_end": 0.001},
+     ("z_eigen", "s_exact"), "poles d must be finite and strictly increasing"),
+    ({"system": "goldfish", "N": 2, "q0": [0, 1e300], "qdot0": [1, -1e300], "t_end": 1e10},
+     ("flat_exact",), "x(0) + gamma b must be finite"),
+]
 
 
 # runs that end in a collision, with the meeting time t_c from the flat
@@ -356,7 +371,7 @@ def test_unwritable_output_exits_two_before_any_work(tmp_path, monkeypatch, caps
         raise AssertionError("the run started although its output cannot be written")
 
     monkeypatch.setattr(cli, "_integrate", no_work)
-    monkeypatch.setattr(dynamics, "goldfish_exact_trajectory", no_work)
+    monkeypatch.setattr(secular, "positions", no_work)
     monkeypatch.setattr(verify, "run_checks", no_work)
     (tmp_path / "is_a_directory").mkdir()
     out = str(tmp_path / target)
@@ -454,18 +469,19 @@ class TestCompareCommand:
             # (a = 354), expm1(2 P t) (t = 200) or z itself (a = 355), both
             # routes raise their typed error, the only line on stderr
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 354], "c_vec": [1, 10],
-              "t_end": 0.001, "output_points": 3}, "z_eigen", OVERFLOW["z_eigen"]),
+              "t_end": 0.001, "output_points": 3}, "z_eigen", overflow("z_eigen", "weights w must be finite")),
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 354], "c_vec": [1, 10],
-              "t_end": 0.001, "output_points": 3}, "s_exact", OVERFLOW["s_exact"]),
+              "t_end": 0.001, "output_points": 3}, "s_exact", overflow("s_exact", "weights w must be finite")),
             ({"system": "hyperbolic-coth", "N": 3, "a_vec": [0, 1, 2], "c_vec": [1, 1, 1],
-              "t_end": 200, "output_points": 3}, "z_eigen", OVERFLOW["z_eigen"]),
+              "t_end": 200, "output_points": 3}, "z_eigen", overflow("z_eigen", "gamma must be finite and >= 0")),
             ({"system": "hyperbolic-coth", "N": 3, "a_vec": [0, 1, 2], "c_vec": [1, 1, 1],
-              "t_end": 200, "output_points": 3}, "s_exact", OVERFLOW["s_exact"]),
+              "t_end": 200, "output_points": 3}, "s_exact", overflow("s_exact", "gamma must be finite and >= 0")),
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 355], "c_vec": [1, 1],
-              "t_end": 0.001, "output_points": 3}, "s_exact", OVERFLOW["s_exact"]),
+              "t_end": 0.001, "output_points": 3}, "s_exact",
+             overflow("s_exact", "poles d must be finite and strictly increasing")),
             # mixed signs run s_exact per point: s(0) overflows at [353, 354]
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [353, 354], "c_vec": [1, -0.5],
-              "t_end": 0.001, "output_points": 3}, "s_exact", "error: NonPositiveRoot: "),
+              "t_end": 0.001, "output_points": 3}, "s_exact", overflow("s_exact", "x(0) + gamma b must be finite")),
             # z = e^{2 a} near a = -20 has its gap far below the collision
             # tolerance: the root recovery of the s polynomial reports it
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [-20, -19.9], "c_vec": [1, -0.5],
@@ -487,6 +503,21 @@ class TestCompareCommand:
         # where the error line's value comes from a dense eigensolver only its
         # type is pinned; nothing else may reach stderr
         assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "raw, route, condition",
+        [(raw, route, condition) for raw, routes, condition in MIXED_SIGN_OVERFLOW for route in routes],
+        ids=["t_end 100 z_eigen", "t_end 100 s_exact", "a = 355 z_eigen", "a = 355 s_exact", "goldfish"],
+    )
+    def test_mixed_sign_overflow_exits_three_as_a_process(self, tmp_path, raw, route, condition):
+        cfg = write_config(tmp_path / "cfg.json", raw)
+        out = tmp_path / "cmp.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "goldfishlab", "compare", "--config", cfg,
+                               "--solvers", route, "--out", str(out)],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr == overflow(route, condition)
 
     @pytest.mark.parametrize("raw", COTH_ZERO_P, ids=["N=2", "N=3"])
     def test_coth_exact_routes_at_zero_momentum_as_a_process(self, tmp_path, raw):

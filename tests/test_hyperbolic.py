@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -184,17 +186,24 @@ class TestExactSolvers:
 
     @pytest.mark.parametrize("n", [1, 3, 8, 16])
     def test_trajectory_equals_pointwise_solver(self, n):
-        # a negative velocity keeps the trajectory helpers on their pointwise paths
+        # a negative velocity takes the entry point's per-point forms: their
+        # row at t = 0 is the poles, and after it the carry from the nearer
+        # pole moves s_exact by at most 8.9e-16 and the eigenvalues of
+        # diag(z) + gamma 1 (c z)^T move z_eigen by at most 6.5e-13 at these n
         rng = np.random.default_rng(n)
         a_vec = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.02, 0.02, n)
         c_vec = rng.uniform(0.5, 1.5, n)
         c_vec[0] = -0.1 * c_vec[0]
         data = hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=c_vec)
         times = np.linspace(0.0, 0.3, 21)
-        pointwise = np.vstack([hyperbolic.s_exact(data, t)[1] for t in times])
-        assert np.array_equal(hyperbolic.exact_trajectory(data, times, "s_exact"), pointwise)
-        pointwise = np.vstack([hyperbolic.z_eigen_solution(data, t) for t in times])
-        assert np.array_equal(hyperbolic.exact_trajectory(data, times, "z_eigen"), pointwise)
+        for route, pointwise, bound in (
+            ("s_exact", lambda t: hyperbolic.s_exact(data, t)[1], 1e-15),
+            ("z_eigen", lambda t: hyperbolic.z_eigen_solution(data, t), 1e-12),
+        ):
+            trajectory = hyperbolic.exact_trajectory(data, times, route)
+            assert np.array_equal(trajectory[0], a_vec)
+            expected = np.vstack([pointwise(t) for t in times[1:]])
+            assert np.abs(trajectory[1:] - expected).max() <= bound
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_secular_trajectories_match_pointwise_solvers(self, n):
@@ -288,6 +297,28 @@ class TestExactSolvers:
         assert_allclose(hyperbolic.clock(2.0, 0.25), np.expm1(1.0) / 2.0, rtol=1e-15)
 
 
+def _mp_line(values, rates, gamma):
+    """(x, roots): x = e(values) + gamma J(values) rates and the real parts of the
+    roots of its Vieta polynomial, ascending, in the working precision."""
+
+    def elementary(entries):
+        e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * len(entries)
+        for v in entries:
+            for k in range(len(entries), 0, -1):
+                e[k] += v * e[k - 1]
+        return e
+
+    n = len(values)
+    x = elementary(values)[1:]
+    for j in range(n):
+        rest = elementary(values[:j] + values[j + 1 :])
+        for k in range(n):
+            x[k] += gamma * rates[j] * rest[k]
+    roots = mpmath.polyroots([(-1) ** k * v for k, v in enumerate([mpmath.mpf(1)] + x)], maxsteps=400,
+                             extraprec=400)
+    return x, sorted(mpmath.re(r) for r in roots)
+
+
 def _exact_line(a_vec, c_vec, t):
     """s(t) = e(z) + gamma(t) J(z) c z at z = e^{2 a}, and q(t), in 60-digit arithmetic."""
     with mpmath.workdps(60):
@@ -295,24 +326,16 @@ def _exact_line(a_vec, c_vec, t):
         c = [mpmath.mpf(float(x)) for x in c_vec]
         p, t = mpmath.fsum(c), mpmath.mpf(float(t))
         gamma = 2 * t if p == 0 else mpmath.expm1(2 * p * t) / p
+        s, roots = _mp_line(z, [ci * zi for ci, zi in zip(c, z)], gamma)
+        return s, np.array([float(mpmath.log(r) / 2) for r in roots])
 
-        def elementary(values):
-            e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * len(values)
-            for v in values:
-                for k in range(len(values), 0, -1):
-                    e[k] += v * e[k - 1]
-            return e
 
-        n = len(z)
-        s = elementary(z)[1:]
-        for j in range(n):
-            rest = elementary(z[:j] + z[j + 1 :])
-            for k in range(n):
-                s[k] += gamma * c[j] * z[j] * rest[k]
-        roots = mpmath.polyroots([(-1) ** k * x for k, x in enumerate([mpmath.mpf(1)] + s)], maxsteps=200,
-                                 extraprec=200)
-        q = sorted(float(mpmath.log(mpmath.re(r)) / 2) for r in roots)
-        return s, np.array(q)
+def _exact_goldfish(q0, qdot0, t):
+    """The goldfish positions at time t: the roots of x(0) + t b, in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        _, roots = _mp_line([mpmath.mpf(float(q)) for q in q0], [mpmath.mpf(float(v)) for v in qdot0],
+                            mpmath.mpf(float(t)))
+        return np.array([float(r) for r in roots])
 
 
 def test_mixed_sign_s_exact_certified_by_mpmath():
@@ -340,62 +363,153 @@ def test_mixed_sign_s_exact_certified_by_mpmath():
     assert points >= 30
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_mixed_sign_routes_through_the_entry_point_certified_by_mpmath(n):
+    # the per-point forms of secular.positions, each root carried from its
+    # nearer pole: goldfish flat_exact and both coth routes against the roots
+    # of the 60-digit flat line, at each time where the trajectory is still
+    # real and collision-free
+    rng = np.random.default_rng(n)
+    worst, points = {}, 0
+    for _ in range(3):
+        base = np.linspace(-1.5, 1.5, n) + rng.uniform(-0.3, 0.3, n) * 3.0 / n
+        velocities = rng.uniform(-1.5, 1.5, n)
+        velocities[0] = -abs(velocities[0])
+        data = hyperbolic.HyperbolicData(1.0, base, velocities)
+        for t in np.linspace(0.05, 0.3, 6):
+            answers = {}
+            try:
+                origin, offset = secular.positions(base, velocities, [t], "flat_exact")
+                answers["flat_exact"] = (base[origin] + offset)[0], _exact_goldfish(base, velocities, t)
+            except GoldfishLabError:
+                pass
+            for route in ("z_eigen", "s_exact"):
+                try:
+                    answers[route] = hyperbolic.exact_trajectory(data, [t], route)[0], _exact_line(base, velocities, t)[1]
+                except GoldfishLabError:
+                    pass
+            for route, (q, exact) in answers.items():
+                worst[route] = max(worst.get(route, 0.0), float(np.abs(q - exact).max()))
+                points += 1
+    # measured worst over these draws: flat_exact 6.8e-14 and z_eigen 5.0e-14;
+    # s_exact 6.5e-13 at n = 12, where the Vieta polynomial's roots lose digits
+    assert worst["flat_exact"] <= 1e-13 and worst["z_eigen"] <= 1e-13 and worst["s_exact"] <= 1e-12
+    assert points >= 10
+
+
 def _coth(a_vec, c_vec):
     return hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=c_vec)
 
 
-BRANCH_CASES = {
-    # goldfish: every velocity positive, and one negative
-    "goldfish": (dynamics.GoldfishState([0.0, 1.0], [1.0, 1.0]), 1.0, True),
-    "goldfish mixed sign": (dynamics.GoldfishState([0.0, 1.0], [1.0, -1.0]), 1.0, False),
-    "coth": (PAIR, 0.3, True),
-    "coth mixed sign": (_coth([-1.1, -0.33, 0.66], [0.1, -0.76, -0.06]), 1.0, False),
-    "coth P = 0": (_coth([0.0, 1.0], [1.0, -1.0]), 1.0, False),
+#: (q0 or a_vec, qdot0 or c_vec) of each kind of data; the geodesic configs
+#: take p0 = J^T J qdot0, whose velocities are these qdot0
+BRANCH_DATA = {
+    "positive": ([0.0, 1.0], [1.0, 1.0]),
+    "mixed sign": ([0.0, 1.0, 2.5], [1.0, -0.5, 0.3]),
+    "P = 0": ([0.0, 1.0], [1.0, -1.0]),
 }
+BRANCH_P0 = {"positive": [3.0, 2.0], "mixed sign": [15.975, 7.175, 3.35], "P = 0": [1.0, 0.0]}
+#: the five exact compare routes: (system, solver, per-point form builds the flat line)
+BRANCH_ROUTES = [("goldfish", "flat_exact", True), ("matrix", "flat_exact", True),
+                 ("geodesic", "flat_exact", True), ("hyperbolic-coth", "z_eigen", False),
+                 ("hyperbolic-coth", "s_exact", True)]
 
 
-@pytest.mark.parametrize("case", sorted(BRANCH_CASES))
-def test_exact_routes_take_the_kernel_exactly_for_positive_velocities(monkeypatch, case):
-    data, t_end, kernel = BRANCH_CASES[case]
-    routes = ([dynamics.goldfish_exact_trajectory] if case.startswith("goldfish")
-              else [lambda data, times, route=route: hyperbolic.exact_trajectory(data, times, route)
-                    for route in ("z_eigen", "s_exact")])
-    real, calls = secular.secular_offsets, []
+@pytest.mark.parametrize("kind", sorted(BRANCH_DATA))
+@pytest.mark.parametrize("system, solver, vieta", BRANCH_ROUTES)
+def test_exact_routes_take_the_kernel_exactly_for_positive_velocities(monkeypatch, system, solver, vieta, kind):
+    # each route reaches the one entry point once per call: the kernel for
+    # positive velocities, else the per-point form, which builds the flat
+    # line once for the whole grid
+    from goldfishlab import cli
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    positions0, velocities0 = BRANCH_DATA[kind]
+    raw = {"system": system, "N": len(positions0), "t_end": 1.0, "output_points": 3}
+    if system == "hyperbolic-coth":
+        raw.update(a_vec=positions0, c_vec=velocities0)
+    elif system == "geodesic":
+        raw.update(q0=positions0, p0=BRANCH_P0[kind])
+    else:
+        raw.update(q0=positions0, qdot0=velocities0)
+    cfg = cli.RunConfig.from_dict(raw)
+    calls = {"positions": 0, "_kernel": 0, "flat_line": 0}
 
-    monkeypatch.setattr(secular, "secular_offsets", counted)
-    for route in routes:
-        calls.clear()
-        try:
-            route(data, np.linspace(0.0, t_end, 3))
-        except GoldfishLabError:
-            assert not kernel  # the per-point routes raise their own errors
-        assert len(calls) == int(kernel)
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(secular, "positions")
+    counted(secular, "_kernel")
+    counted(symfun, "flat_line")
+    positive = kind == "positive"
+    try:
+        cli.SPECS[system].solvers[solver](cfg)
+    except GoldfishLabError:
+        assert not positive  # the per-point forms raise their own errors
+    assert calls == {"positions": 1, "_kernel": int(positive), "flat_line": int(vieta and not positive)}
+
+
+POLES = "poles d must be finite and strictly increasing"
 
 
 @pytest.mark.parametrize(
     "data, t_end, message",
     [
         # expm1(2 P t) overflows at t = 200
-        (_coth([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]), 200.0, "is not finite in double precision"),
+        (_coth([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]), 200.0, "gamma must be finite and >= 0"),
         # c z overflows at a = 354, and z at a = 355
-        (_coth([0.0, 354.0], [1.0, 10.0]), 0.001, "is not finite in double precision"),
-        (_coth([0.0, 355.0], [1.0, 1.0]), 0.001, "is not finite in double precision"),
+        (_coth([0.0, 354.0], [1.0, 10.0]), 0.001, "weights w must be finite"),
+        (_coth([0.0, 355.0], [1.0, 1.0]), 0.001, POLES),
         # z = e^{2 a} is 0 below a = -372.6, and subnormal poles near a = -371 tie
-        (_coth([-400.0, -399.0], [1.0, 1.0]), 0.1, "underflows double precision"),
-        (_coth([-371.0, -370.99999], [1.0, 1.0]), 0.1, "underflows double precision"),
+        (_coth([-400.0, -399.0], [1.0, 1.0]), 0.1, POLES),
+        (_coth([-400.0, 0.0], [1.0, 1.0]), 0.1, "poles d must be positive normal numbers"),
+        (_coth([-371.0, -370.99999], [1.0, 1.0]), 0.1, POLES),
+        # a subnormal z (a < -354) has lost digits, and c z may underflow to 0
+        (_coth([-371.0, 0.0], [1e-5, 1.0]), 0.1, "poles d must be positive normal numbers"),
     ],
-    ids=["t_end 200", "a = 354", "a = 355", "z = 0", "tied z"],
+    ids=["t_end 200", "a = 354", "a = 355", "z = 0", "z = 0 below z = 1", "tied z", "subnormal z"],
 )
 def test_positive_velocities_beyond_double_precision_raise_typed_errors(data, t_end, message):
     # the kernel's data are out of reach: no per-point route answers instead
     times = np.linspace(0.0, t_end, 3)
     for route, error in (("z_eigen", NonPositiveEigenvalue), ("s_exact", NonPositiveRoot)):
-        with pytest.raises(error, match=f"{message}$"):
+        with pytest.raises(error, match=f"^{message}$"):
             hyperbolic.exact_trajectory(data, times, route)
+
+
+@pytest.mark.parametrize(
+    "data, t_end, routes, message",
+    [
+        # expm1(2 P t) overflows at t = 100, and z at a = 355
+        (_coth([0.0, 1.0], [5.0, -0.001]), 100.0, ("z_eigen", "s_exact"), "gamma must be finite and >= 0"),
+        (_coth([0.0, 355.0], [1.0, -0.5]), 0.001, ("z_eigen", "s_exact"), POLES),
+        (_coth([-400.0, 0.0], [1.0, -0.5]), 0.1, ("z_eigen", "s_exact"), "poles d must be positive normal numbers"),
+        # s(0) = e(z) overflows at [353, 354], where Z(t) is still finite
+        (_coth([353.0, 354.0], [1.0, -0.5]), 0.001, ("s_exact",), "x(0) + gamma b must be finite"),
+    ],
+    ids=["t_end 100", "a = 355", "z = 0 below z = 1", "s(0) overflows"],
+)
+def test_mixed_signs_beyond_double_precision_raise_typed_errors(data, t_end, routes, message):
+    times = np.linspace(0.0, t_end, 3)
+    errors = {"z_eigen": NonPositiveEigenvalue, "s_exact": NonPositiveRoot}
+    for route in routes:
+        with pytest.raises(errors[route], match=f"^{re.escape(message)}$"):
+            hyperbolic.exact_trajectory(data, times, route)
+
+
+def test_root_below_the_resolution_of_its_pole_raises(monkeypatch):
+    # the tiny positive per-point root of these secular data, carried from
+    # its pole 1, is the offset -1 exactly: log1p would give q = -inf
+    origin, offset = secular.positions([1.0, 2.0], [-16.0, 30.0], [1.0 - 2.0**-53], "s_exact")
+    assert offset[0, 0] == -1.0
+    monkeypatch.setattr(secular, "positions", lambda *args: (origin, offset))
+    with pytest.raises(NonPositiveRoot, match="below the resolution of its pole"):
+        hyperbolic.exact_trajectory(_coth([0.0, np.log(2.0) / 2.0], [-16.0, 15.0]), [1.0], "s_exact")
 
 
 class TestRootFunction:
