@@ -33,7 +33,7 @@ def main():
     config = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
     traj = dynamics.integrate(dynamics.GoldfishSystem(args.n), state0, args.t_end, config, args.points)
     numeric = np.vstack([s.q for s in traj.states])
-    origin, offset = secular.positions(q0, qdot0, traj.times, "flat_exact")
+    origin, offset = secular.positions(q0, qdot0, traj.times)
     exact = q0[origin] + offset
     flow = reduction.rank1_velocity(q0, qdot0)
     eigen = np.vstack(

@@ -326,13 +326,13 @@ def _geodesic_velocities(cfg: RunConfig) -> dynamics.GoldfishState:
 
 def _flat_exact(initial) -> Callable[[RunConfig], np.ndarray]:
     """The exact goldfish positions of the goldfish data ``initial(cfg)``: the roots of
-    1/t + sum_i qdot_i/(q_i - mu) = 0 (``secular.positions``)."""
+    1/t + sum_i qdot_i/(q_i - mu) = 0 (``secular.positions``), at least ``symfun.COLLISION_TOL`` apart."""
     def positions(cfg: RunConfig) -> np.ndarray:
         from . import secular
 
         state0 = initial(cfg)
-        origin, offset = secular.positions(state0.q, state0.qdot, cfg.times, "flat_exact")
-        return state0.q[origin] + offset
+        origin, offset = secular.positions(state0.q, state0.qdot, cfg.times)
+        return secular.separated(state0.q[origin] + offset)
 
     return positions
 

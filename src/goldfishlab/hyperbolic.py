@@ -21,7 +21,6 @@ from .errors import (
     NonPositiveVelocity,
     NonRealSpectrum,
     PoleProximity,
-    RootCollision,
     SecularOutOfDomain,
 )
 from .utils import finite_vector, pairwise_differences
@@ -172,16 +171,7 @@ def z_eigen_solution(data: HyperbolicData, t: float) -> np.ndarray:
     mu = np.sort(mu.real)
     if mu[0] <= 0:
         raise NonPositiveEigenvalue(f"smallest eigenvalue {mu[0]:.3e} <= 0")
-    return _separated(0.5 * np.log(mu))
-
-
-def _separated(q: np.ndarray) -> np.ndarray:
-    """``q``, whose rows are ascending positions; RootCollision where two of a row lie closer than
-    ``symfun.COLLISION_TOL``."""
-    gap = np.diff(q, axis=-1).min() if q.shape[-1] > 1 else np.inf
-    if gap < symfun.COLLISION_TOL:
-        raise RootCollision(f"position gap {gap:.3e} below collision tolerance {symfun.COLLISION_TOL:.3e}")
-    return q
+    return secular.separated(0.5 * np.log(mu))
 
 
 def s_initial(data: HyperbolicData) -> tuple[np.ndarray, np.ndarray]:
@@ -229,26 +219,28 @@ _ERRORS = {"z_eigen": NonPositiveEigenvalue, "s_exact": NonPositiveRoot}
 def exact_trajectory(data: HyperbolicData, times, route: str) -> np.ndarray:
     """Positions of the exact coth route ``route`` (``_ERRORS``) on a time grid, shape (len(times), N).
 
-    The roots of the polynomial with Vieta data s(t) are the eigenvalues of
-    Z(t) = diag(z) + gamma z c^T, z = e^{2 a}, so mu(t) solves
+    The eigenvalues mu(t) of Z(t) = diag(z) + gamma z c^T, z = e^{2 a}, solve
     1/gamma + sum_i c_i z_i/(z_i - mu) = 0: ``secular.positions`` on
-    (z, c z, ``clock``), whose domain errors become the route's.  A root's
-    offset tau from its origin pole z_o maps to a_o + log1p(tau/z_o)/2.
-    Raises RootCollision where two positions lie closer than
-    ``symfun.COLLISION_TOL``.
+    (z, c z, ``clock``).  The poles must be normal numbers (none underflowed)
+    and the roots > 0; the route's typed error names these conditions and
+    those of the secular domain.  A root's offset tau from its pole z_o maps
+    to a_o + log1p(tau/z_o)/2.  Raises RootCollision where two positions lie
+    closer than ``symfun.COLLISION_TOL``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.exp(2.0 * data.a_vec)
         w = data.c_vec * z
+    if not z[0] >= np.finfo(float).tiny:
+        raise _ERRORS[route]("poles d must be positive normal numbers")
     try:
-        origin, offset = secular.positions(z, w, clock(data.momentum, np.asarray(times, dtype=float)), route)
+        origin, offset = secular.positions(z, w, clock(data.momentum, np.asarray(times, dtype=float)))
     except SecularOutOfDomain as exc:
         raise _ERRORS[route](str(exc)) from None
     with np.errstate(over="ignore"):
         ratio = offset / z[origin]
     if not ratio.min() > -1.0:
-        raise _ERRORS[route](f"a root lies below the resolution of its pole {z[0]:.3e}")
-    return _separated(data.a_vec[origin] + 0.5 * np.log1p(ratio))
+        raise _ERRORS[route](f"smallest root {(z[origin] + offset).min():.3e} <= 0")
+    return secular.separated(data.a_vec[origin] + 0.5 * np.log1p(ratio))
 
 
 def _momentum_drift(n: int, reference: float, rows: np.ndarray) -> np.ndarray:

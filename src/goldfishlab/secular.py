@@ -8,142 +8,99 @@ with z = e^{2 a}, gamma = expm1(2 P t)/P.  Its eigenvalues are the roots mu of
 
     f(mu) = 1/gamma + sum_i w_i / (d_i - mu) = 0.
 
-``positions`` is the one entry point of these routes.  With every weight
+``positions`` is the one entry point of these routes.  Each root is carried
+as its nearer pole d_o plus an offset mu - d_o, against the exact pole
+differences, so small gaps keep their relative accuracy where a dense
+eigensolver or the polynomial's companion matrix loses it.  With every weight
 positive there is one root in each interval (d_k, d_{k+1}) and the last in
-(d_{N-1}, d_{N-1} + gamma sum w), and the kernel solves the whole grid.
-Each root is iterated on its offset mu - d_o from the nearer pole d_o, so
-small gaps keep their relative accuracy where a dense eigensolver or the
-polynomial's companion matrix loses it.  The step is R.-C. Li's "middle way"
-(LAPACK Working Note 89, 1994; LAPACK ``dlaed4``), and for the last root a
-Newton step in the reciprocal offset.  Every step stays inside the bracket of
-Bunch, Nielsen & Sorensen (Numer. Math. 31 (1978) 31); a step that leaves it
-falls back to its midpoint.  With a weight <= 0 the route's per-point form
-gives the roots at each gamma.
+(d_{N-1}, d_{N-1} + gamma sum w), and the kernel solves the whole grid.  Its
+step is R.-C. Li's "middle way" (LAPACK Working Note 89, 1994; LAPACK
+``dlaed4``), and for the last root a Newton step in the reciprocal offset.
+Every step stays inside the bracket of Bunch, Nielsen & Sorensen (Numer. Math.
+31 (1978) 31); a step that leaves it falls back to its midpoint.  With a
+weight <= 0 roots may meet and leave the real axis: ``_aberth`` follows them
+along the grid with Aberth-Ehrlich steps in complex arithmetic (Aberth, Math.
+Comp. 27 (1973) 339; Bini & Robol, J. Comput. Appl. Math. 272 (2014) 276).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import symfun
-from .errors import NonRealSpectrum, SecularNoConvergence, SecularOutOfDomain
+from .errors import ComplexRoots, RootCollision, SecularNoConvergence, SecularOutOfDomain
 
 #: Elements of the (roots x N) work arrays processed at once; bounds the memory
 #: of a long grid at large N.
 _BLOCK_ELEMENTS = 1 << 17
 #: A root has converged once its model step is below this fraction of its offset.
 _STEP_TOL = 4.0 * np.finfo(float).eps
-_MAX_ITER = 100
+#: Aberth roots started far from a complex pair (one coarse step past a collision) took up to 300.
+_MAX_ITER = 1000
+#: Aberth roots start this fraction of their offset off the real axis, on alternate sides.
+_NUDGE = 2.0**-20
+#: A converged Aberth root is real where its imaginary part is at most this
+#: fraction of its offset; a pair nearer the axis is within rounding of meeting.
+_IMAG_RTOL = np.sqrt(np.finfo(float).eps)
 
 
-def _vieta_data(d, w, gamma):
-    """x(0) + gamma b at each gamma, with (x(0), b) = ``symfun.flat_line(d, w)``."""
-    x0, b = symfun.flat_line(d, w)
-    return x0 + gamma[:, None] * b
-
-
-def _eigen_roots(row, g, w):
-    """Ascending eigenvalues of diag(d) + g 1 w^T, whose diagonal is ``row``; NonRealSpectrum if complex."""
-    matrix = np.broadcast_to(g * w, (w.size, w.size)).copy()
-    np.fill_diagonal(matrix, row)
-    mu = np.linalg.eigvals(matrix)
-    worst_imag = float(np.abs(mu.imag).max())
-    if worst_imag >= symfun.IMAG_TOL:
-        raise NonRealSpectrum(f"imaginary part {worst_imag:.3e} >= {symfun.IMAG_TOL:.3e}")
-    return np.sort(mu.real)
-
-
-#: The data each branch builds at every gamma, and their name in the domain
-#: test: the upper end of the kernel's bracket of the last root, the Vieta
-#: data of the polynomial, and the diagonal of diag(d) + gamma 1 w^T.
-_DATA = {
-    "kernel": (lambda d, w, gamma: gamma * w.sum(), "gamma sum(w)"),
-    "vieta": (_vieta_data, "x(0) + gamma b"),
-    "eigen": (lambda d, w, gamma: d + gamma[:, None] * w, "d + gamma w"),
-}
-#: The roots of each per-point form at one gamma, from that gamma's row of its data.
-_ROOTS = {"vieta": lambda row, g, w: symfun.roots_from_coords(row), "eigen": _eigen_roots}
-#: The exact routes by name: their per-point form, and whether their poles
-#: and roots are exponentials e^{2 q}, which must be positive.
-_ROUTES = {
-    "flat_exact": ("vieta", False),
-    "s_exact": ("vieta", True),
-    "z_eigen": ("eigen", True),
-}
-
-
-def positions(d, w, gamma, route: str) -> tuple[np.ndarray, np.ndarray]:
-    """(origin, offset) of the positions of exact route ``route`` at each gamma, each of shape (len(gamma), N).
+def positions(d, w, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """(origin, offset) of the roots at each gamma, each of shape (len(gamma), N).
 
     Root k at gamma_j is d[origin[j, k]] + offset[j, k], carried from its
     nearer pole, so the offset holds the root's distance to it to the
     accuracy of the solver; rows ascend, and at gamma = 0 the roots are the
-    poles.  The one sign test picks the branch: with every w > 0 the kernel
-    solves the whole grid, and otherwise the route's per-point form
-    (``_ROUTES``) takes the roots at each gamma > 0, with its typed errors
-    (ComplexRoots, RootCollision, NonRealSpectrum).  The one domain test
-    (``_domain``) runs before either, and SecularOutOfDomain names the
-    condition that fails.
+    poles.  The one domain test (``_domain``) runs first; then the one sign
+    test: with every w > 0 the kernel solves the grid, and otherwise
+    ``_aberth``, which raises ComplexRoots at the first gamma whose roots are
+    not all real.
     """
     d, w = np.asarray(d, dtype=float), np.asarray(w, dtype=float)
     gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    form, positive = _ROUTES[route]
-    branch = "kernel" if np.all(w > 0) else form
-    error, data = _domain(d, w, gamma, positive, branch)
-    if error is not None:
-        raise SecularOutOfDomain(error)
-    if branch == "kernel":
-        return _kernel(d, w, gamma)
-    roots = np.broadcast_to(d, (gamma.size, d.size)).copy()
-    for j in np.flatnonzero(gamma > 0):
-        roots[j] = _ROOTS[form](data[j], gamma[j], w)
-        if positive and not roots[j, 0] > 0:
-            raise SecularOutOfDomain(f"smallest root {roots[j, 0]:.3e} <= 0")
-    upper = np.minimum(np.searchsorted(d, roots), d.size - 1)
-    lower = np.maximum(upper - 1, 0)
-    origin = np.where(roots - d[lower] <= d[upper] - roots, lower, upper)
-    return origin, roots - d[origin]
+    _domain(d, w, gamma)
+    origin = np.broadcast_to(np.arange(d.size), (gamma.size, d.size)).copy()
+    offset = np.zeros((gamma.size, d.size))
+    (_kernel if np.all(w > 0) else _aberth)(d, w, gamma, origin, offset)
+    return origin, offset
 
 
-def _domain(d, w, gamma, positive: bool, branch: str) -> tuple[str | None, np.ndarray | None]:
-    """(the first condition of the domain that fails, or None; the data of ``branch``).
+def separated(q: np.ndarray) -> np.ndarray:
+    """``q``, rows of ascending positions; RootCollision where two of a row lie closer than COLLISION_TOL."""
+    gap = np.diff(q, axis=-1).min() if q.shape[-1] > 1 else np.inf
+    if gap < symfun.COLLISION_TOL:
+        raise RootCollision(f"position gap {gap:.3e} below collision tolerance {symfun.COLLISION_TOL:.3e}")
+    return q
 
-    The domain: d and w equal-length vectors and gamma a vector; poles d
-    finite and strictly increasing, so none underflowed to a tied value, and
-    where ``positive`` at least the smallest normal number, so none
-    underflowed to zero or lost digits as a subnormal; weights w
-    finite; gamma finite and >= 0; and the data the branch builds
-    (``_DATA``) finite at every gamma.
+
+def _domain(d, w, gamma) -> None:
+    """SecularOutOfDomain naming the first condition of the domain that fails.
+
+    Tied poles are ones that underflowed to the same value.  By Gershgorin's
+    theorem on diag(d) + gamma 1 w^T, every pole and root lies in an interval
+    of width d[-1] - d[0] + gamma sum(|w|).
     """
     if d.ndim != 1 or w.shape != d.shape or gamma.ndim != 1 or d.size == 0:
-        return "d and w must be equal-length vectors and gamma a vector", None
-    if not (np.all(np.isfinite(d)) and np.all(np.diff(d) > 0)):
-        return "poles d must be finite and strictly increasing", None
-    if positive and not d[0] >= np.finfo(float).tiny:
-        return "poles d must be positive normal numbers", None
-    if not np.all(np.isfinite(w)):
-        return "weights w must be finite", None
-    if not (np.all(gamma >= 0) and np.all(np.isfinite(gamma))):
-        return "gamma must be finite and >= 0", None
-    build, name = _DATA[branch]
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = build(d, w, gamma)
-    if not np.all(np.isfinite(data)):
-        return f"{name} must be finite", None
-    return None, data
+        raise SecularOutOfDomain("d and w must be equal-length vectors and gamma a vector")
+    with np.errstate(over="ignore", divide="ignore"):
+        if not (np.all(np.isfinite(d)) and np.all(np.diff(d) > 0)):
+            raise SecularOutOfDomain("poles d must be finite and strictly increasing")
+        if not np.all(np.isfinite(w)):
+            raise SecularOutOfDomain("weights w must be finite")
+        if not (np.all(gamma >= 0) and np.all(np.isfinite(gamma))):
+            raise SecularOutOfDomain("gamma must be finite and >= 0")
+        if not np.all(np.isfinite(1.0 / gamma[gamma > 0])):
+            raise SecularOutOfDomain("1/gamma must be finite for every gamma > 0")
+        if not np.all(np.isfinite((d[-1] - d[0]) + gamma * np.abs(w).sum())):
+            raise SecularOutOfDomain("d[-1] - d[0] + gamma sum(|w|) must be finite")
 
 
-def _kernel(d, w, gamma) -> tuple[np.ndarray, np.ndarray]:
-    """(origin, offset) of the roots for every w > 0, by blocks of the grid."""
-    n = d.size
-    origin = np.broadcast_to(np.arange(n), (gamma.size, n)).copy()
-    offset = np.zeros((gamma.size, n))
+def _kernel(d, w, gamma, origin, offset) -> None:
+    """The rows of (origin, offset) with gamma > 0 for every w > 0, by blocks of the grid."""
     deltas = d[None, :] - d[:, None]  # deltas[k, i] = d_i - d_k
-    rows = max(1, _BLOCK_ELEMENTS // (n * n))
+    rows = max(1, _BLOCK_ELEMENTS // (d.size * d.size))
     live = np.flatnonzero(gamma > 0)
     for start in range(0, live.size, rows):
         block = live[start : start + rows]
         origin[block], offset[block] = _solve(deltas, w, gamma[block])
-    return origin, offset
 
 
 def _solve(deltas: np.ndarray, w: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,3 +205,54 @@ def _step(f, parts, lower, last, tau) -> np.ndarray:
         newton = tau - r * (f / dw)
     bad = ~np.isfinite(proposal) | ((proposal - tau) * f > 0)
     return np.where(bad, newton, proposal)
+
+
+def _aberth(d, w, gamma, origin, offset) -> None:
+    """The rows of (origin, offset) with gamma > 0 in turn, for weights of any sign.
+
+    The roots are those of p(mu) = prod_i (mu - d_i) f(mu); a pole of zero
+    weight is one at every gamma.  Each other root starts from the previous
+    gamma's, moved on by its rate (w at gamma = 0) and nudged off the real
+    axis, and takes Aberth-Ehrlich steps: Newton's correction 1/(p'/p),
+    p'/p = sum_i 1/(mu - d_i) + f'/f, deflated by the sum of 1/(mu_k - mu_j)
+    over the other roots.  Each step re-anchors a root at its nearer pole and
+    evaluates f there as ``_evaluate`` does, scaled by the offset's modulus
+    r.  A root stops once |f| is within the rounding of its terms: near a
+    double root its step stays far above a few ulps of the offset.
+    """
+    deltas = d[None, :] - d[:, None]  # deltas[k, i] = d_i - d_k
+    tol = 2.0 * (d.size + 2) * np.finfo(float).eps
+    anchor, tau, rate, previous = np.arange(d.size), np.zeros(d.size), w, 0.0
+    side = np.where(np.arange(d.size) % 2, -1.0, 1.0)
+    for j in np.flatnonzero(gamma > 0):
+        start = tau + (gamma[j] - previous) * rate
+        o, x, active = anchor.copy(), start + 1j * _NUDGE * side * np.abs(start), np.flatnonzero(w)
+        with np.errstate(all="ignore"):
+            for _ in range(_MAX_ITER):
+                near = np.abs(deltas[o[active]] - x[active].real[:, None]).argmin(axis=1)
+                x[active] -= deltas[o[active], near]
+                o[active] = near
+                t, delta = x[active], deltas[near]
+                r = np.abs(t)
+                u = r[:, None] / (delta - t[:, None])  # r/(d_i - mu)
+                rf = r / gamma[j] + u @ w  # r f
+                size = r / gamma[j] + np.abs(u) @ np.abs(w)
+                rdf = np.square(u) @ w  # r^2 f'
+                gaps = t[:, None] - x[None, :] - delta[:, o]  # mu_k - mu_j
+                gaps[np.arange(active.size), active] = 1.0
+                repel = (r[:, None] / gaps).sum(axis=1) - r  # r sum_{j != k} 1/(mu_k - mu_j)
+                step = r / (rdf / rf - u.sum(axis=1) - repel)
+                x[active] = np.where(np.isfinite(step), t - step, t)
+                active = active[np.abs(rf) > tol * size]
+                if not active.size:
+                    break
+            else:
+                raise SecularNoConvergence(f"{active.size} secular roots did not converge in {_MAX_ITER} steps")
+        if np.any(np.abs(x.imag) > _IMAG_RTOL * np.abs(x)):
+            raise ComplexRoots(f"a pair of roots left the real axis at gamma = {gamma[j]:.6g}: "
+                               f"imaginary part {np.abs(x.imag).max():.3e}")
+        if gamma[j] != previous:  # the coth clock saturates at -1/P for P < 0
+            rate = (x.real - tau + deltas[anchor, o]) / (gamma[j] - previous)
+        anchor, tau, previous = o, x.real, gamma[j]
+        order = np.argsort(d[anchor] + tau, kind="stable")
+        origin[j], offset[j] = anchor[order], tau[order]

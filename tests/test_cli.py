@@ -54,16 +54,58 @@ def overflow(route, condition):
     return f"error: {ROUTE_ERRORS[route]}: {condition}\n"
 
 
-# mixed-sign data whose secular data overflow: gamma at t = 100, z at
-# a = 355, and x(0) + t b of the goldfish pair; each exited 1 with a traceback
-# from a per-point route before the domain test covered both branches
+# data whose secular data overflow: gamma at t = 100, z at a = 355, and
+# t sum(|qdot0|) of the goldfish pair; each exited 1 with a traceback from a
+# per-point route before the domain test covered both branches.  A subnormal
+# t, whose 1/t overflows, exited 1 from the kernel under -W error
 MIXED_SIGN_OVERFLOW = [
     ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 1], "c_vec": [5, -0.001], "t_end": 100,
       "output_points": 2}, ("z_eigen", "s_exact"), "gamma must be finite and >= 0"),
     ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 355], "c_vec": [1, -0.5], "t_end": 0.001},
      ("z_eigen", "s_exact"), "poles d must be finite and strictly increasing"),
     ({"system": "goldfish", "N": 2, "q0": [0, 1e300], "qdot0": [1, -1e300], "t_end": 1e10},
-     ("flat_exact",), "x(0) + gamma b must be finite"),
+     ("flat_exact",), "d[-1] - d[0] + gamma sum(|w|) must be finite"),
+    ({"system": "goldfish", "N": 2, "q0": [0, 1], "qdot0": [1, 1], "t_end": 1e-310, "output_points": 3},
+     ("flat_exact",), "1/gamma must be finite for every gamma > 0"),
+]
+
+
+def mixed_sign_goldfish(n, seed):
+    """Goldfish data on [-n/4, n/4] with speeds in [0.05, 0.15], every third negative, to t = 0.05."""
+    rng = np.random.default_rng([n, seed])
+    q0 = np.sort(rng.uniform(-n / 4, n / 4, n))
+    qdot0 = rng.uniform(0.05, 0.15, n)
+    qdot0[::3] *= -1
+    return {"system": "goldfish", "N": n, "q0": q0.tolist(), "qdot0": qdot0.tolist(), "t_end": 0.05,
+            "output_points": 11, "rel_tol": 1e-12, "abs_tol": 1e-12}
+
+
+def mixed_sign_coth(a_vec, c_vec):
+    return {"system": "hyperbolic-coth", "N": len(a_vec), "a_vec": a_vec, "c_vec": c_vec, "t_end": 0.01,
+            "output_points": 11, "rel_tol": 1e-12, "abs_tol": 1e-12}
+
+
+# mixed-sign data on which the exact routes were wrong with exit 0 (goldfish
+# at N = 24 and 32 by 2.6e-3 and 1.0e-2, coth z_eigen on graded poles by
+# 7.3e-5) or raised a spurious ComplexRoots (N = 64)
+MIXED_SIGN_ROUTES = [
+    (mixed_sign_goldfish(24, 3), "rk_integration,flat_exact"),
+    (mixed_sign_goldfish(32, 2), "rk_integration,flat_exact"),
+    (mixed_sign_goldfish(64, 0), "rk_integration,flat_exact"),
+    (mixed_sign_coth([-9.5, -6, -2.5, 1, 4.5, 8], [1, -0.8, 1.1, -0.6, 0.9, -1.2]), "rk_integration,z_eigen,s_exact"),
+    (mixed_sign_coth([-10, 0, 10], [1, -1, 1]), "rk_integration,z_eigen,s_exact"),
+]
+
+# every exact route past a pair's collision: goldfish, matrix and geodesic
+# data whose flat line meets t_c = 1/4 (q0 [0, 1], qdot0 [1, -1]), and the coth
+# pair at P = 0
+PAST_COLLISION = [
+    ({**GOLDFISH, "qdot0": [1, -1], "t_end": 0.3}, "flat_exact"),
+    ({**GOLDFISH, "qdot0": [1, -1], "t_end": 1}, "flat_exact"),
+    ({**GOLDFISH, "system": "matrix", "qdot0": [1, -1], "t_end": 1}, "flat_exact"),
+    ({"system": "geodesic", "N": 2, "q0": [0, 1], "p0": [1, 0], "t_end": 1}, "flat_exact"),
+    ({**COTH_ZERO_P[0], "t_end": 1}, "z_eigen"),
+    ({**COTH_ZERO_P[0], "t_end": 1}, "s_exact"),
 ]
 
 
@@ -446,13 +488,17 @@ class TestCompareCommand:
     @pytest.mark.parametrize(
         "raw, solver, error",
         [
+            # past the collision every exact route meets a complex pair
             ({**GOLDFISH, "qdot0": [1.0, -1.0]}, "flat_exact", "ComplexRoots"),
+            ({**GOLDFISH, "qdot0": [1.0, -1.0], "t_end": 0.3}, "flat_exact", "ComplexRoots"),
             ({"system": "hyperbolic-coth", "N": 3, "a_vec": [-1.1, -0.33, 0.66],
               "c_vec": [0.1, -0.76, -0.06], "t_end": 1.0, "output_points": 3},
-             "z_eigen", "NonRealSpectrum"),
+             "z_eigen", "ComplexRoots"),
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [1.1, 1.45], "c_vec": [1.8, -1.4],
               "t_end": 2.0, "output_points": 2}, "s_exact", "NonPositiveRoot"),
-            ({**COTH_ZERO_P[0], "t_end": 1}, "z_eigen", "NonRealSpectrum"),
+            ({"system": "hyperbolic-coth", "N": 2, "a_vec": [1.1, 1.45], "c_vec": [1.8, -1.4],
+              "t_end": 2.0, "output_points": 2}, "z_eigen", "NonPositiveEigenvalue"),
+            ({**COTH_ZERO_P[0], "t_end": 1}, "z_eigen", "ComplexRoots"),
             ({**COTH_ZERO_P[0], "t_end": 1}, "s_exact", "ComplexRoots"),
         ],
     )
@@ -479,17 +525,14 @@ class TestCompareCommand:
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 355], "c_vec": [1, 1],
               "t_end": 0.001, "output_points": 3}, "s_exact",
              overflow("s_exact", "poles d must be finite and strictly increasing")),
-            # mixed signs run s_exact per point: s(0) overflows at [353, 354]
-            ({"system": "hyperbolic-coth", "N": 2, "a_vec": [353, 354], "c_vec": [1, -0.5],
-              "t_end": 0.001, "output_points": 3}, "s_exact", overflow("s_exact", "x(0) + gamma b must be finite")),
             # z = e^{2 a} near a = -20 has its gap far below the collision
-            # tolerance: the root recovery of the s polynomial reports it
+            # tolerance, but the offsets keep their relative accuracy: the
+            # pair meets at t = 0.0343, as RK finds, and at t = 0.05 both
+            # routes meet the complex pair
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [-20, -19.9], "c_vec": [1, -0.5],
-              "t_end": 0.1, "output_points": 3}, "s_exact", "error: RootCollision: "),
-            # there the spectrum of Z(t > 0) is a complex pair near 5e-18 with
-            # imaginary parts near 3e-19: both positions read -19.9386
+              "t_end": 0.1, "output_points": 3}, "s_exact", "error: ComplexRoots: "),
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [-20, -19.9], "c_vec": [1, -0.5],
-              "t_end": 0.1, "output_points": 3}, "z_eigen", "error: RootCollision: "),
+              "t_end": 0.1, "output_points": 3}, "z_eigen", "error: ComplexRoots: "),
         ],
     )
     def test_coth_routes_outside_the_kernel_domain_as_a_process(self, tmp_path, raw, solvers, stderr):
@@ -507,7 +550,8 @@ class TestCompareCommand:
     @pytest.mark.parametrize(
         "raw, route, condition",
         [(raw, route, condition) for raw, routes, condition in MIXED_SIGN_OVERFLOW for route in routes],
-        ids=["t_end 100 z_eigen", "t_end 100 s_exact", "a = 355 z_eigen", "a = 355 s_exact", "goldfish"],
+        ids=["t_end 100 z_eigen", "t_end 100 s_exact", "a = 355 z_eigen", "a = 355 s_exact", "goldfish",
+             "subnormal t"],
     )
     def test_mixed_sign_overflow_exits_three_as_a_process(self, tmp_path, raw, route, condition):
         cfg = write_config(tmp_path / "cfg.json", raw)
@@ -531,6 +575,31 @@ class TestCompareCommand:
         lines = out.read_text().splitlines()
         table = np.array([[float(x) for x in line.split(",")] for line in lines[1 : lines.index("solver,seconds")]])
         assert table.shape == (101, 4) and table[:, 1:].max() <= 1e-10
+
+    @pytest.mark.parametrize("raw, solvers", MIXED_SIGN_ROUTES, ids=["N=24", "N=32", "N=64", "graded", "wide"])
+    def test_mixed_sign_exact_routes_as_a_process(self, tmp_path, raw, solvers):
+        cfg = write_config(tmp_path / "cfg.json", raw)
+        out = tmp_path / "cmp.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "goldfishlab", "compare", "--config", cfg,
+                               "--solvers", solvers, "--out", str(out)],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        lines = out.read_text().splitlines()
+        table = np.array([[float(x) for x in line.split(",")] for line in lines[1 : lines.index("solver,seconds")]])
+        assert table.shape[0] == 11 and table[:, 1:].max() <= 1e-10
+
+    @pytest.mark.parametrize("raw, solver", PAST_COLLISION,
+                             ids=["goldfish 0.3", "goldfish 1", "matrix", "geodesic", "coth z_eigen", "coth s_exact"])
+    def test_exact_routes_past_the_collision_as_a_process(self, tmp_path, raw, solver):
+        cfg = write_config(tmp_path / "cfg.json", raw)
+        out = tmp_path / "cmp.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "goldfishlab", "compare", "--config", cfg,
+                               "--solvers", solver, "--out", str(out)],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ComplexRoots: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "raw",

@@ -186,10 +186,11 @@ class TestExactSolvers:
 
     @pytest.mark.parametrize("n", [1, 3, 8, 16])
     def test_trajectory_equals_pointwise_solver(self, n):
-        # a negative velocity takes the entry point's per-point forms: their
-        # row at t = 0 is the poles, and after it the carry from the nearer
-        # pole moves s_exact by at most 8.9e-16 and the eigenvalues of
-        # diag(z) + gamma 1 (c z)^T move z_eigen by at most 6.5e-13 at these n
+        # a negative velocity takes the Aberth solve: its row at t = 0 is the
+        # poles, and after it the pointwise oracles differ from it by their
+        # own error, at most 3.1e-9 for the Vieta roots of s_exact and 2.9e-13
+        # for the eigenvalues of Z in z_eigen at n = 16 (the solve is within
+        # 1.2e-16 of 60-digit roots there)
         rng = np.random.default_rng(n)
         a_vec = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.02, 0.02, n)
         c_vec = rng.uniform(0.5, 1.5, n)
@@ -197,7 +198,7 @@ class TestExactSolvers:
         data = hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=c_vec)
         times = np.linspace(0.0, 0.3, 21)
         for route, pointwise, bound in (
-            ("s_exact", lambda t: hyperbolic.s_exact(data, t)[1], 1e-15),
+            ("s_exact", lambda t: hyperbolic.s_exact(data, t)[1], 5e-9),
             ("z_eigen", lambda t: hyperbolic.z_eigen_solution(data, t), 1e-12),
         ):
             trajectory = hyperbolic.exact_trajectory(data, times, route)
@@ -365,7 +366,7 @@ def test_mixed_sign_s_exact_certified_by_mpmath():
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_mixed_sign_routes_through_the_entry_point_certified_by_mpmath(n):
-    # the per-point forms of secular.positions, each root carried from its
+    # the Aberth solve of secular.positions, each root carried from its
     # nearer pole: goldfish flat_exact and both coth routes against the roots
     # of the 60-digit flat line, at each time where the trajectory is still
     # real and collision-free
@@ -379,7 +380,7 @@ def test_mixed_sign_routes_through_the_entry_point_certified_by_mpmath(n):
         for t in np.linspace(0.05, 0.3, 6):
             answers = {}
             try:
-                origin, offset = secular.positions(base, velocities, [t], "flat_exact")
+                origin, offset = secular.positions(base, velocities, [t])
                 answers["flat_exact"] = (base[origin] + offset)[0], _exact_goldfish(base, velocities, t)
             except GoldfishLabError:
                 pass
@@ -391,9 +392,7 @@ def test_mixed_sign_routes_through_the_entry_point_certified_by_mpmath(n):
             for route, (q, exact) in answers.items():
                 worst[route] = max(worst.get(route, 0.0), float(np.abs(q - exact).max()))
                 points += 1
-    # measured worst over these draws: flat_exact 6.8e-14 and z_eigen 5.0e-14;
-    # s_exact 6.5e-13 at n = 12, where the Vieta polynomial's roots lose digits
-    assert worst["flat_exact"] <= 1e-13 and worst["z_eigen"] <= 1e-13 and worst["s_exact"] <= 1e-12
+    assert max(worst.values()) <= 1e-13
     assert points >= 10
 
 
@@ -409,18 +408,16 @@ BRANCH_DATA = {
     "P = 0": ([0.0, 1.0], [1.0, -1.0]),
 }
 BRANCH_P0 = {"positive": [3.0, 2.0], "mixed sign": [15.975, 7.175, 3.35], "P = 0": [1.0, 0.0]}
-#: the five exact compare routes: (system, solver, per-point form builds the flat line)
-BRANCH_ROUTES = [("goldfish", "flat_exact", True), ("matrix", "flat_exact", True),
-                 ("geodesic", "flat_exact", True), ("hyperbolic-coth", "z_eigen", False),
-                 ("hyperbolic-coth", "s_exact", True)]
+#: the five exact compare routes: (system, solver)
+BRANCH_ROUTES = [("goldfish", "flat_exact"), ("matrix", "flat_exact"), ("geodesic", "flat_exact"),
+                 ("hyperbolic-coth", "z_eigen"), ("hyperbolic-coth", "s_exact")]
 
 
 @pytest.mark.parametrize("kind", sorted(BRANCH_DATA))
-@pytest.mark.parametrize("system, solver, vieta", BRANCH_ROUTES)
-def test_exact_routes_take_the_kernel_exactly_for_positive_velocities(monkeypatch, system, solver, vieta, kind):
-    # each route reaches the one entry point once per call: the kernel for
-    # positive velocities, else the per-point form, which builds the flat
-    # line once for the whole grid
+@pytest.mark.parametrize("system, solver", BRANCH_ROUTES)
+def test_exact_routes_take_the_kernel_exactly_for_positive_velocities(monkeypatch, system, solver, kind):
+    # each route reaches the one entry point once per call, which takes the
+    # kernel for positive velocities and else the Aberth solve
     from goldfishlab import cli
 
     positions0, velocities0 = BRANCH_DATA[kind]
@@ -432,26 +429,25 @@ def test_exact_routes_take_the_kernel_exactly_for_positive_velocities(monkeypatc
     else:
         raw.update(q0=positions0, qdot0=velocities0)
     cfg = cli.RunConfig.from_dict(raw)
-    calls = {"positions": 0, "_kernel": 0, "flat_line": 0}
+    calls = {"positions": 0, "_kernel": 0, "_aberth": 0}
 
-    def counted(module, name):
-        real = getattr(module, name)
+    def counted(name):
+        real = getattr(secular, name)
 
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(secular, name, wrapper)
 
-    counted(secular, "positions")
-    counted(secular, "_kernel")
-    counted(symfun, "flat_line")
+    for name in calls:
+        counted(name)
     positive = kind == "positive"
     try:
         cli.SPECS[system].solvers[solver](cfg)
     except GoldfishLabError:
-        assert not positive  # the per-point forms raise their own errors
-    assert calls == {"positions": 1, "_kernel": int(positive), "flat_line": int(vieta and not positive)}
+        assert not positive  # past its collision, the pair leaves the real axis
+    assert calls == {"positions": 1, "_kernel": int(positive), "_aberth": int(not positive)}
 
 
 POLES = "poles d must be finite and strictly increasing"
@@ -465,10 +461,11 @@ POLES = "poles d must be finite and strictly increasing"
         # c z overflows at a = 354, and z at a = 355
         (_coth([0.0, 354.0], [1.0, 10.0]), 0.001, "weights w must be finite"),
         (_coth([0.0, 355.0], [1.0, 1.0]), 0.001, POLES),
-        # z = e^{2 a} is 0 below a = -372.6, and subnormal poles near a = -371 tie
-        (_coth([-400.0, -399.0], [1.0, 1.0]), 0.1, POLES),
+        # z = e^{2 a} is 0 below a = -372.6, and subnormal near a = -371,
+        # where poles tie; the route tests its poles before the secular domain
+        (_coth([-400.0, -399.0], [1.0, 1.0]), 0.1, "poles d must be positive normal numbers"),
         (_coth([-400.0, 0.0], [1.0, 1.0]), 0.1, "poles d must be positive normal numbers"),
-        (_coth([-371.0, -370.99999], [1.0, 1.0]), 0.1, POLES),
+        (_coth([-371.0, -370.99999], [1.0, 1.0]), 0.1, "poles d must be positive normal numbers"),
         # a subnormal z (a < -354) has lost digits, and c z may underflow to 0
         (_coth([-371.0, 0.0], [1e-5, 1.0]), 0.1, "poles d must be positive normal numbers"),
     ],
@@ -489,10 +486,11 @@ def test_positive_velocities_beyond_double_precision_raise_typed_errors(data, t_
         (_coth([0.0, 1.0], [5.0, -0.001]), 100.0, ("z_eigen", "s_exact"), "gamma must be finite and >= 0"),
         (_coth([0.0, 355.0], [1.0, -0.5]), 0.001, ("z_eigen", "s_exact"), POLES),
         (_coth([-400.0, 0.0], [1.0, -0.5]), 0.1, ("z_eigen", "s_exact"), "poles d must be positive normal numbers"),
-        # s(0) = e(z) overflows at [353, 354], where Z(t) is still finite
-        (_coth([353.0, 354.0], [1.0, -0.5]), 0.001, ("s_exact",), "x(0) + gamma b must be finite"),
+        # gamma sum(|c z|) overflows at [353, 354] from t = 2 on
+        (_coth([353.0, 354.0], [1.0, -0.5]), 10.0, ("z_eigen", "s_exact"),
+         "d[-1] - d[0] + gamma sum(|w|) must be finite"),
     ],
-    ids=["t_end 100", "a = 355", "z = 0 below z = 1", "s(0) overflows"],
+    ids=["t_end 100", "a = 355", "z = 0 below z = 1", "span overflows"],
 )
 def test_mixed_signs_beyond_double_precision_raise_typed_errors(data, t_end, routes, message):
     times = np.linspace(0.0, t_end, 3)
@@ -502,13 +500,28 @@ def test_mixed_signs_beyond_double_precision_raise_typed_errors(data, t_end, rou
             hyperbolic.exact_trajectory(data, times, route)
 
 
+def test_mixed_signs_up_to_the_largest_poles_answer():
+    # at [353, 354] s(0) = e(z) overflows, but the secular data (z, c z) do
+    # not: the route answers, on the integrated coth flow
+    data = _coth([353.0, 354.0], [1.0, -0.5])
+    traj = dynamics.integrate(hyperbolic.CothSystem(2), dynamics.GoldfishState(data.a_vec, data.c_vec),
+                              0.001, TIGHT, 3)
+    for route in ("z_eigen", "s_exact"):
+        assert np.abs(hyperbolic.exact_trajectory(data, traj.times, route) - traj.rows[:, :2]).max() < 1e-12
+
+
+def test_nonpositive_roots_raise_the_route_error():
+    # at t = 2 the smallest root of these data is negative
+    data = _coth([1.1, 1.45], [1.8, -1.4])
+    for route, error in (("z_eigen", NonPositiveEigenvalue), ("s_exact", NonPositiveRoot)):
+        with pytest.raises(error, match=r"^smallest root -\d\.\d{3}e\+\d\d <= 0$"):
+            hyperbolic.exact_trajectory(data, [0.0, 2.0], route)
+
+
 def test_root_below_the_resolution_of_its_pole_raises(monkeypatch):
-    # the tiny positive per-point root of these secular data, carried from
-    # its pole 1, is the offset -1 exactly: log1p would give q = -inf
-    origin, offset = secular.positions([1.0, 2.0], [-16.0, 30.0], [1.0 - 2.0**-53], "s_exact")
-    assert offset[0, 0] == -1.0
-    monkeypatch.setattr(secular, "positions", lambda *args: (origin, offset))
-    with pytest.raises(NonPositiveRoot, match="below the resolution of its pole"):
+    # a root carried from its pole 1 by the offset -1 is 0: log1p would give q = -inf
+    monkeypatch.setattr(secular, "positions", lambda *args: (np.array([[0, 1]]), np.array([[-1.0, 0.5]])))
+    with pytest.raises(NonPositiveRoot, match=r"^smallest root 0\.000e\+00 <= 0$"):
         hyperbolic.exact_trajectory(_coth([0.0, np.log(2.0) / 2.0], [-16.0, 15.0]), [1.0], "s_exact")
 
 
