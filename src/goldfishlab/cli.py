@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 verification found a failing check, 2 bad usage,
 invalid configuration or an unwritable output (a missing ``--out`` directory
-or an ``--out`` that is a directory is found before any work runs), 3 a solver stopped early (collision or
-step-size failure; partial trajectory rows are still written, with a
-truncation note in the diagnostics sidecar).
+or an ``--out`` that is a directory is found before any work runs), 3 a solver
+stopped early (collision or step-size failure; partial trajectory rows are
+still written, with a truncation note in the diagnostics sidecar) or a compare
+route refused its data with a typed error (SecularOutOfDomain or ComplexRoots
+from an exact route, NonPositiveVelocity from ``matrix_eigen``, and so on).
 
 All numeric CSV fields carry 17 significant digits with '.' decimal separator
 and LF line endings, so identical configurations reproduce byte-identical
@@ -138,7 +140,9 @@ class RunConfig:
                     _require(gaps.min() > floor,
                              f"{key} adjacent gaps must be > {floor:g}, got {gaps.min():.3e}")
 
-        return cls(system, n, t_end, points, rel_tol, abs_tol, gap, **fields)
+        cfg = cls(system, n, t_end, points, rel_tol, abs_tol, gap, **fields)
+        _require(np.all(np.diff(cfg.times) > 0), f"t_end {t_end!r} is too small for {points} distinct times")
+        return cfg
 
     def integrator_config(self) -> dynamics.IntegratorConfig:
         return dynamics.IntegratorConfig(
@@ -352,14 +356,11 @@ def _positions_sinh_matrix(cfg: RunConfig) -> np.ndarray:
     return np.vstack([hyperbolic.matrix_positions(data, t) for t in cfg.times])
 
 
-def _coth_exact(route: str) -> Callable[[RunConfig], np.ndarray]:
-    def positions(cfg: RunConfig) -> np.ndarray:
-        from . import hyperbolic
+def _positions_coth_exact(cfg: RunConfig) -> np.ndarray:
+    from . import hyperbolic
 
-        data = hyperbolic.HyperbolicData(a=1.0, a_vec=cfg.a_vec, c_vec=cfg.c_vec)
-        return hyperbolic.exact_trajectory(data, cfg.times, route)
-
-    return positions
+    data = hyperbolic.HyperbolicData(a=1.0, a_vec=cfg.a_vec, c_vec=cfg.c_vec)
+    return hyperbolic.exact_trajectory(data, cfg.times)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +451,9 @@ SPECS: dict[str, SystemSpec] = {
         columns=_vector_columns("q", "qdot"),
         solvers={
             "rk_integration": _positions_rk,
-            "z_eigen": _coth_exact("z_eigen"),
-            "s_exact": _coth_exact("s_exact"),
+            # two names of one route, kept for the callers that pass either
+            "z_eigen": _positions_coth_exact,
+            "s_exact": _positions_coth_exact,
         },
     ),
 }
@@ -470,16 +472,19 @@ def run_compare(config_path, solvers: list[str], out_path) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    positions = {}
+    results = {}  # one per route function: two names of one route share one solve
     timings = []
     try:
         for name in solvers:
             started = time.perf_counter()
-            positions[name] = available[name](cfg)
+            route = available[name]
+            if route not in results:
+                results[route] = route(cfg)
             timings.append((name, time.perf_counter() - started))
     except GoldfishLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    positions = {name: results[available[name]] for name in solvers}
 
     pairs = [(a, b) for k, a in enumerate(solvers) for b in solvers[k + 1 :]]
     header = ["t"] + [f"dmax_{a}_vs_{b}" for a, b in pairs]

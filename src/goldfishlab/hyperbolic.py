@@ -3,10 +3,10 @@
 The deformed flow lives on positive matrices.  Its eigenvalue dynamics is the
 sinh-coupled second-order system which degenerates to the rational goldfish
 flow as the deformation parameter a -> 0.  The coth flow is the goldfish flat
-line in z = e^{2 q} on the clock gamma(t): its two exact routes are the
-eigenvalues of Z(t) = e^{2 Lambda0} e^{2 t L0} and the roots of the
-polynomial with Vieta data s(t), plus the one-line root characterization
-f(q) = 0 used as a residual cross-check.
+line in z = e^{2 q} on the clock gamma(t): ``exact_trajectory`` solves it on a
+time grid by ``secular.positions`` and refuses with SecularOutOfDomain.  The
+eigenvalues of Z(t) = e^{2 Lambda0} e^{2 t L0}, the Vieta roots of s(t) and
+the root characterization f(q) = 0 are pointwise oracles.
 """
 from __future__ import annotations
 
@@ -211,35 +211,27 @@ def s_derivatives(data: HyperbolicData, t: float) -> tuple[np.ndarray, np.ndarra
     return s0 + gamma * b, rate * b, 2.0 * p * rate * b
 
 
-#: The typed error of each exact coth route, raised where its data leave the
-#: secular domain in double precision.
-_ERRORS = {"z_eigen": NonPositiveEigenvalue, "s_exact": NonPositiveRoot}
-
-
-def exact_trajectory(data: HyperbolicData, times, route: str) -> np.ndarray:
-    """Positions of the exact coth route ``route`` (``_ERRORS``) on a time grid, shape (len(times), N).
+def exact_trajectory(data: HyperbolicData, times) -> np.ndarray:
+    """Positions of the one exact coth route on a time grid, shape (len(times), N).
 
     The eigenvalues mu(t) of Z(t) = diag(z) + gamma z c^T, z = e^{2 a}, solve
     1/gamma + sum_i c_i z_i/(z_i - mu) = 0: ``secular.positions`` on
-    (z, c z, ``clock``).  The poles must be normal numbers (none underflowed)
-    and the roots > 0; the route's typed error names these conditions and
-    those of the secular domain.  A root's offset tau from its pole z_o maps
-    to a_o + log1p(tau/z_o)/2.  Raises RootCollision where two positions lie
-    closer than ``symfun.COLLISION_TOL``.
+    (z, c z, ``clock``).  A root's offset tau from its pole z_o maps to
+    a_o + log1p(tau/z_o)/2.  Raises SecularOutOfDomain where a pole z is not
+    a normal number, where ``secular.positions`` refuses the data or where a
+    root is <= 0, and RootCollision where two positions lie closer than
+    ``symfun.COLLISION_TOL``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.exp(2.0 * data.a_vec)
         w = data.c_vec * z
     if not z[0] >= np.finfo(float).tiny:
-        raise _ERRORS[route]("poles d must be positive normal numbers")
-    try:
-        origin, offset = secular.positions(z, w, clock(data.momentum, np.asarray(times, dtype=float)))
-    except SecularOutOfDomain as exc:
-        raise _ERRORS[route](str(exc)) from None
+        raise SecularOutOfDomain("poles d must be positive normal numbers")
+    origin, offset = secular.positions(z, w, clock(data.momentum, np.asarray(times, dtype=float)))
     with np.errstate(over="ignore"):
         ratio = offset / z[origin]
     if not ratio.min() > -1.0:
-        raise _ERRORS[route](f"smallest root {(z[origin] + offset).min():.3e} <= 0")
+        raise SecularOutOfDomain(f"smallest root {(z[origin] + offset).min():.3e} <= 0")
     return secular.separated(data.a_vec[origin] + 0.5 * np.log1p(ratio))
 
 

@@ -13,6 +13,7 @@ from goldfishlab.errors import (
     NonPositiveVelocity,
     NonRealSpectrum,
     PoleProximity,
+    SecularOutOfDomain,
 )
 
 TIGHT = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
@@ -197,12 +198,12 @@ class TestExactSolvers:
         c_vec[0] = -0.1 * c_vec[0]
         data = hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=c_vec)
         times = np.linspace(0.0, 0.3, 21)
-        for route, pointwise, bound in (
-            ("s_exact", lambda t: hyperbolic.s_exact(data, t)[1], 5e-9),
-            ("z_eigen", lambda t: hyperbolic.z_eigen_solution(data, t), 1e-12),
+        trajectory = hyperbolic.exact_trajectory(data, times)
+        assert np.array_equal(trajectory[0], a_vec)
+        for pointwise, bound in (
+            (lambda t: hyperbolic.s_exact(data, t)[1], 5e-9),
+            (lambda t: hyperbolic.z_eigen_solution(data, t), 1e-12),
         ):
-            trajectory = hyperbolic.exact_trajectory(data, times, route)
-            assert np.array_equal(trajectory[0], a_vec)
             expected = np.vstack([pointwise(t) for t in times[1:]])
             assert np.abs(trajectory[1:] - expected).max() <= bound
 
@@ -212,12 +213,13 @@ class TestExactSolvers:
         a_vec = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.02, 0.02, n)
         data = hyperbolic.HyperbolicData(a=1.0, a_vec=a_vec, c_vec=rng.uniform(0.5, 1.5, n))
         times = np.linspace(0.0, 0.3, 21)
-        for route, pointwise in (
-            ("s_exact", lambda t: hyperbolic.s_exact(data, t)[1]),
-            ("z_eigen", lambda t: hyperbolic.z_eigen_solution(data, t)),
+        trajectory = hyperbolic.exact_trajectory(data, times)
+        for pointwise in (
+            lambda t: hyperbolic.s_exact(data, t)[1],
+            lambda t: hyperbolic.z_eigen_solution(data, t),
         ):
             expected = np.vstack([pointwise(t) for t in times])
-            assert np.abs(hyperbolic.exact_trajectory(data, times, route) - expected).max() <= 1e-12
+            assert np.abs(trajectory - expected).max() <= 1e-12
 
     def test_top_symmetric_function_growth(self):
         # s_N(t) = e^{2 sum a} e^{2 P t} exactly, so b_N = P s_N(0)
@@ -264,16 +266,15 @@ class TestExactSolvers:
             hyperbolic.s_exact(bad, 2.0)
 
     def test_zero_momentum_answers(self):
-        # at P = 0 the clock is gamma = 2t: both routes answer, on the
-        # integrated coth flow
+        # at P = 0 the clock is gamma = 2t: the route and both pointwise
+        # oracles answer, on the integrated coth flow
         data = hyperbolic.HyperbolicData(
             a=1.0, a_vec=np.array([0.0, 1.0]), c_vec=np.array([1.0, -1.0])
         )
         traj = dynamics.integrate(hyperbolic.CothSystem(2), dynamics.GoldfishState(data.a_vec, data.c_vec),
                                   0.1, TIGHT, 5)
         q_rk = traj.rows[:, :2]
-        for route in ("z_eigen", "s_exact"):
-            assert np.abs(hyperbolic.exact_trajectory(data, traj.times, route) - q_rk).max() < 1e-10
+        assert np.abs(hyperbolic.exact_trajectory(data, traj.times) - q_rk).max() < 1e-10
         assert np.abs(hyperbolic.s_exact(data, 0.1)[1] - hyperbolic.z_eigen_solution(data, 0.1)).max() < 1e-12
 
     @pytest.mark.parametrize("c_vec", [[1.0, -1.0], [0.7, -1.1, 0.4]])
@@ -284,12 +285,11 @@ class TestExactSolvers:
         base = np.array(c_vec)
         base[-1] -= base.sum()
         assert hyperbolic.HyperbolicData(1.0, a_vec, base).momentum == 0.0
-        for route in ("z_eigen", "s_exact"):
-            at_zero = hyperbolic.exact_trajectory(hyperbolic.HyperbolicData(1.0, a_vec, base), times, route)
-            for p in (1e-9, -1e-9):
-                shifted = base + p / base.size
-                q = hyperbolic.exact_trajectory(hyperbolic.HyperbolicData(1.0, a_vec, shifted), times, route)
-                assert np.abs(q - at_zero).max() < 1e-9
+        at_zero = hyperbolic.exact_trajectory(hyperbolic.HyperbolicData(1.0, a_vec, base), times)
+        for p in (1e-9, -1e-9):
+            shifted = base + p / base.size
+            q = hyperbolic.exact_trajectory(hyperbolic.HyperbolicData(1.0, a_vec, shifted), times)
+            assert np.abs(q - at_zero).max() < 1e-9
 
     def test_clock_limit(self):
         assert hyperbolic.clock(0.0, 0.25) == 0.5
@@ -367,7 +367,7 @@ def test_mixed_sign_s_exact_certified_by_mpmath():
 @pytest.mark.parametrize("n", range(2, 13))
 def test_mixed_sign_routes_through_the_entry_point_certified_by_mpmath(n):
     # the Aberth solve of secular.positions, each root carried from its
-    # nearer pole: goldfish flat_exact and both coth routes against the roots
+    # nearer pole: goldfish flat_exact and the coth route against the roots
     # of the 60-digit flat line, at each time where the trajectory is still
     # real and collision-free
     rng = np.random.default_rng(n)
@@ -384,16 +384,15 @@ def test_mixed_sign_routes_through_the_entry_point_certified_by_mpmath(n):
                 answers["flat_exact"] = (base[origin] + offset)[0], _exact_goldfish(base, velocities, t)
             except GoldfishLabError:
                 pass
-            for route in ("z_eigen", "s_exact"):
-                try:
-                    answers[route] = hyperbolic.exact_trajectory(data, [t], route)[0], _exact_line(base, velocities, t)[1]
-                except GoldfishLabError:
-                    pass
+            try:
+                answers["coth"] = hyperbolic.exact_trajectory(data, [t])[0], _exact_line(base, velocities, t)[1]
+            except GoldfishLabError:
+                pass
             for route, (q, exact) in answers.items():
                 worst[route] = max(worst.get(route, 0.0), float(np.abs(q - exact).max()))
                 points += 1
     assert max(worst.values()) <= 1e-13
-    assert points >= 10
+    assert points >= 8
 
 
 def _coth(a_vec, c_vec):
@@ -408,9 +407,9 @@ BRANCH_DATA = {
     "P = 0": ([0.0, 1.0], [1.0, -1.0]),
 }
 BRANCH_P0 = {"positive": [3.0, 2.0], "mixed sign": [15.975, 7.175, 3.35], "P = 0": [1.0, 0.0]}
-#: the five exact compare routes: (system, solver)
+#: the exact compare routes: (system, solver); z_eigen and s_exact name one coth route
 BRANCH_ROUTES = [("goldfish", "flat_exact"), ("matrix", "flat_exact"), ("geodesic", "flat_exact"),
-                 ("hyperbolic-coth", "z_eigen"), ("hyperbolic-coth", "s_exact")]
+                 ("hyperbolic-coth", "z_eigen")]
 
 
 @pytest.mark.parametrize("kind", sorted(BRANCH_DATA))
@@ -473,31 +472,25 @@ POLES = "poles d must be finite and strictly increasing"
 )
 def test_positive_velocities_beyond_double_precision_raise_typed_errors(data, t_end, message):
     # the kernel's data are out of reach: no per-point route answers instead
-    times = np.linspace(0.0, t_end, 3)
-    for route, error in (("z_eigen", NonPositiveEigenvalue), ("s_exact", NonPositiveRoot)):
-        with pytest.raises(error, match=f"^{message}$"):
-            hyperbolic.exact_trajectory(data, times, route)
+    with pytest.raises(SecularOutOfDomain, match=f"^{message}$"):
+        hyperbolic.exact_trajectory(data, np.linspace(0.0, t_end, 3))
 
 
 @pytest.mark.parametrize(
-    "data, t_end, routes, message",
+    "data, t_end, message",
     [
         # expm1(2 P t) overflows at t = 100, and z at a = 355
-        (_coth([0.0, 1.0], [5.0, -0.001]), 100.0, ("z_eigen", "s_exact"), "gamma must be finite and >= 0"),
-        (_coth([0.0, 355.0], [1.0, -0.5]), 0.001, ("z_eigen", "s_exact"), POLES),
-        (_coth([-400.0, 0.0], [1.0, -0.5]), 0.1, ("z_eigen", "s_exact"), "poles d must be positive normal numbers"),
+        (_coth([0.0, 1.0], [5.0, -0.001]), 100.0, "gamma must be finite and >= 0"),
+        (_coth([0.0, 355.0], [1.0, -0.5]), 0.001, POLES),
+        (_coth([-400.0, 0.0], [1.0, -0.5]), 0.1, "poles d must be positive normal numbers"),
         # gamma sum(|c z|) overflows at [353, 354] from t = 2 on
-        (_coth([353.0, 354.0], [1.0, -0.5]), 10.0, ("z_eigen", "s_exact"),
-         "d[-1] - d[0] + gamma sum(|w|) must be finite"),
+        (_coth([353.0, 354.0], [1.0, -0.5]), 10.0, "d[-1] - d[0] + gamma sum(|w|) must be finite"),
     ],
     ids=["t_end 100", "a = 355", "z = 0 below z = 1", "span overflows"],
 )
-def test_mixed_signs_beyond_double_precision_raise_typed_errors(data, t_end, routes, message):
-    times = np.linspace(0.0, t_end, 3)
-    errors = {"z_eigen": NonPositiveEigenvalue, "s_exact": NonPositiveRoot}
-    for route in routes:
-        with pytest.raises(errors[route], match=f"^{re.escape(message)}$"):
-            hyperbolic.exact_trajectory(data, times, route)
+def test_mixed_signs_beyond_double_precision_raise_typed_errors(data, t_end, message):
+    with pytest.raises(SecularOutOfDomain, match=f"^{re.escape(message)}$"):
+        hyperbolic.exact_trajectory(data, np.linspace(0.0, t_end, 3))
 
 
 def test_mixed_signs_up_to_the_largest_poles_answer():
@@ -506,23 +499,21 @@ def test_mixed_signs_up_to_the_largest_poles_answer():
     data = _coth([353.0, 354.0], [1.0, -0.5])
     traj = dynamics.integrate(hyperbolic.CothSystem(2), dynamics.GoldfishState(data.a_vec, data.c_vec),
                               0.001, TIGHT, 3)
-    for route in ("z_eigen", "s_exact"):
-        assert np.abs(hyperbolic.exact_trajectory(data, traj.times, route) - traj.rows[:, :2]).max() < 1e-12
+    assert np.abs(hyperbolic.exact_trajectory(data, traj.times) - traj.rows[:, :2]).max() < 1e-12
 
 
 def test_nonpositive_roots_raise_the_route_error():
     # at t = 2 the smallest root of these data is negative
     data = _coth([1.1, 1.45], [1.8, -1.4])
-    for route, error in (("z_eigen", NonPositiveEigenvalue), ("s_exact", NonPositiveRoot)):
-        with pytest.raises(error, match=r"^smallest root -\d\.\d{3}e\+\d\d <= 0$"):
-            hyperbolic.exact_trajectory(data, [0.0, 2.0], route)
+    with pytest.raises(SecularOutOfDomain, match=r"^smallest root -\d\.\d{3}e\+\d\d <= 0$"):
+        hyperbolic.exact_trajectory(data, [0.0, 2.0])
 
 
 def test_root_below_the_resolution_of_its_pole_raises(monkeypatch):
     # a root carried from its pole 1 by the offset -1 is 0: log1p would give q = -inf
     monkeypatch.setattr(secular, "positions", lambda *args: (np.array([[0, 1]]), np.array([[-1.0, 0.5]])))
-    with pytest.raises(NonPositiveRoot, match=r"^smallest root 0\.000e\+00 <= 0$"):
-        hyperbolic.exact_trajectory(_coth([0.0, np.log(2.0) / 2.0], [-16.0, 15.0]), [1.0], "s_exact")
+    with pytest.raises(SecularOutOfDomain, match=r"^smallest root 0\.000e\+00 <= 0$"):
+        hyperbolic.exact_trajectory(_coth([0.0, np.log(2.0) / 2.0], [-16.0, 15.0]), [1.0])
 
 
 class TestRootFunction:
