@@ -44,6 +44,11 @@ COTH_ZERO_P = [
      "rel_tol": 1e-12},
 ]
 
+# both coth solver names stay public and name the one exact route: the process
+# tests run each name, so a name that stops reaching the route shows
+COTH_NAMES = ("z_eigen", "s_exact")
+
+
 def overflow(condition):
     """The one stderr line of an exact route whose data leave the secular domain by ``condition``."""
     return f"error: SecularOutOfDomain: {condition}\n"
@@ -55,13 +60,13 @@ def overflow(condition):
 # t, whose 1/t overflows, exited 1 from the kernel under -W error
 MIXED_SIGN_OVERFLOW = [
     ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 1], "c_vec": [5, -0.001], "t_end": 100,
-      "output_points": 2}, "z_eigen", "gamma must be finite and >= 0"),
+      "output_points": 2}, COTH_NAMES, "gamma must be finite and >= 0"),
     ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 355], "c_vec": [1, -0.5], "t_end": 0.001},
-     "z_eigen", "poles d must be finite and strictly increasing"),
+     COTH_NAMES, "poles d must be finite and strictly increasing"),
     ({"system": "goldfish", "N": 2, "q0": [0, 1e300], "qdot0": [1, -1e300], "t_end": 1e10},
-     "flat_exact", "d[-1] - d[0] + gamma sum(|w|) must be finite"),
+     ("flat_exact",), "d[-1] - d[0] + gamma sum(|w|) must be finite"),
     ({"system": "goldfish", "N": 2, "q0": [0, 1], "qdot0": [1, 1], "t_end": 1e-310, "output_points": 3},
-     "flat_exact", "1/gamma must be finite for every gamma > 0"),
+     ("flat_exact",), "1/gamma must be finite for every gamma > 0"),
 ]
 
 
@@ -93,12 +98,14 @@ MIXED_SIGN_ROUTES = [
 
 # every exact route past a pair's collision: goldfish, matrix and geodesic
 # data whose flat line meets t_c = 1/4 (q0 [0, 1], qdot0 [1, -1]), and the coth
-# pair at P = 0 (t_c = 0.231), run with all its solvers
+# pair at P = 0 (t_c = 0.231), run by each name and with all its solvers
 PAST_COLLISION = [
     ({**GOLDFISH, "qdot0": [1, -1], "t_end": 0.3}, "flat_exact"),
     ({**GOLDFISH, "qdot0": [1, -1], "t_end": 1}, "flat_exact"),
     ({**GOLDFISH, "system": "matrix", "qdot0": [1, -1], "t_end": 1}, "flat_exact"),
     ({"system": "geodesic", "N": 2, "q0": [0, 1], "p0": [1, 0], "t_end": 1}, "flat_exact"),
+    ({**COTH_ZERO_P[0], "t_end": 1}, "z_eigen"),
+    ({**COTH_ZERO_P[0], "t_end": 1}, "s_exact"),
     ({**COTH_ZERO_P[0], "t_end": 1}, "z_eigen,s_exact,rk_integration"),
 ]
 
@@ -513,9 +520,9 @@ class TestCompareCommand:
             ({"system": "hyperbolic-coth", "N": 3, "a_vec": [-1.1, -0.33, 0.66],
               "c_vec": [0.1, -0.76, -0.06], "t_end": 1.0, "output_points": 3},
              "z_eigen", "ComplexRoots"),
-            ({"system": "hyperbolic-coth", "N": 2, "a_vec": [1.1, 1.45], "c_vec": [1.8, -1.4],
-              "t_end": 2.0, "output_points": 2}, "z_eigen", "SecularOutOfDomain"),
-            ({**COTH_ZERO_P[0], "t_end": 1}, "s_exact", "ComplexRoots"),
+            *[({"system": "hyperbolic-coth", "N": 2, "a_vec": [1.1, 1.45], "c_vec": [1.8, -1.4],
+                "t_end": 2.0, "output_points": 2}, name, "SecularOutOfDomain") for name in COTH_NAMES],
+            *[({**COTH_ZERO_P[0], "t_end": 1}, name, "ComplexRoots") for name in COTH_NAMES],
         ],
     )
     def test_mixed_sign_exact_routes_keep_typed_errors(self, tmp_path, capsys, raw, solver, error):
@@ -526,24 +533,23 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize(
         "raw, solvers, stderr",
-        [
+        [(raw, name, stderr) for raw, stderr in [
             # positive velocities take the secular kernel: where c z overflows
             # (a = 354), expm1(2 P t) (t = 200) or z itself (a = 355), the
             # route raises SecularOutOfDomain, the only line on stderr
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 354], "c_vec": [1, 10],
-              "t_end": 0.001, "output_points": 3}, "z_eigen", overflow("weights w must be finite")),
+              "t_end": 0.001, "output_points": 3}, overflow("weights w must be finite")),
             ({"system": "hyperbolic-coth", "N": 3, "a_vec": [0, 1, 2], "c_vec": [1, 1, 1],
-              "t_end": 200, "output_points": 3}, "z_eigen", overflow("gamma must be finite and >= 0")),
+              "t_end": 200, "output_points": 3}, overflow("gamma must be finite and >= 0")),
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, 355], "c_vec": [1, 1],
-              "t_end": 0.001, "output_points": 3}, "s_exact",
-             overflow("poles d must be finite and strictly increasing")),
+              "t_end": 0.001, "output_points": 3}, overflow("poles d must be finite and strictly increasing")),
             # z = e^{2 a} near a = -20 has its gap far below the collision
             # tolerance, but the offsets keep their relative accuracy: the
             # pair meets at t = 0.0343, as RK finds, and at t = 0.05 the
             # route meets the complex pair
             ({"system": "hyperbolic-coth", "N": 2, "a_vec": [-20, -19.9], "c_vec": [1, -0.5],
-              "t_end": 0.1, "output_points": 3}, "s_exact", "error: ComplexRoots: "),
-        ],
+              "t_end": 0.1, "output_points": 3}, "error: ComplexRoots: "),
+        ] for name in COTH_NAMES],
     )
     def test_coth_routes_outside_the_kernel_domain_as_a_process(self, tmp_path, raw, solvers, stderr):
         cfg = write_config(tmp_path / "cfg.json", raw)
@@ -558,7 +564,10 @@ class TestCompareCommand:
         assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "raw, route, condition", MIXED_SIGN_OVERFLOW, ids=["t_end 100", "a = 355", "goldfish", "subnormal t"]
+        "raw, route, condition",
+        [(raw, route, condition) for raw, routes, condition in MIXED_SIGN_OVERFLOW for route in routes],
+        ids=["t_end 100 z_eigen", "t_end 100 s_exact", "a = 355 z_eigen", "a = 355 s_exact", "goldfish",
+             "subnormal t"],
     )
     def test_mixed_sign_overflow_exits_three_as_a_process(self, tmp_path, raw, route, condition):
         cfg = write_config(tmp_path / "cfg.json", raw)
@@ -597,7 +606,8 @@ class TestCompareCommand:
         assert table.shape[0] == 11 and table[:, 1:].max() <= 1e-10
 
     @pytest.mark.parametrize("raw, solver", PAST_COLLISION,
-                             ids=["goldfish 0.3", "goldfish 1", "matrix", "geodesic", "coth"])
+                             ids=["goldfish 0.3", "goldfish 1", "matrix", "geodesic", "coth z_eigen", "coth s_exact",
+                                  "coth"])
     def test_exact_routes_past_the_collision_as_a_process(self, tmp_path, raw, solver):
         cfg = write_config(tmp_path / "cfg.json", raw)
         out = tmp_path / "cmp.csv"

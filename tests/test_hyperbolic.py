@@ -409,7 +409,7 @@ BRANCH_DATA = {
 BRANCH_P0 = {"positive": [3.0, 2.0], "mixed sign": [15.975, 7.175, 3.35], "P = 0": [1.0, 0.0]}
 #: the exact compare routes: (system, solver); z_eigen and s_exact name one coth route
 BRANCH_ROUTES = [("goldfish", "flat_exact"), ("matrix", "flat_exact"), ("geodesic", "flat_exact"),
-                 ("hyperbolic-coth", "z_eigen")]
+                 ("hyperbolic-coth", "z_eigen"), ("hyperbolic-coth", "s_exact")]
 
 
 @pytest.mark.parametrize("kind", sorted(BRANCH_DATA))
