@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 verification found a failing check, 2 bad usage,
 invalid configuration or an unwritable output (a missing ``--out`` directory
 or an ``--out`` that is a directory is found before any work runs), 3 a solver
-stopped early (collision or step-size failure; partial trajectory rows are
-still written, with a truncation note in the diagnostics sidecar) or a compare
+stopped early (collision, step-size failure or a right-hand side that is not
+finite at the initial state; the trajectory rows reached are still written,
+with a truncation note in the diagnostics sidecar) or a compare
 route refused its data with a typed error (SecularOutOfDomain or ComplexRoots
 from an exact route, NonPositiveVelocity from ``matrix_eigen``, and so on).
 
@@ -20,9 +21,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,8 +70,7 @@ def _array(raw: dict, key: str) -> np.ndarray:
         raise ConfigInvalid(f"{key} out of range: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated simulation request parsed from a JSON document."""
 
     system: str
@@ -322,10 +321,11 @@ def _goldfish_initial(cfg: RunConfig) -> dynamics.GoldfishState:
 
 
 def _geodesic_velocities(cfg: RunConfig) -> dynamics.GoldfishState:
-    """The goldfish data of a geodesic config: the qdot of Hamilton's equations."""
-    from .geometry import geodesic_rhs
-
-    return dynamics.GoldfishState(cfg.q0, geodesic_rhs(cfg.q0, cfg.p0)[0])
+    """The goldfish data of a geodesic config: qdot = J^{-1} J^{-T} pi, with the
+    operations of ``geometry.geodesic_rhs``, which would also compute a pidot
+    that can overflow where qdot does not."""
+    jinv = symfun.jacobian_inverse_unchecked(cfg.q0)
+    return dynamics.GoldfishState(cfg.q0, jinv @ (jinv.T @ cfg.p0))
 
 
 def _flat_exact(initial) -> Callable[[RunConfig], np.ndarray]:
@@ -367,8 +367,7 @@ def _positions_coth_exact(cfg: RunConfig) -> np.ndarray:
 # the systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(NamedTuple):
     """Everything the command line knows about one system."""
 
     #: initial-data fields a config must hold, besides system, N and t_end

@@ -8,7 +8,6 @@ positions come back as polynomial roots.  The spin-extended system evolves
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
@@ -36,39 +35,30 @@ from .utils import (
 # states and configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GoldfishState:
     """Positions q with velocities qdot: the state of every pair flow
     (``PairFlowSystem``: goldfish, sinh and coth)."""
 
-    q: np.ndarray
-    qdot: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", symfun.as_configuration(self.q))
-        object.__setattr__(self, "qdot", finite_vector(self.qdot, self.q.size, "qdot"))
+    def __init__(self, q, qdot):
+        self.q = symfun.as_configuration(q)
+        self.qdot = finite_vector(qdot, self.q.size, "qdot")
 
     @property
     def n(self) -> int:
         return self.q.size
 
 
-@dataclass(frozen=True)
 class ECMState:
     """Positions, momenta and antisymmetric spin matrix (stored upper triangle)."""
 
-    q: np.ndarray
-    p: np.ndarray
-    f_upper: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", symfun.as_configuration(self.q))
+    def __init__(self, q, p, f_upper):
+        self.q = symfun.as_configuration(q)
         n = self.q.size
-        object.__setattr__(self, "p", finite_vector(self.p, n, "p"))
-        fu = np.asarray(self.f_upper, dtype=float)
+        self.p = finite_vector(p, n, "p")
+        fu = np.asarray(f_upper, dtype=float)
         if fu.ndim == 2:
             fu = upper_triangle(check_antisymmetric(fu, n))
-        object.__setattr__(self, "f_upper", finite_vector(fu, n * (n - 1) // 2, "f_upper"))
+        self.f_upper = finite_vector(fu, n * (n - 1) // 2, "f_upper")
 
     @property
     def n(self) -> int:
@@ -79,7 +69,6 @@ class ECMState:
         return antisymmetric_from_upper(self.f_upper, self.n)
 
 
-@dataclass(frozen=True)
 class IntegratorConfig:
     """Tolerances and collision gap for ``integrate``.
 
@@ -87,16 +76,16 @@ class IntegratorConfig:
     100 eps to 100 eps.
     """
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    collision_gap: float = symfun.COLLISION_TOL
-
-    def __post_init__(self):
+    def __init__(self, rel_tol: float = 1e-10, abs_tol: float = 1e-12,
+                 collision_gap: float = symfun.COLLISION_TOL):
         # written so that NaN fails too: the RK loop never finishes with a NaN tolerance
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
+        if not (rel_tol > 0 and abs_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not 0 <= self.collision_gap < np.inf:
+        if not 0 <= collision_gap < np.inf:
             raise ValueError("collision_gap must be finite and >= 0")
+        self.rel_tol = rel_tol
+        self.abs_tol = abs_tol
+        self.collision_gap = collision_gap
 
 
 class Trajectory:

@@ -11,24 +11,18 @@ about cond(g) digits and serve as the verify oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import symfun
 from .utils import finite_vector, pairwise_differences
 
 
-@dataclass(frozen=True)
 class GeodesicState:
     """Positions q with conjugate momenta pi."""
 
-    q: np.ndarray
-    pi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", symfun.as_configuration(self.q))
-        object.__setattr__(self, "pi", finite_vector(self.pi, self.q.size, "pi"))
+    def __init__(self, q, pi):
+        self.q = symfun.as_configuration(q)
+        self.pi = finite_vector(pi, self.q.size, "pi")
 
 
 def pair_weights(q, c: float = 2.0) -> tuple[np.ndarray, np.ndarray]:

@@ -10,8 +10,6 @@ the root characterization f(q) = 0 are pointwise oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import dynamics, secular, symfun
@@ -33,17 +31,13 @@ POLE_TOL = 1e-8
 HyperbolicState = dynamics.GoldfishState
 
 
-@dataclass(frozen=True)
 class HyperbolicData:
     """Deformation parameter a with initial positions a_vec and velocities c_vec."""
 
-    a: float
-    a_vec: np.ndarray
-    c_vec: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_vec", symfun.as_configuration(self.a_vec))
-        object.__setattr__(self, "c_vec", finite_vector(self.c_vec, self.a_vec.size, "c_vec"))
+    def __init__(self, a: float, a_vec, c_vec):
+        self.a = a
+        self.a_vec = symfun.as_configuration(a_vec)
+        self.c_vec = finite_vector(c_vec, self.a_vec.size, "c_vec")
 
     @property
     def momentum(self) -> float:

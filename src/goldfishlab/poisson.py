@@ -20,8 +20,7 @@ coefficient-1 variant is available as a negative control.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,8 +43,7 @@ GOLDFISH_COEFFICIENT = 2.0
 # structures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PoissonStructure:
+class PoissonStructure(NamedTuple):
     """Closed-form structure functions {z_a, z_b} on a chart of n particles.
 
     ``matrix`` returns the full antisymmetric structure matrix at a point and

@@ -9,8 +9,6 @@ u = R Q, v = R P whose motion is free.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import dynamics, symfun
@@ -21,16 +19,12 @@ from .utils import finite_vector, orthogonality_defect, pairwise_differences, po
 FRAME_DRIFT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
 class MatrixFlow:
     """Straight-line matrix motion X(t) = X0 + t V0, both exactly symmetric."""
 
-    x0: np.ndarray
-    v0: np.ndarray
-
-    def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        v0 = np.asarray(self.v0, dtype=float)
+    def __init__(self, x0, v0):
+        x0 = np.asarray(x0, dtype=float)
+        v0 = np.asarray(v0, dtype=float)
         for name, m in (("x0", x0), ("v0", v0)):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"{name} must be square")
@@ -38,24 +32,20 @@ class MatrixFlow:
                 raise ValueError(f"{name} must be exactly symmetric")
         if x0.shape != v0.shape:
             raise ValueError("x0 and v0 must have equal shape")
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "v0", v0)
+        self.x0 = x0
+        self.v0 = v0
 
     @property
     def n(self) -> int:
         return self.x0.shape[0]
 
 
-@dataclass(frozen=True)
 class ReducedChart:
     """Square-root chart: P_i = sqrt(p_i) > 0, Q_i = 2 q_i sqrt(p_i)."""
 
-    Q: np.ndarray
-    P: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "Q", finite_vector(self.Q, name="Q"))
-        object.__setattr__(self, "P", finite_vector(self.P, self.Q.size, "P"))
+    def __init__(self, Q, P):
+        self.Q = finite_vector(Q, name="Q")
+        self.P = finite_vector(P, self.Q.size, "P")
         if np.any(self.P <= 0):
             raise NonPositiveMomentum("chart needs P_i > 0")
 
@@ -64,18 +54,17 @@ class ReducedChart:
         return self.Q.size
 
 
-@dataclass
 class FrameTrajectory:
-    """Orthogonal frames over a time grid, optionally with the (Q, P) curves."""
+    """Orthogonal frames over a time grid, optionally with the (Q, P) curves.
 
-    times: np.ndarray
-    frames: np.ndarray  # (n_t, N, N)
-    Q: np.ndarray | None = None  # (n_t, N)
-    P: np.ndarray | None = None
+    ``frames`` has shape (n_t, N, N); ``Q`` and ``P``, when given, (n_t, N).
+    """
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.frames = np.asarray(self.frames, dtype=float)
+    def __init__(self, times, frames, Q=None, P=None):
+        self.times = np.asarray(times, dtype=float)
+        self.frames = np.asarray(frames, dtype=float)
+        self.Q = Q
+        self.P = P
         worst = max(orthogonality_defect(r) for r in self.frames)
         if worst >= 1e-8:
             raise ValueError(f"stored frame fails orthogonality: defect {worst:.3e}")

@@ -6,7 +6,9 @@ passes: forward time, a real state, scalar tolerances, an increasing output
 grid ``t_eval`` and at most one terminal event that fires on a downward zero
 crossing.  The caller guarantees these, so the arguments are not re-checked
 here.  It keeps scipy's bits, ``nfev`` and messages, so the package needs
-numpy only at run time; the tests pin it against scipy.
+numpy only at run time; the tests pin it against scipy.  It departs from
+scipy only at a right-hand side that is not finite at the initial state,
+which it refuses where scipy's step loop would go on with a NaN step.
 
 Which operations carry scipy's bits: the stage sums ``np.dot(K[:s].T, a_s)``
 and the ``B`` and ``E`` dots stay the same BLAS calls, and the error norm is
@@ -27,9 +29,11 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .errors import IntegrationError
 
 EPS = np.finfo(float).eps
 MIN_RTOL = 100 * EPS  # smaller rtol values are raised to this, as scipy does
@@ -66,8 +70,7 @@ P = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """Grid times ``t``, states ``y`` (one column per time) and how the run ended.
 
     ``status`` is 0 when ``t_span`` was reached, 1 when the terminal event
@@ -178,7 +181,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, event=None) -> Solution:
     first step over which it goes from >= 0 to <= 0 (scipy's terminal event
     with direction -1), at the root that Brent's method finds in that step.
     An ``rtol`` below 100 eps is raised to 100 eps with a UserWarning.
-    Exceptions raised by ``fun`` propagate unchanged.
+    A right-hand side that is not finite at the initial state raises
+    IntegrationError (``time`` t0, no ``partial``), where scipy would go on;
+    it is evaluated with floating-point warnings off.  Exceptions raised by
+    ``fun`` propagate unchanged.
     """
     t0, tf = map(float, t_span)
     t_eval = np.asarray(t_eval)
@@ -197,7 +203,12 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, event=None) -> Solution:
         return np.asarray(fun(t, y), dtype=float)
 
     t = t0
-    f_cur = f(t, y)
+    # a non-finite slope at the start gives a NaN first step, on which the
+    # step loop never ends
+    with np.errstate(all="ignore"):
+        f_cur = f(t, y)
+    if not np.isfinite(f_cur).all():
+        raise IntegrationError(f"right-hand side is not finite at t = {t:.6g}", time=t)
     h_abs = _initial_step(f, t, y, tf, f_cur, rtol, atol)
     K = np.empty((7, y.size))
     stages = ([(s, K[:s].T, A[s, :s], float(C[s])) for s in range(1, 6)], K[:-1].T, K.T)

@@ -24,9 +24,8 @@ import math
 import os
 import time
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,8 +40,7 @@ TIGHT = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
 Case = tuple[object, float]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     max_residual: float
     tolerance: float
@@ -61,8 +59,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     name: str
     suite: str
     tolerance: float

@@ -774,6 +774,46 @@ def test_malformed_config_exits_two(tmp_path, capsys, case, command):
     assert "Traceback" not in err
 
 
+# data near the edge of the float range.  The right-hand side of each RK run
+# is not finite at t = 0: the spin and geodesic runs stepped forever on a NaN
+# step, and the goldfish pairs ended in RuntimeWarnings and a step underflow or
+# a false collision.  The geodesic flat_exact route overflowed in a pidot it
+# does not use.  Under -W error each exited 1
+_NOT_FINITE_AT_START = "error: IntegrationError: right-hand side is not finite at t = 0\n"
+_GEODESIC_HUGE_P = {"system": "geodesic", "N": 2, "q0": [-0.5, 0.5], "p0": [2.6e307, 2.6e307],
+                    "t_end": 1, "output_points": 3}
+EDGE_OF_RANGE = [
+    ({"system": "ecm", "N": 3, "q0": [0, 1, 2], "p0": [1, 1, 1],
+      "f0": [[0, 1e200, 1e200], [-1e200, 0, -1e200], [-1e200, 1e200, 0]], "t_end": 1, "output_points": 3},
+     ["simulate"], 3, _NOT_FINITE_AT_START),
+    (_GEODESIC_HUGE_P, ["simulate"], 3, _NOT_FINITE_AT_START),
+    (_GEODESIC_HUGE_P, ["compare", "--solvers", "rk_integration"], 3, _NOT_FINITE_AT_START),
+    ({**GOLDFISH, "qdot0": [1e200, 1e200], "t_end": 1, "output_points": 3}, ["simulate"], 3,
+     _NOT_FINITE_AT_START),
+    ({"system": "goldfish", "N": 3, "q0": [0, 0.5, 1], "qdot0": [1e308, -1e308, 1e308], "t_end": 1,
+      "output_points": 3}, ["simulate"], 3, _NOT_FINITE_AT_START),
+    ({"system": "geodesic", "N": 2, "q0": [0, 1], "p0": [1e200, 1e200], "t_end": 1, "output_points": 3},
+     ["compare", "--solvers", "flat_exact"], 0, ""),
+]
+
+
+@pytest.mark.parametrize("raw, command, code, stderr", EDGE_OF_RANGE,
+                         ids=["ecm", "geodesic", "geodesic rk_integration", "goldfish 1e200",
+                              "goldfish 1e308", "geodesic flat_exact"])
+def test_data_at_the_edge_of_the_float_range_as_a_process(tmp_path, raw, command, code, stderr):
+    cfg = write_config(tmp_path / "cfg.json", raw)
+    out = tmp_path / "out.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    # the timeout turns a step loop that never ends into a failure
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "goldfishlab", command[0], "--config", cfg,
+                           *command[1:], "--out", str(out)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+    if command == ["simulate"]:
+        sidecar = strict_json(cli.sidecar_path(out))
+        assert sidecar["rows_written"] == 0 and sidecar["truncation"]["time"] == 0.0
+
+
 def _run_python(script: str) -> list[str]:
     """Stdout lines of ``script`` run by a fresh interpreter on this source tree."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -790,8 +830,8 @@ SUBMODULES = sorted(path.stem for path in Path(cli.__file__).parent.glob("*.py")
 
 def test_runtime_imports_no_scipy(tmp_path):
     """simulate, compare (z_eigen included) and verify run on numpy alone, only
-    verify loads the process-pool modules, and each command loads only the
-    goldfishlab modules it runs."""
+    verify loads the process-pool modules, each command loads only the
+    goldfishlab modules it runs, and none loads dataclasses."""
     sim = write_config(tmp_path / "sim.json", GOLDFISH)
     coth = write_config(tmp_path / "coth.json", {"system": "hyperbolic-coth", "N": 3, "t_end": 0.3,
                                                  **SYSTEM_CONFIGS["hyperbolic-coth"][0]})
@@ -801,17 +841,19 @@ import sys
 import goldfishlab
 def loaded(*packages):
     return sorted(name for name in sys.modules if name.split(".")[0] in packages)
-steps = [loaded("goldfishlab")]
+def step():
+    return loaded("goldfishlab", "dataclasses")
+steps = [step()]
 from goldfishlab import cli
 codes = [cli.main(["simulate", "--config", {sim!r}, "--out", {str(tmp_path / "sim.csv")!r}])]
-steps.append(loaded("goldfishlab"))
+steps.append(step())
 codes.append(cli.main(["compare", "--config", {coth!r}, "--solvers", "z_eigen,rk_integration,s_exact",
                        "--out", {str(tmp_path / "cmp.csv")!r}]))
-steps.append(loaded("goldfishlab"))
+steps.append(step())
 pool_modules = loaded("multiprocessing", "concurrent")
 codes.append(
     cli.main(["verify", "all", "--seed", "42", "--out", {str(tmp_path / "report.json")!r}]))
-steps.append(loaded("goldfishlab"))
+steps.append(step())
 print(json.dumps(steps))
 print(codes, loaded("scipy"), pool_modules)
 """

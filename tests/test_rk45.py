@@ -157,6 +157,30 @@ def test_rhs_error_propagates_unchanged():
         rk45.solve_ivp(fun, (0.0, 1.0), [1.0], 1e-8, 1e-12, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("slope", [
+    lambda y: np.full_like(y, np.nan),
+    lambda y: y * 1e308 * 10,  # overflows to inf with a RuntimeWarning
+], ids=["nan", "overflow"])
+def test_non_finite_slope_at_the_start_is_refused(slope):
+    """scipy's step loop never ends on such a start: its first step size is
+    NaN, which no step-size test rejects.  The refusal comes after one call,
+    with no floating-point warning."""
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        if len(calls) > 100:
+            raise RuntimeError("the step loop did not stop")
+        return slope(y)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="^right-hand side is not finite at t = 0$") as info:
+            rk45.solve_ivp(fun, (0.0, 1.0), [1.0, 2.0], 1e-8, 1e-12, [0.0, 0.5, 1.0])
+    assert calls == [0.0]
+    assert info.value.time == 0.0 and info.value.partial is None
+
+
 def test_brentq_matches_scipy_bit_for_bit():
     rng = np.random.default_rng(3)
     for a3, b3, c3 in rng.normal(size=(200, 3)):
