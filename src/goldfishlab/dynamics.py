@@ -240,9 +240,6 @@ class OdeSystem:
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def positions(self, y: np.ndarray) -> np.ndarray:
-        return y[: self.n]
-
     def rejected_row(self, rows: np.ndarray) -> int | None:
         """Index of the first of ``rows`` (one packed state each) that ``unpack`` rejects, or None.
 
@@ -412,7 +409,7 @@ def integrate(
         def gap_event(t, y):
             # signed adjacent gaps in the initial order: a crossing that one
             # step jumps over still shows as a negative gap
-            q = system.positions(y)
+            q = y[: system.n]
             return float((q[1:] - q[:-1]).min()) - config.collision_gap
 
     sol = solve_ivp(
@@ -466,8 +463,8 @@ def _closing_gap(system: OdeSystem, t: float, y: np.ndarray) -> float | None:
     """The smallest adjacent gap of the monitored positions at y if that pair is closing, else None."""
     if system.n < 2:
         return None
-    q = system.positions(y)
+    q = y[: system.n]
     gaps = q[1:] - q[:-1]
     k = int(gaps.argmin())
-    rates = system.positions(system.rhs(t, y))
+    rates = system.rhs(t, y)[: system.n]
     return float(gaps[k]) if rates[k + 1] - rates[k] < 0 else None

@@ -209,7 +209,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval, event=None) -> Solution:
         f_cur = f(t, y)
     if not np.isfinite(f_cur).all():
         raise IntegrationError(f"right-hand side is not finite at t = {t:.6g}", time=t)
-    h_abs = _initial_step(f, t, y, tf, f_cur, rtol, atol)
+    # at a huge but finite start the initial step's norms overflow to inf;
+    # the step that follows is scipy's, which only warns there
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h_abs = _initial_step(f, t, y, tf, f_cur, rtol, atol)
     K = np.empty((7, y.size))
     stages = ([(s, K[:s].T, A[s, :s], float(C[s])) for s in range(1, 6)], K[:-1].T, K.T)
     grid = t_eval.tolist()

@@ -1,14 +1,17 @@
 """Seeded random draws shared by the verification suites and tests.
 
 Conventions: positions are sorted uniforms on [-2, 2] with a minimal gap of
-0.1 enforced by resampling; velocities and momenta are uniform on [0.5, 1.5];
-spin entries uniform on [-1, 1].  A fixed generator therefore fixes every
-draw, which keeps verification reports byte-reproducible.
+0.1; velocities and momenta are uniform on [0.5, 1.5]; spin entries uniform
+on [-1, 1].  A fixed generator therefore fixes every draw, which keeps
+verification reports byte-reproducible.
 
-Rejection sampling tests candidates in blocks of rows once the first one is
-rejected, and then rewinds the generator and redraws exactly the candidates
-up to the accepted one: the position vector and the generator's later state
-are those of drawing one candidate at a time.
+Positions are drawn directly, by the spacing transform of uniform order
+statistics (Devroye, *Non-Uniform Random Variate Generation*, Springer 1986,
+ch. V): sorted uniforms y on [0, slack), slack = high - low - (n - 1) min_gap,
+map to low + y_k + k min_gap.  The map is a bijection with unit Jacobian onto
+the sorted configurations in [low, high) whose gaps are all >= min_gap, so
+the draw is uniform on them, as a rejection loop's would be, at one draw of
+n uniforms whatever n and min_gap.
 """
 from __future__ import annotations
 
@@ -21,35 +24,18 @@ def random_configuration(
     low: float = -2.0,
     high: float = 2.0,
     min_gap: float = 0.1,
-    max_tries: int = 10_000,
 ) -> np.ndarray:
     """Sorted uniforms on [low, high) with every adjacent gap >= ``min_gap``.
 
-    Draws up to ``max_tries`` candidates of n positions.  The first is
-    tested alone, since at the default gap most are accepted; then blocks of
-    8, 32, 128, ... candidates are drawn at once.  ``uniform`` fills a block
-    row by row from the same stream, so its row k is the k-th candidate of
-    the one-at-a-time loop.
+    Uniform on those configurations, up to the one rounding of each sum
+    (a gap can fall a few ulps of the coordinates short); ValueError if none
+    has room, that is if (n - 1) min_gap >= high - low.
     """
-    if max_tries >= 1:
-        q = np.sort(rng.uniform(low, high, n))
-        if n < 2 or (q[1:] - q[:-1]).min() >= min_gap:
-            return q
-    tries, block = 1, 8
-    while tries < max_tries:
-        block = min(block, max_tries - tries)
-        state = rng.bit_generator.state
-        q = np.sort(rng.uniform(low, high, (block, n)), axis=1)
-        accepted = np.flatnonzero((q[:, 1:] - q[:, :-1]).min(axis=1) >= min_gap)
-        if accepted.size:
-            # leave the generator where the one-at-a-time loop stops
-            k = int(accepted[0])
-            rng.bit_generator.state = state
-            rng.uniform(low, high, (k + 1) * n)
-            return q[k]
-        tries += block
-        block *= 4
-    raise RuntimeError(f"could not draw {n} positions with gap >= {min_gap}")
+    slack = high - low - (n - 1) * min_gap
+    if slack <= 0:
+        raise ValueError(f"no room for {n} positions with gap >= {min_gap} in [{low}, {high})")
+    y = np.sort(rng.uniform(0.0, slack, n))
+    return low + y + min_gap * np.arange(n)
 
 
 def random_velocities(rng: np.random.Generator, n: int, low: float = 0.5, high: float = 1.5) -> np.ndarray:

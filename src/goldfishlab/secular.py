@@ -203,7 +203,8 @@ def _step(f, parts, lower, last, tau) -> np.ndarray:
         proposal = sign * r * (2.0 * kk / (b + root))
         proposal = np.where(last, tau * (dw / (dw + f)), proposal)
         newton = tau - r * (f / dw)
-    bad = ~np.isfinite(proposal) | ((proposal - tau) * f > 0)
+    # signs, not their product, which overflows at offsets near 1e154
+    bad = ~np.isfinite(proposal) | (np.sign(proposal - tau) * np.sign(f) > 0)
     return np.where(bad, newton, proposal)
 
 

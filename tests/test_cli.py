@@ -780,6 +780,7 @@ def test_malformed_config_exits_two(tmp_path, capsys, case, command):
 # a false collision.  The geodesic flat_exact route overflowed in a pidot it
 # does not use.  Under -W error each exited 1
 _NOT_FINITE_AT_START = "error: IntegrationError: right-hand side is not finite at t = 0\n"
+_COTH_SPANS, _COTH_T_ENDS = (180, 250, 300, 350), (1e-3, 1)
 _GEODESIC_HUGE_P = {"system": "geodesic", "N": 2, "q0": [-0.5, 0.5], "p0": [2.6e307, 2.6e307],
                     "t_end": 1, "output_points": 3}
 EDGE_OF_RANGE = [
@@ -794,12 +795,25 @@ EDGE_OF_RANGE = [
       "output_points": 3}, ["simulate"], 3, _NOT_FINITE_AT_START),
     ({"system": "geodesic", "N": 2, "q0": [0, 1], "p0": [1e200, 1e200], "t_end": 1, "output_points": 3},
      ["compare", "--solvers", "flat_exact"], 0, ""),
+    # finite data whose intermediate products overflowed, each exiting 1: the
+    # secular kernel's step test at offsets near 1e154 and beyond (coth poles
+    # z = e^{2a} from a = 180 on), and the norms of the first RK step size
+    ({**GOLDFISH, "q0": [0, 1e160], "output_points": 3}, ["compare", "--solvers", "flat_exact,rk_integration"],
+     0, ""),
+    ({"system": "goldfish", "N": 3, "q0": [0, 1, 1e300], "qdot0": [1, 1, 1], "t_end": 1, "output_points": 3},
+     ["compare", "--solvers", "flat_exact,rk_integration"], 0, ""),
+    *[({"system": "hyperbolic-coth", "N": 2, "a_vec": [0, a], "c_vec": [1, 1], "t_end": t_end,
+        "output_points": 3}, ["compare", "--solvers", "z_eigen,rk_integration"], 0, "")
+      for a in _COTH_SPANS for t_end in _COTH_T_ENDS],
+    ({**GOLDFISH, "qdot0": [1e150, 1e150], "output_points": 3}, ["simulate"], 0, ""),
 ]
 
 
 @pytest.mark.parametrize("raw, command, code, stderr", EDGE_OF_RANGE,
                          ids=["ecm", "geodesic", "geodesic rk_integration", "goldfish 1e200",
-                              "goldfish 1e308", "geodesic flat_exact"])
+                              "goldfish 1e308", "geodesic flat_exact", "goldfish q0 1e160", "goldfish q0 1e300",
+                              *[f"coth {a} t {t_end:g}" for a in _COTH_SPANS for t_end in _COTH_T_ENDS],
+                              "goldfish qdot0 1e150"])
 def test_data_at_the_edge_of_the_float_range_as_a_process(tmp_path, raw, command, code, stderr):
     cfg = write_config(tmp_path / "cfg.json", raw)
     out = tmp_path / "out.csv"
@@ -809,7 +823,15 @@ def test_data_at_the_edge_of_the_float_range_as_a_process(tmp_path, raw, command
                            *command[1:], "--out", str(out)],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert (proc.returncode, proc.stderr) == (code, stderr)
-    if command == ["simulate"]:
+    if code == 0:
+        lines = out.read_text().splitlines()
+        end = lines.index("solver,seconds") if command[0] == "compare" else len(lines)
+        values = np.array([[float(x) for x in line.split(",")] for line in lines[1:end]])
+        assert values.shape[0] == 3 and np.isfinite(values).all()
+        if command[0] == "compare":
+            # every route within RK's tolerance of the others
+            assert values[:, 1:].max(initial=0.0) <= 1e-10
+    elif command == ["simulate"]:
         sidecar = strict_json(cli.sidecar_path(out))
         assert sidecar["rows_written"] == 0 and sidecar["truncation"]["time"] == 0.0
 

@@ -181,6 +181,23 @@ def test_non_finite_slope_at_the_start_is_refused(slope):
     assert info.value.time == 0.0 and info.value.partial is None
 
 
+def test_huge_finite_start_matches_scipy_without_a_warning():
+    """The goldfish pair at qdot0 = 1e150: the initial step's norms overflow
+    to inf.  scipy warns there and goes on; ours takes the same steps silently."""
+    system = dynamics.GoldfishSystem(2)
+    y0 = system.pack(dynamics.GoldfishState([0.0, 1.0], [1e150, 1e150]))
+    grid = np.linspace(0.0, 1.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = rk45.solve_ivp(system.rhs, (0.0, 1.0), y0, 1e-10, 1e-12, grid)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = scipy_solve_ivp(system.rhs, (0.0, 1.0), y0, method="RK45", rtol=1e-10, atol=1e-12,
+                              t_eval=grid)
+    assert ours.status == 0
+    assert_same_solution(ours, ref)
+
+
 def test_brentq_matches_scipy_bit_for_bit():
     rng = np.random.default_rng(3)
     for a3, b3, c3 in rng.normal(size=(200, 3)):
