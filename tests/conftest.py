@@ -5,6 +5,20 @@ from hypothesis import strategies as st
 from goldfishlab import dynamics, symfun
 
 
+def rejection(rng, n, low=-2.0, high=2.0, min_gap=0.1):
+    """The reference law: sorted uniforms on [low, high), redrawn until every gap is >= min_gap.
+
+    It is also the rejection sampler that ``sampling.random_configuration``
+    used before its direct draws, draw for draw and in the generator state it
+    leaves: tests that pin a configuration of that sampler by its verify seed
+    put this in its place.
+    """
+    while True:
+        q = np.sort(rng.uniform(low, high, n))
+        if n < 2 or np.diff(q).min() >= min_gap:
+            return q
+
+
 @st.composite
 def configurations(draw, min_n=2, max_n=6, min_gap=0.15, max_gap=1.0, bound=3.0):
     """Strictly increasing position vectors with bounded entries and gaps."""

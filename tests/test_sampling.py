@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from conftest import rejection
 from goldfishlab import sampling
-
-
-def rejection(rng, n, low=-2.0, high=2.0, min_gap=0.1):
-    """The reference law: sorted uniforms on [low, high), redrawn until every gap is >= min_gap."""
-    while True:
-        q = np.sort(rng.uniform(low, high, n))
-        if n < 2 or np.diff(q).min() >= min_gap:
-            return q
 
 
 def tightest_gap(n, low, high):

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from goldfishlab import cli, verify
+from conftest import rejection
+from goldfishlab import cli, sampling, verify
 from goldfishlab.errors import CollisionDetected
 
 
@@ -14,6 +15,13 @@ def run_on_cpus(monkeypatch, cpus, selector, seed):
     """run_checks as it runs when the process may use ``cpus`` CPUs."""
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     return verify.run_checks(selector, seed)
+
+
+@pytest.fixture
+def rejection_draws(monkeypatch):
+    """verify draws its positions as the rejection sampler did before the
+    direct draws, so a seed gives the configurations it was pinned for."""
+    monkeypatch.setattr(sampling, "random_configuration", rejection)
 
 
 def masked(results):
@@ -124,12 +132,11 @@ def test_every_check_yields_a_case_and_declares_a_finite_tolerance(spec):
         ("symfun_roundtrip", 257),
     ],
 )
-def test_exact_symfun_checks_pass_where_the_float_identities_failed(name, seed):
-    # with the rejection draws that sampling made before its direct draws,
-    # J J^{-1} - I in doubles (seeds 147, 370) and the forward error of
-    # clustered roots (seed 257) exceeded 1e-10; the entries of J^{-1} against
-    # their exact values and the backward error of the roots do not.  These
-    # seeds now draw other configurations
+def test_exact_symfun_checks_pass_where_the_float_identities_failed(rejection_draws, name, seed):
+    # at the rejection draws of these seeds, J J^{-1} - I in doubles (seeds
+    # 147, 370) and the forward error of clustered roots (seed 257) exceeded
+    # 1e-10; the entries of J^{-1} against their exact values and the backward
+    # error of the roots do not
     result = verify.run_single(name, seed)
     assert result.passed, result.to_dict()
 
@@ -151,9 +158,10 @@ def test_verify_case_marks_the_worst_case_and_exits_with_the_verdict(monkeypatch
 
 
 @pytest.mark.parametrize("seed", [106, 193, 215, 249, 384])
-def test_offsurface_control_passes_where_its_smallest_draw_vanished(seed):
-    # each of these seeds draws one N = 2 point near a zero set of {G_01, H}
-    # other than the constraint surface, so only some draw exceeds 1e-3
+def test_offsurface_control_passes_where_its_smallest_draw_vanished(rejection_draws, seed):
+    # at each of these seeds the rejection draws give one N = 2 point near a
+    # zero set of {G_01, H} other than the constraint surface, so only some
+    # draw exceeds 1e-3
     for name in ("poisson_constraint_offsurface_control", "poisson_constraint_offsurface_closed_form"):
         result = verify.run_single(name, seed)
         assert result.passed, result.to_dict()
@@ -164,8 +172,9 @@ def test_offsurface_control_passes_where_its_smallest_draw_vanished(seed):
     [("geometry_hamiltonian_conservation", seed) for seed in (27, 34, 46, 48, 49, 78, 93)]
     + [("geometry_goldfish_equivalence", 105)],
 )
-def test_geometry_checks_pass_where_the_closed_form_inverse_metric_failed(name, seed):
-    # the closed-form g^{-1} lost about cond(g) digits at these draws; Hamilton's
-    # equations and the energy now go through the flat momenta P = J^{-T} pi
+def test_geometry_checks_pass_where_the_closed_form_inverse_metric_failed(rejection_draws, name, seed):
+    # the closed-form g^{-1} lost about cond(g) digits at the rejection draws
+    # of these seeds; Hamilton's equations and the energy now go through the
+    # flat momenta P = J^{-T} pi
     result = verify.run_single(name, seed)
     assert result.passed, result.to_dict()
